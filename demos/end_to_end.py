@@ -12,15 +12,16 @@ from pathlib import Path
 
 from trigkit.config import load_inputs, read_config
 from trigkit.data import reference_config
+from trigkit.docio import dump_document
 from trigkit.generation import AssessmentClass, assess, rank
 from trigkit.pipeline import Catalog, generate_catalog
 from trigkit.render import (
-    catalog_to_csv,
-    catalog_to_markdown,
+    cases_to_doc,
     cases_to_markdown,
+    catalog_to_csv,
+    catalog_to_doc,
+    catalog_to_markdown,
     render_report,
-    serialize_catalog,
-    serialize_cases,
 )
 from trigkit.testcases import BehaviorClass, ResultsLedger, compose, outcome_record
 
@@ -59,7 +60,8 @@ def main() -> None:
     print(f"{len(catalog.conditions)} conditions ({counts})")
     for warning in catalog.warnings:
         print(f"  warning: {warning}")
-    (OUT / "catalog.json").write_text(serialize_catalog(catalog), encoding="utf-8")
+    (OUT / "catalog.json").write_text(dump_document(catalog_to_doc(catalog), fmt="json"),
+                                      encoding="utf-8")
     (OUT / "catalog.csv").write_text(catalog_to_csv(catalog), encoding="utf-8")
     print("sample conditions:")
     for condition in catalog.conditions[:3]:
@@ -94,8 +96,8 @@ def main() -> None:
                               inputs.policy)
     print(f"{len(cases)} test cases from {len(catalog.conditions)} conditions "
           f"and {len(inputs.events)} hazardous events")
-    (OUT / "test_cases.json").write_text(serialize_cases(cases, warnings),
-                                         encoding="utf-8")
+    (OUT / "test_cases.json").write_text(
+        dump_document(cases_to_doc(cases, warnings), fmt="json"), encoding="utf-8")
     (OUT / "test_cases.md").write_text(cases_to_markdown(cases), encoding="utf-8")
     sample = cases[0]
     print("first case:")

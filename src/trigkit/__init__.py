@@ -27,7 +27,6 @@ from .docio import (
     dump_document,
     parse_document,
     read_document,
-    write_document,
 )
 from .errors import Diagnostic, DiagnosticSink, DocumentError, ToolkitError
 from .generation import (
@@ -45,13 +44,9 @@ from .generation import (
     assess,
     build_matrix,
     condition_id,
-    load_effects,
-    load_ratings,
     parse_degree,
     positive_cells,
     rank,
-    read_effects,
-    read_ratings,
     render_degree,
     synthesize_conditions,
     worst_case_filter,
@@ -69,10 +64,7 @@ from .ontology import (
     SourceProperty,
     is_kind_of,
     legal_categories,
-    load_source_ontology,
     lookup_concept,
-    read_source_ontology,
-    serialize_source_ontology,
 )
 from .perception import (
     ALL_STAGES,
@@ -86,11 +78,7 @@ from .perception import (
     SensorSuite,
     StagePhase,
     affected_stages,
-    load_sensor_suite,
-    read_sensor_suite,
-    recognition_stage_names,
     sensor_obstruction_stages,
-    serialize_sensor_suite,
     stages_for_class,
     trace_propagation,
 )
@@ -110,11 +98,8 @@ from .relationships import (
     compose_bundle,
     instantiate_relationship,
     instantiate_sensor_relationship,
-    load_compatibility_matrix,
     parse_relation_form,
-    read_compatibility_matrix,
     sensor_applicable_relationships,
-    serialize_compatibility_matrix,
 )
 from .render import (
     CASES_SCHEMA,
@@ -130,18 +115,12 @@ from .render import (
     matrix_to_csv,
     matrix_to_doc,
     matrix_to_markdown,
-    read_catalog,
     render_report,
     report_to_doc,
-    serialize_catalog,
-    serialize_cases,
 )
 from .templates import (
     TEMPLATES_SCHEMA,
     TemplateSet,
-    load_templates,
-    read_templates,
-    serialize_templates,
     split_signature,
 )
 from .testcases import (
@@ -154,13 +133,7 @@ from .testcases import (
     ResultsLedger,
     TestCase,
     compose,
-    load_events,
-    load_policy,
     outcome_record,
-    read_events,
-    read_policy,
-    serialize_events,
-    serialize_policy,
     test_case_id,
 )
 

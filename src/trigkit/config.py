@@ -112,50 +112,19 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
     check_schema(doc, CONFIG_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
 
-    inputs = doc.get("inputs")
-    if not isinstance(inputs, dict):
-        sink.error(E.MISSING_FIELD, "'inputs' must be a mapping")
-        inputs = {}
-    resolved: dict[str, Path | None] = {}
-    for field in _REQUIRED_INPUTS + _OPTIONAL_INPUTS:
-        value = inputs.get(field)
-        if value is None:
-            if field in _REQUIRED_INPUTS:
-                sink.error(E.MISSING_FIELD, f"inputs.{field} is required")
-            resolved[field] = None
-        elif not isinstance(value, str) or not value:
-            sink.error(E.INVALID_VALUE, f"inputs.{field} must be a path string")
-            resolved[field] = None
-        else:
-            resolved[field] = (base_dir / value).resolve()
+    inputs = sink.collection(doc, "inputs", mapping=True)
+    resolved = {field: sink.text(inputs, field, "inputs", noun="path string")
+                for field in _REQUIRED_INPUTS}
+    resolved.update({field: sink.text(inputs, field, "inputs", None, noun="path string")
+                     for field in _OPTIONAL_INPUTS})
+    resolved = {field: None if value is None else (base_dir / value).resolve()
+                for field, value in resolved.items()}
 
-    parameters = doc.get("parameters", {})
-    if not isinstance(parameters, dict):
-        sink.error(E.INVALID_VALUE, "'parameters' must be a mapping")
-        parameters = {}
-    threshold = parameters.get("threshold", 2)
-    if threshold not in (1, 2, 3):
-        sink.error(E.INVALID_VALUE, f"parameters.threshold must be 1, 2 or 3, "
-                                    f"got {threshold!r}")
-        threshold = 2
-    bundle_limit = parameters.get("bundle_limit", 2)
-    if not isinstance(bundle_limit, int) or isinstance(bundle_limit, bool) \
-            or bundle_limit < 0:
-        sink.error(E.INVALID_VALUE, "parameters.bundle_limit must be a "
-                                    "non-negative integer")
-        bundle_limit = 2
-    expected_total = parameters.get("expected_total")
-    if expected_total is not None and (not isinstance(expected_total, int)
-                                       or isinstance(expected_total, bool)
-                                       or expected_total < 0):
-        sink.error(E.INVALID_VALUE, "parameters.expected_total must be a "
-                                    "non-negative integer")
-        expected_total = None
-
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str) or not output_dir:
-        sink.error(E.INVALID_VALUE, "'output_dir' must be a path string")
-        output_dir = "out"
+    parameters = sink.collection(doc, "parameters", mapping=True)
+    threshold = sink.choice(parameters, "threshold", (1, 2, 3), "parameters", 2)
+    bundle_limit = sink.int_in(parameters, "bundle_limit", 0, None, "parameters", 2)
+    expected_total = sink.int_in(parameters, "expected_total", 0, None, "parameters", None)
+    output_dir = sink.text(doc, "output_dir", "", "out", noun="path string")
 
     sink.raise_if_errors()
     return ProjectConfig(

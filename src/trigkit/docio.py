@@ -29,13 +29,9 @@ __all__ = [
     "parse_document",
     "read_document",
     "dump_document",
-    "write_document",
     "detect_format",
     "check_schema",
 ]
-
-FORMATS = ("yaml", "json")
-
 
 def detect_format(path: str | Path) -> str:
     suffix = Path(path).suffix.lower()
@@ -132,8 +128,3 @@ def dump_document(doc: dict, *, fmt: str = "yaml") -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
     raise ValueError(f"unsupported format: {fmt!r}")
-
-
-def write_document(doc: dict, path: str | Path) -> None:
-    p = Path(path)
-    p.write_text(dump_document(doc, fmt=detect_format(p)), encoding="utf-8")

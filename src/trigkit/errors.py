@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .naming import is_identifier
+
 __all__ = [
     "Diagnostic",
     "ToolkitError",
@@ -54,14 +56,10 @@ MISSING_TEMPLATE = "MissingTemplate"
 # Test-case composition
 UNKNOWN_SENSOR = "UnknownSensor"
 NO_COMPATIBLE_EVENT = "NoCompatibleEvent"
-UNKNOWN_EVENT = "UnknownEvent"
-UNKNOWN_TEST_CASE = "UnknownTestCase"
 UNKNOWN_CONDITION = "UnknownCondition"
 # CLI / configuration
-USAGE_ERROR = "UsageError"
 EMPTY_CONFIG = "EmptyConfig"
 MISSING_INPUT = "MissingInput"
-UNKNOWN_FORMAT = "UnknownFormat"
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,9 @@ class DocumentError(ToolkitError):
         self.diagnostics = list(diagnostics)
 
 
+_REQUIRED = object()  # the default of a reader's required field
+
+
 @dataclass
 class DiagnosticSink:
     """Accumulates findings while a loader walks a document."""
@@ -142,3 +143,120 @@ class DiagnosticSink:
     def raise_if_errors(self) -> None:
         if self.errors:
             raise DocumentError(self.items)
+
+    # Typed field readers. Each reads ``raw[key]`` from a parsed mapping and
+    # never raises: a value that does not fit records a located error and
+    # yields None (an empty container from ``collection``/``records``). An absent
+    # field and an explicit null are the same; a field without a ``default``
+    # is required. Messages are built only when an error is recorded.
+
+    def collection(self, raw: dict, key: str, where: str = "", *, mapping: bool = False,
+                   strings: bool = False, required: bool = False) -> list | dict:
+        """The list at ``raw[key]`` (a mapping with ``mapping``), empty when
+        absent. ``strings`` requires every entry to be a string and
+        ``required`` rejects an empty value."""
+        value = raw.get(key)
+        kind = dict if mapping else list
+        if isinstance(value, kind) and (value or not required) \
+                and (not strings or all(isinstance(v, str) for v in value)):
+            return value
+        if value is not None or required:
+            noun = ("non-empty " if required else "") + ("mapping" if mapping else "list")
+            self.error(MISSING_FIELD if required else INVALID_VALUE,
+                       f"{_field(where, key)} must be a {noun}"
+                       + (" of strings" if strings else ""))
+        return kind()
+
+    def records(self, raw: dict, key: str, where: str = "", *,
+                required: bool = False) -> list[tuple[str, dict]]:
+        """``(location, entry)`` for each mapping in the list at ``raw[key]``;
+        any other entry is an error."""
+        prefix = f"{where}.{key}" if where else key
+        out = []
+        for i, entry in enumerate(self.collection(raw, key, where, required=required)):
+            if isinstance(entry, dict):
+                out.append((f"{prefix}[{i}]", entry))
+            else:
+                self.error(INVALID_VALUE, f"{prefix}[{i}] must be a mapping")
+        return out
+
+    def text(self, raw: dict, key: str, where: str = "", default=_REQUIRED, *,
+             noun: str = "non-empty string") -> str | None:
+        """The non-blank string at ``raw[key]``."""
+        value = raw.get(key)
+        if isinstance(value, str) and value.strip():
+            return value
+        if value is not None:
+            self.error(INVALID_VALUE, f"{_field(where, key)} must be a {noun}")
+        elif default is _REQUIRED:
+            self.error(MISSING_FIELD, f"{_field(where, key)} is required")
+        else:
+            return default
+        return None
+
+    def texts(self, raw: dict, keys: tuple[str, ...], where: str = "") -> list[str] | None:
+        """The required non-blank strings at ``keys``, in order; None when any
+        is missing or wrong. One call per record keeps wide records cheap."""
+        values = [raw.get(key) for key in keys]
+        for value in values:
+            if not (isinstance(value, str) and value.strip()):
+                for key in keys:
+                    self.text(raw, key, where)
+                return None
+        return values
+
+    def identifier(self, raw: dict, key: str, where: str = "",
+                   default=_REQUIRED) -> str | None:
+        """The identifier (see :func:`~trigkit.naming.is_identifier`) at ``raw[key]``."""
+        value = raw.get(key)
+        if is_identifier(value):
+            return value
+        if value is None and default is not _REQUIRED:
+            return default
+        self.error(INVALID_IDENTIFIER,
+                   f"{where}: {key} {value!r} is invalid" if where
+                   else f"{key} {value!r} is invalid")
+        return None
+
+    def choice(self, raw: dict, key: str, table, where: str = "", default=_REQUIRED,
+               *, code: str = INVALID_VALUE):
+        """``table[raw[key]]`` for a dict ``table``, else the value itself when
+        ``table`` contains it. ``code`` names the error for any other value."""
+        value = raw.get(key)
+        if value is None and default is not _REQUIRED:
+            return default
+        try:
+            if value in table:
+                return table[value] if isinstance(table, dict) else value
+        except TypeError:  # unhashable: a list or mapping where a name belongs
+            pass
+        names = [str(option) for option in table]
+        options = names[0] if len(names) == 1 else \
+            ", ".join(names[:-1]) + " or " + names[-1]
+        self.error(code, f"{_field(where, key)} must be {options}, got {value!r}")
+        return None
+
+    def int_in(self, raw: dict, key: str, lo: int, hi: int | None,
+               where: str = "", default=_REQUIRED) -> int | None:
+        """The integer in ``[lo, hi]`` (no upper bound when ``hi`` is None)
+        at ``raw[key]``; booleans are not integers here."""
+        value = raw.get(key)
+        if isinstance(value, int) and not isinstance(value, bool) \
+                and lo <= value and (hi is None or value <= hi):
+            return value
+        if value is None and default is not _REQUIRED:
+            return default
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        self.error(INVALID_VALUE,
+                   f"{_field(where, key)} must be an integer {bound}, got {value!r}")
+        return None
+
+
+def _field(where: str, key: str) -> str:
+    """A field as messages name it: ``'key'`` at the top level, ``entry[i]:
+    'key'`` inside a list entry, and ``section.key`` inside a named section."""
+    if not where:
+        return f"'{key}'"
+    if where.endswith("]"):
+        return f"{where}: '{key}'"
+    return f"{where}.{key}"

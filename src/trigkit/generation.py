@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
 from .naming import display_name, display_property_key, is_identifier
 from .ontology import SourceOntology
@@ -41,7 +40,8 @@ from .relationships import (
     RelationForm,
     RelationshipBundle,
     RelationshipInstance,
-    parse_relation_form,
+    _form_from_doc,
+    _pattern_from_doc,
 )
 
 __all__ = [
@@ -65,14 +65,11 @@ __all__ = [
     "condition_id",
     "assess",
     "rank",
-    "load_effects",
-    "read_effects",
+    "effects_from_doc",
     "effects_to_doc",
-    "serialize_effects",
     "context_to_doc",
     "context_from_doc",
-    "load_ratings",
-    "read_ratings",
+    "ratings_from_doc",
 ]
 
 EFFECTS_SCHEMA = "effect-knowledge@1"
@@ -200,9 +197,6 @@ class EffectRule:
 @dataclass(frozen=True)
 class EffectKnowledgeBase:
     rules: tuple[EffectRule, ...] = ()
-
-    def rules_for(self, concept: str) -> tuple[EffectRule, ...]:
-        return tuple(r for r in self.rules if r.concept == concept)
 
     def group_rules(self) -> tuple[EffectRule, ...]:
         return tuple(r for r in self.rules if len(r.properties) > 1)
@@ -549,17 +543,6 @@ def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]
 # Effect knowledge documents
 # ---------------------------------------------------------------------------
 
-def load_effects(text: str, *, fmt: str = "yaml",
-                 source: str = "<document>") -> EffectKnowledgeBase:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return effects_from_doc(doc, source=source)
-
-
-def read_effects(path: str | Path) -> EffectKnowledgeBase:
-    doc = read_document(path)
-    return effects_from_doc(doc, source=str(path))
-
-
 def context_to_doc(context: RelationContext) -> dict:
     ctx: dict = {}
     if context.form is not None:
@@ -577,23 +560,15 @@ def context_from_doc(raw: object, where: str, sink: DiagnosticSink) -> RelationC
     if not isinstance(raw, dict):
         sink.error(E.INVALID_VALUE, f"{where}: 'context' must be a mapping")
         return None
-    form = None
+    form = focal = partner = None
     if raw.get("relationship") is not None:
-        try:
-            form = parse_relation_form(raw["relationship"])
-        except ToolkitError as exc:
-            sink.error(exc.code, f"{where}: {exc.args[0]}")
+        form = _form_from_doc(raw["relationship"], where, sink)
+        if form is None:
             return None
-
-    def pattern(field: str) -> MatrixPattern | None:
-        value = raw.get(field)
-        if value is None:
-            return None
-        from .relationships import _pattern_from_doc
-        return _pattern_from_doc(value, f"{where}.{field}", sink)
-
-    focal = pattern("focal")
-    partner = pattern("partner")
+    if raw.get("focal") is not None:
+        focal = _pattern_from_doc(raw["focal"], f"{where}.focal", sink)
+    if raw.get("partner") is not None:
+        partner = _pattern_from_doc(raw["partner"], f"{where}.partner", sink)
     if form is None and focal is None and partner is None:
         sink.error(E.INVALID_VALUE, f"{where}: empty context")
         return None
@@ -604,57 +579,46 @@ def effects_from_doc(doc: dict, *, source: str = "<document>") -> EffectKnowledg
     check_schema(doc, EFFECTS_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     rules: list[EffectRule] = []
-    raw_rules = doc.get("effects", [])
-    if not isinstance(raw_rules, list):
-        sink.error(E.INVALID_VALUE, "'effects' must be a list")
-        raw_rules = []
-    for i, raw in enumerate(raw_rules):
-        where = f"effects[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
-        concept = raw.get("concept")
-        if not is_identifier(concept):
-            sink.error(E.INVALID_IDENTIFIER, f"{where}: concept {concept!r} is invalid")
-            continue
-        prop_field = raw.get("property")
-        if not isinstance(prop_field, str) or not prop_field:
-            sink.error(E.MISSING_FIELD, f"{where}: 'property' is required")
-            continue
-        props = tuple(prop_field.split("/"))
-        if not all(is_identifier(p) for p in props) or len(set(props)) != len(props):
-            sink.error(E.INVALID_IDENTIFIER,
-                       f"{where}: property key {prop_field!r} is invalid")
-            continue
-        stage = raw.get("stage")
-        if stage not in STAGE_BY_NAME:
-            sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
+    for where, raw in sink.records(doc, "effects"):
+        concept = sink.identifier(raw, "concept", where)
+        props = _property_key(raw, where, sink)
+        stage = sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE)
+        degree = sink.int_in(raw, "degree", DEGREE_MIN, DEGREE_MAX, where)
+        texts = [sink.text(raw, key, where, "")
+                 for key in ("principle", "worst_case", "source")]
+        if None in (concept, props, stage, degree, *texts):
             continue
         quality = raw.get("stage_property")
-        if quality not in STAGE_BY_NAME[stage].quality_properties:
+        if quality not in stage.quality_properties:
             sink.error(E.UNKNOWN_STAGE_PROPERTY,
-                       f"{where}: {quality!r} is not a quality property of {stage}")
-            continue
-        degree = raw.get("degree")
-        try:
-            _check_degree(degree)
-        except ToolkitError as exc:
-            sink.error(exc.code, f"{where}: {exc.args[0]}")
+                       f"{where}: {quality!r} is not a quality property of {stage.name}")
             continue
         if degree == 0:
             sink.error(E.INVALID_VALUE,
                        f"{where}: degree 0 means unassessed and cannot be authored")
             continue
         context = context_from_doc(raw.get("context"), where, sink)
+        principle, worst_case, rule_source = texts
         rules.append(EffectRule(
-            concept=concept, properties=props, stage=stage, stage_property=quality,
-            degree=degree, principle=str(raw.get("principle", "")),
-            worst_case=str(raw.get("worst_case", "")), context=context,
-            source=str(raw.get("source", "")),
+            concept=concept, properties=props, stage=stage.name, stage_property=quality,
+            degree=degree, principle=principle, worst_case=worst_case, context=context,
+            source=rule_source,
         ))
     sink.raise_if_errors()
     rules.sort(key=lambda r: r.sort_key())
     return EffectKnowledgeBase(rules=tuple(rules))
+
+
+def _property_key(raw: dict, where: str, sink: DiagnosticSink) -> tuple[str, ...] | None:
+    """The ``property`` field: one or more distinct identifiers joined by '/'."""
+    key = sink.text(raw, "property", where)
+    if key is None:
+        return None
+    props = tuple(key.split("/"))
+    if not all(is_identifier(p) for p in props) or len(set(props)) != len(props):
+        sink.error(E.INVALID_IDENTIFIER, f"{where}: property key {key!r} is invalid")
+        return None
+    return props
 
 
 def effects_to_doc(kb: EffectKnowledgeBase) -> dict:
@@ -679,10 +643,6 @@ def effects_to_doc(kb: EffectKnowledgeBase) -> dict:
     return {"schema": EFFECTS_SCHEMA, "effects": entries}
 
 
-def serialize_effects(kb: EffectKnowledgeBase, *, fmt: str = "yaml") -> str:
-    return dump_document(effects_to_doc(kb), fmt=fmt)
-
-
 def cross_validate_effects(kb: EffectKnowledgeBase, ontology: SourceOntology,
                            sink: DiagnosticSink) -> None:
     """Rule concepts/properties must belong to the ontology."""
@@ -703,38 +663,20 @@ def cross_validate_effects(kb: EffectKnowledgeBase, ontology: SourceOntology,
 # Ratings documents
 # ---------------------------------------------------------------------------
 
-def load_ratings(text: str, *, fmt: str = "yaml",
-                 source: str = "<document>") -> dict[str, AssessmentClass]:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return ratings_from_doc(doc, source=source)
-
-
-def read_ratings(path: str | Path) -> dict[str, AssessmentClass]:
-    doc = read_document(path)
-    return ratings_from_doc(doc, source=str(path))
-
-
 def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, AssessmentClass]:
     check_schema(doc, RATINGS_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     out: dict[str, AssessmentClass] = {}
-    raw_ratings = doc.get("ratings", [])
-    if not isinstance(raw_ratings, list):
-        sink.error(E.INVALID_VALUE, "'ratings' must be a list")
-        raw_ratings = []
-    for i, raw in enumerate(raw_ratings):
-        where = f"ratings[{i}]"
-        if not isinstance(raw, dict) or not isinstance(raw.get("condition"), str):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping with 'condition'")
+    for where, raw in sink.records(doc, "ratings"):
+        cid = sink.text(raw, "condition", where)
+        exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
+                               code=E.UNKNOWN_RATING)
+        criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
+                                  code=E.UNKNOWN_RATING)
+        if None in (cid, exposure, criticality):
             continue
-        cid = raw["condition"]
         if cid in out:
             sink.error(E.DUPLICATE_NAME, f"{where}: duplicate rating for {cid!r}")
-            continue
-        exposure, criticality = raw.get("exposure"), raw.get("criticality")
-        if exposure not in EXPOSURE_LEVELS or criticality not in CRITICALITY_LEVELS:
-            sink.error(E.UNKNOWN_RATING,
-                       f"{where}: rating must pair E1..E4 with C1..C4")
             continue
         out[cid] = AssessmentClass(exposure=exposure, criticality=criticality)
     sink.raise_if_errors()

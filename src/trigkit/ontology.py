@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
 from .naming import is_identifier
 
@@ -34,9 +33,9 @@ __all__ = [
     "ENTITY_CATEGORIES",
     "MODIFICATION_CATEGORIES",
     "legal_categories",
-    "load_source_ontology",
-    "read_source_ontology",
-    "serialize_source_ontology",
+    "KIND_BY_NAME",
+    "CATEGORY_BY_NAME",
+    "ontology_from_doc",
     "ontology_to_doc",
     "lookup_concept",
     "is_kind_of",
@@ -148,40 +147,23 @@ def is_kind_of(ontology: SourceOntology, name: str, ancestor: str) -> bool:
 # Loading
 # ---------------------------------------------------------------------------
 
-def load_source_ontology(text: str, *, fmt: str = "yaml",
-                         source: str = "<document>") -> SourceOntology:
-    """Parse and validate an ontology document from text.
-
-    Raises :class:`~trigkit.errors.DocumentError` carrying one diagnostic per
-    finding; codes include ``SyntaxError``, ``UnknownKind``,
-    ``UnknownCategory``, ``IllegalCategoryForKind``, ``DuplicateName`` and
-    ``DanglingParent``.
-    """
-    doc = parse_document(text, fmt=fmt, source=source)
-    return ontology_from_doc(doc, source=source)
-
-
-def read_source_ontology(path: str | Path) -> SourceOntology:
-    doc = read_document(path)
-    return ontology_from_doc(doc, source=str(path))
+KIND_BY_NAME = {kind.value: kind for kind in ConceptKind}
+CATEGORY_BY_NAME = {category.value: category for category in PropertyCategory}
 
 
 def ontology_from_doc(doc: dict, *, source: str = "<document>") -> SourceOntology:
+    """Validate a parsed ontology document.
+
+    Raises :class:`~trigkit.errors.DocumentError` carrying one diagnostic per
+    finding; codes include ``WrongSchema``, ``UnknownKind``, ``UnknownCategory``,
+    ``IllegalCategoryForKind``, ``DuplicateName`` and ``DanglingParent``.
+    """
     check_schema(doc, ONTOLOGY_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
 
-    raw_concepts = doc.get("concepts", [])
-    if not isinstance(raw_concepts, list):
-        sink.error(E.INVALID_VALUE, "'concepts' must be a list")
-        sink.raise_if_errors()
-
     concepts: list[SourceConcept] = []
     names: set[str] = set()
-    for i, raw in enumerate(raw_concepts):
-        where = f"concepts[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
+    for where, raw in sink.records(doc, "concepts"):
         concept = _concept_from_doc(raw, where, sink)
         if concept is None:
             continue
@@ -211,46 +193,23 @@ def ontology_from_doc(doc: dict, *, source: str = "<document>") -> SourceOntolog
 
 
 def _concept_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> SourceConcept | None:
-    name = raw.get("name")
-    if not is_identifier(name):
-        sink.error(E.INVALID_IDENTIFIER, f"{where}: concept name {name!r} is not a valid identifier")
-        return None
+    name = sink.identifier(raw, "name", where)
     if name == SENSOR_TARGET:
         sink.error(E.RESERVED_NAME, f"{where}: {SENSOR_TARGET!r} is reserved and cannot name a concept")
         return None
-
-    kind_raw = raw.get("kind")
-    try:
-        kind = ConceptKind(kind_raw)
-    except ValueError:
-        sink.error(E.UNKNOWN_KIND, f"{where}: unknown kind {kind_raw!r} for concept {name!r}")
-        return None
-
-    parent = raw.get("parent")
-    if parent is not None and not is_identifier(parent):
-        sink.error(E.INVALID_IDENTIFIER, f"{where}: parent {parent!r} is not a valid identifier")
+    kind = sink.choice(raw, "kind", KIND_BY_NAME, where, code=E.UNKNOWN_KIND)
+    parent = sink.identifier(raw, "parent", where, None)
+    if name is None or kind is None:
         return None
 
     properties: list[SourceProperty] = []
     seen_props: set[tuple[str, PropertyCategory]] = set()
-    raw_props = raw.get("properties", [])
-    if not isinstance(raw_props, list):
-        sink.error(E.INVALID_VALUE, f"{where}: 'properties' must be a list")
-        raw_props = []
-    for j, rp in enumerate(raw_props):
-        pwhere = f"{where}.properties[{j}]"
-        if not isinstance(rp, dict):
-            sink.error(E.INVALID_VALUE, f"{pwhere} must be a mapping")
-            continue
-        pname = rp.get("name")
-        if not is_identifier(pname):
-            sink.error(E.INVALID_IDENTIFIER, f"{pwhere}: property name {pname!r} is invalid")
-            continue
-        try:
-            category = PropertyCategory(rp.get("category"))
-        except ValueError:
-            sink.error(E.UNKNOWN_CATEGORY,
-                       f"{pwhere}: unknown category {rp.get('category')!r}")
+    for pwhere, rp in sink.records(raw, "properties", where):
+        pname = sink.identifier(rp, "name", pwhere)
+        category = sink.choice(rp, "category", CATEGORY_BY_NAME, pwhere,
+                               code=E.UNKNOWN_CATEGORY)
+        note = sink.text(rp, "note", pwhere, "")
+        if None in (pname, category, note):
             continue
         if category not in legal_categories(kind):
             sink.error(E.ILLEGAL_CATEGORY_FOR_KIND,
@@ -263,18 +222,10 @@ def _concept_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> SourceConc
                        f"{pwhere}: duplicate property {pname!r} in category {category.value}")
             continue
         seen_props.add(key)
-        note = rp.get("note", "")
-        if not isinstance(note, str):
-            sink.error(E.INVALID_VALUE, f"{pwhere}: 'note' must be a string")
-            note = ""
         properties.append(SourceProperty(pname, category, note))
 
     instances: list[str] = []
-    raw_instances = raw.get("instances", [])
-    if not isinstance(raw_instances, list):
-        sink.error(E.INVALID_VALUE, f"{where}: 'instances' must be a list")
-        raw_instances = []
-    for inst in raw_instances:
+    for inst in sink.collection(raw, "instances", where):
         if not is_identifier(inst):
             sink.error(E.INVALID_IDENTIFIER, f"{where}: instance {inst!r} is invalid")
         elif inst in instances:
@@ -325,8 +276,3 @@ def ontology_to_doc(ontology: SourceOntology) -> dict:
         entry["instances"] = sorted(c.instances)
         concepts.append(entry)
     return {"schema": ONTOLOGY_SCHEMA, "concepts": concepts}
-
-
-def serialize_source_ontology(ontology: SourceOntology, *, fmt: str = "yaml") -> str:
-    """Render the canonical document; ``load . serialize`` is the identity."""
-    return dump_document(ontology_to_doc(ontology), fmt=fmt)

@@ -29,13 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
-from .naming import is_identifier
 from .ontology import ConceptKind, PropertyCategory, SourceConcept, SourceOntology
 
 __all__ = [
@@ -50,13 +48,10 @@ __all__ = [
     "STAGE_BY_NAME",
     "SYSTEM_SCHEMA",
     "stages_for_class",
-    "recognition_stage_names",
     "trace_propagation",
     "affected_stages",
-    "load_sensor_suite",
-    "read_sensor_suite",
+    "suite_from_doc",
     "suite_to_doc",
-    "serialize_sensor_suite",
 ]
 
 SYSTEM_SCHEMA = "perception-system@1"
@@ -107,10 +102,6 @@ STAGE_ORDER: dict[str, int] = {s.name: i for i, s in enumerate(ALL_STAGES)}
 
 def stages_for_class(sensor_class: SensorClass) -> tuple[PerceptionStage, ...]:
     return tuple(s for s in ALL_STAGES if sensor_class in s.sensor_classes)
-
-
-def recognition_stage_names() -> tuple[str, ...]:
-    return tuple(s.name for s in ALL_STAGES if s.phase is StagePhase.RECOGNITION)
 
 
 # ---------------------------------------------------------------------------
@@ -263,42 +254,19 @@ def affected_stages(source: SourceConcept,
 # Suite documents
 # ---------------------------------------------------------------------------
 
-def load_sensor_suite(text: str, *, fmt: str = "yaml",
-                      source: str = "<document>") -> SensorSuite:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return suite_from_doc(doc, source=source)
-
-
-def read_sensor_suite(path: str | Path) -> SensorSuite:
-    doc = read_document(path)
-    return suite_from_doc(doc, source=str(path))
+_CLASS_BY_NAME = {sensor_class.value: sensor_class for sensor_class in SensorClass}
 
 
 def suite_from_doc(doc: dict, *, source: str = "<document>") -> SensorSuite:
     check_schema(doc, SYSTEM_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
-
-    vehicle = doc.get("vehicle")
-    if not isinstance(vehicle, str) or not vehicle:
-        sink.error(E.MISSING_FIELD, "'vehicle' must be a non-empty string")
-        vehicle = ""
-    shared_odd = doc.get("odd", [])
-    if not (isinstance(shared_odd, list) and all(isinstance(t, str) for t in shared_odd)):
-        sink.error(E.INVALID_VALUE, "'odd' must be a list of strings")
-        shared_odd = []
+    vehicle = sink.text(doc, "vehicle")
+    shared_odd = tuple(sink.collection(doc, "odd", strings=True))
 
     sensors: list[PerceptionSystemSpec] = []
     names: set[str] = set()
-    raw_sensors = doc.get("sensors", [])
-    if not isinstance(raw_sensors, list) or not raw_sensors:
-        sink.error(E.MISSING_FIELD, "'sensors' must be a non-empty list")
-        raw_sensors = []
-    for i, raw in enumerate(raw_sensors):
-        where = f"sensors[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
-        spec = _sensor_from_doc(raw, where, tuple(shared_odd), sink)
+    for where, raw in sink.records(doc, "sensors", required=True):
+        spec = _sensor_from_doc(raw, where, shared_odd, sink)
         if spec is None:
             continue
         if spec.sensor in names:
@@ -314,24 +282,15 @@ def suite_from_doc(doc: dict, *, source: str = "<document>") -> SensorSuite:
 
 def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
                      sink: DiagnosticSink) -> PerceptionSystemSpec | None:
-    name = raw.get("sensor")
-    if not is_identifier(name):
-        sink.error(E.INVALID_IDENTIFIER, f"{where}: sensor name {name!r} is invalid")
-        return None
-    try:
-        sensor_class = SensorClass(raw.get("class"))
-    except ValueError:
-        sink.error(E.UNKNOWN_SENSOR_CLASS,
-                   f"{where}: unknown sensor class {raw.get('class')!r}")
+    name = sink.identifier(raw, "sensor", where)
+    sensor_class = sink.choice(raw, "class", _CLASS_BY_NAME, where,
+                               code=E.UNKNOWN_SENSOR_CLASS)
+    if name is None or sensor_class is None:
         return None
 
     allowed = {s.name for s in stages_for_class(sensor_class)}
     stages: list[str] = []
-    raw_stages = raw.get("stages", [])
-    if not isinstance(raw_stages, list):
-        sink.error(E.INVALID_VALUE, f"{where}: 'stages' must be a list")
-        raw_stages = []
-    for stage in raw_stages:
+    for stage in sink.collection(raw, "stages", where, strings=True):
         if stage not in STAGE_BY_NAME:
             sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
         elif stage not in allowed:
@@ -347,25 +306,14 @@ def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
         return None
 
     functionality: list[tuple[str, str]] = []
-    raw_func = raw.get("functionality", [])
-    if not isinstance(raw_func, list):
-        sink.error(E.INVALID_VALUE, f"{where}: 'functionality' must be a list")
-        raw_func = []
-    for j, rf in enumerate(raw_func):
-        fwhere = f"{where}.functionality[{j}]"
-        if not isinstance(rf, dict) or not is_identifier(rf.get("target")) \
-                or not isinstance(rf.get("task"), str):
-            sink.error(E.INVALID_VALUE,
-                       f"{fwhere} must be a mapping with 'target' and 'task'")
-            continue
-        functionality.append((rf["target"], rf["task"]))
+    for fwhere, rf in sink.records(raw, "functionality", where):
+        target = sink.identifier(rf, "target", fwhere)
+        task = sink.text(rf, "task", fwhere)
+        if target is not None and task is not None:
+            functionality.append((target, task))
 
-    odd = raw.get("odd")
-    if odd is None:
-        odd = shared_odd
-    elif not (isinstance(odd, list) and all(isinstance(t, str) for t in odd)):
-        sink.error(E.INVALID_VALUE, f"{where}: 'odd' must be a list of strings")
-        odd = shared_odd
+    odd = sink.collection(raw, "odd", where, strings=True) if raw.get("odd") is not None \
+        else shared_odd
 
     stages.sort(key=lambda s: STAGE_ORDER[s])
     functionality.sort()
@@ -387,10 +335,6 @@ def suite_to_doc(suite: SensorSuite) -> dict:
             "odd": list(spec.odd),
         })
     return {"schema": SYSTEM_SCHEMA, "vehicle": suite.vehicle, "sensors": sensors}
-
-
-def serialize_sensor_suite(suite: SensorSuite, *, fmt: str = "yaml") -> str:
-    return dump_document(suite_to_doc(suite), fmt=fmt)
 
 
 def cross_validate_suite(suite: SensorSuite, ontology: SourceOntology,

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
 from .naming import display_name, is_identifier
 from .ontology import (
+    CATEGORY_BY_NAME,
+    KIND_BY_NAME,
     SENSOR_TARGET,
     ConceptKind,
     PropertyCategory,
@@ -49,10 +50,8 @@ __all__ = [
     "instantiate_relationship",
     "instantiate_sensor_relationship",
     "compose_bundle",
-    "load_compatibility_matrix",
-    "read_compatibility_matrix",
+    "matrix_from_doc",
     "matrix_to_doc",
-    "serialize_compatibility_matrix",
 ]
 
 MATRIX_SCHEMA = "compatibility-matrix@1"
@@ -95,7 +94,8 @@ class RelationForm:
 
 
 def parse_relation_form(label: str) -> RelationForm:
-    kind_part, _, sub_part = label.partition(".")
+    """``Kind`` or ``Kind.Subkind`` to a form; anything else is ``UnknownRelationship``."""
+    kind_part, _, sub_part = label.partition(".") if isinstance(label, str) else ("", "", "")
     try:
         kind = RelationshipKind(kind_part)
     except ValueError:
@@ -348,25 +348,14 @@ def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstanc
 # Matrix documents
 # ---------------------------------------------------------------------------
 
-def load_compatibility_matrix(text: str, *, fmt: str = "yaml",
-                              source: str = "<document>") -> CompatibilityMatrix:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return matrix_from_doc(doc, source=source)
-
-
-def read_compatibility_matrix(path: str | Path) -> CompatibilityMatrix:
-    doc = read_document(path)
-    return matrix_from_doc(doc, source=str(path))
-
-
 def _pattern_from_doc(raw: object, where: str, sink: DiagnosticSink) -> MatrixPattern | None:
     if isinstance(raw, str):
         if raw.startswith("kind:"):
-            try:
-                return MatrixPattern(kind=ConceptKind(raw[len("kind:"):]))
-            except ValueError:
+            kind = KIND_BY_NAME.get(raw[len("kind:"):])
+            if kind is None:
                 sink.error(E.UNKNOWN_KIND, f"{where}: unknown kind in pattern {raw!r}")
                 return None
+            return MatrixPattern(kind=kind)
         if raw == SENSOR_TARGET or is_identifier(raw):
             return MatrixPattern(name=raw)
     sink.error(E.INVALID_VALUE, f"{where}: pattern must be a concept name, "
@@ -374,23 +363,34 @@ def _pattern_from_doc(raw: object, where: str, sink: DiagnosticSink) -> MatrixPa
     return None
 
 
+def _form_from_doc(label: object, where: str, sink: DiagnosticSink) -> RelationForm | None:
+    try:
+        return parse_relation_form(label)
+    except ToolkitError as exc:
+        sink.error(exc.code, f"{where}: {exc.args[0]}")
+        return None
+
+
+def _categories_from_doc(raw: dict, key: str, where: str,
+                         sink: DiagnosticSink) -> list[PropertyCategory] | None:
+    """The list of property-category names at ``raw[key]``."""
+    names = sink.collection(raw, key, where, strings=True)
+    unknown = [name for name in names if name not in CATEGORY_BY_NAME]
+    for name in unknown:
+        sink.error(E.UNKNOWN_CATEGORY, f"{where}: unknown category {name!r}")
+    return None if unknown else [CATEGORY_BY_NAME[name] for name in names]
+
+
 def matrix_from_doc(doc: dict, *, source: str = "<document>") -> CompatibilityMatrix:
     check_schema(doc, MATRIX_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     entries: list[MatrixEntry] = []
     seen_pairs: set[tuple[str, str]] = set()
-    raw_entries = doc.get("entries", [])
-    if not isinstance(raw_entries, list):
-        sink.error(E.INVALID_VALUE, "'entries' must be a list")
-        raw_entries = []
-    for i, raw in enumerate(raw_entries):
-        where = f"entries[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
+    for where, raw in sink.records(doc, "entries"):
         focal = _pattern_from_doc(raw.get("focal"), f"{where}.focal", sink)
         partner = _pattern_from_doc(raw.get("partner"), f"{where}.partner", sink)
-        if focal is None or partner is None:
+        note = sink.text(raw, "source", where, "")
+        if focal is None or partner is None or note is None:
             continue
         pair = (focal.label, partner.label)
         if pair in seen_pairs:
@@ -399,55 +399,29 @@ def matrix_from_doc(doc: dict, *, source: str = "<document>") -> CompatibilityMa
         seen_pairs.add(pair)
 
         forms: list[RelationForm] = []
-        raw_forms = raw.get("relationships", [])
-        if not isinstance(raw_forms, list):
-            sink.error(E.INVALID_VALUE, f"{where}: 'relationships' must be a list")
-            raw_forms = []
-        for label in raw_forms:
-            try:
-                form = parse_relation_form(label)
-            except ToolkitError as exc:
-                sink.error(exc.code, f"{where}: {exc.args[0]}")
-                continue
+        for label in sink.collection(raw, "relationships", where):
+            form = _form_from_doc(label, where, sink)
             if form in forms:
                 sink.error(E.DUPLICATE_NAME, f"{where}: duplicate relationship {label!r}")
-            else:
+            elif form is not None:
                 forms.append(form)
 
         perturbs: list[tuple[str, tuple[PropertyCategory, ...]]] = []
-        raw_perturbs = raw.get("perturbs", {})
-        if not isinstance(raw_perturbs, dict):
-            sink.error(E.INVALID_VALUE, f"{where}: 'perturbs' must be a mapping")
-            raw_perturbs = {}
-        for label, cats in sorted(raw_perturbs.items()):
-            try:
-                form = parse_relation_form(label)
-            except ToolkitError as exc:
-                sink.error(exc.code, f"{where}.perturbs: {exc.args[0]}")
+        pwhere = f"{where}.perturbs"
+        raw_perturbs = sink.collection(raw, "perturbs", where, mapping=True)
+        for label in raw_perturbs:
+            form = _form_from_doc(label, pwhere, sink)
+            if form is None:
                 continue
             if form not in forms:
                 sink.error(E.INVALID_VALUE,
-                           f"{where}.perturbs: {label!r} is not granted by this entry")
+                           f"{pwhere}: {label!r} is not granted by this entry")
                 continue
-            parsed: list[PropertyCategory] = []
-            ok = True
-            if not isinstance(cats, list):
-                sink.error(E.INVALID_VALUE, f"{where}.perturbs.{label} must be a list")
-                continue
-            for cat in cats:
-                try:
-                    parsed.append(PropertyCategory(cat))
-                except ValueError:
-                    sink.error(E.UNKNOWN_CATEGORY,
-                               f"{where}.perturbs.{label}: unknown category {cat!r}")
-                    ok = False
-            if ok:
-                perturbs.append((form.label, tuple(sorted(parsed, key=lambda c: c.value))))
+            categories = _categories_from_doc(raw_perturbs, label, pwhere, sink)
+            if categories is not None:
+                categories.sort(key=lambda c: c.value)
+                perturbs.append((form.label, tuple(categories)))
 
-        note = raw.get("source", "")
-        if not isinstance(note, str):
-            sink.error(E.INVALID_VALUE, f"{where}: 'source' must be a string")
-            note = ""
         forms.sort()
         entries.append(MatrixEntry(focal=focal, partner=partner, forms=tuple(forms),
                                    perturbs=tuple(sorted(perturbs)), source=note))
@@ -472,10 +446,6 @@ def matrix_to_doc(matrix: CompatibilityMatrix) -> dict:
             raw["source"] = entry.source
         entries.append(raw)
     return {"schema": MATRIX_SCHEMA, "entries": entries}
-
-
-def serialize_compatibility_matrix(matrix: CompatibilityMatrix, *, fmt: str = "yaml") -> str:
-    return dump_document(matrix_to_doc(matrix), fmt=fmt)
 
 
 def cross_validate_matrix(matrix: CompatibilityMatrix, ontology: SourceOntology,

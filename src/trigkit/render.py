@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
-from .errors import DiagnosticSink, ToolkitError
+from .docio import check_schema
+from .errors import DiagnosticSink
 from .generation import (
-    AssessmentClass,
     CRITICALITY_LEVELS,
+    DEGREE_MAX,
+    DEGREE_MIN,
     EXPOSURE_LEVELS,
+    AssessmentClass,
     EffectEntry,
     GenerationMatrix,
     TriggeringCondition,
@@ -28,10 +29,9 @@ from .generation import (
     render_degree,
 )
 from .naming import display_name
-from .ontology import PropertyCategory
 from .perception import STAGE_BY_NAME
 from .pipeline import Catalog
-from .relationships import RelationshipInstance, parse_relation_form
+from .relationships import RelationshipInstance, _categories_from_doc, _form_from_doc
 from .testcases import TestCase
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "CSV_HEADER",
     "catalog_to_doc",
     "catalog_from_doc",
-    "load_catalog",
-    "read_catalog",
-    "serialize_catalog",
     "catalog_to_csv",
     "catalog_to_markdown",
     "matrix_to_doc",
@@ -51,8 +48,6 @@ __all__ = [
     "matrix_to_markdown",
     "cases_to_doc",
     "cases_from_doc",
-    "read_cases",
-    "serialize_cases",
     "cases_to_markdown",
     "render_report",
     "report_to_doc",
@@ -78,30 +73,14 @@ def _relationship_to_doc(rel: RelationshipInstance) -> dict:
     return raw
 
 
-def _relationship_from_doc(raw: object, where: str,
+def _relationship_from_doc(raw: dict, where: str,
                            sink: DiagnosticSink) -> RelationshipInstance | None:
-    if not isinstance(raw, dict):
-        sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-        return None
-    try:
-        form = parse_relation_form(str(raw.get("form")))
-    except ToolkitError as exc:
-        sink.error(exc.code, f"{where}: {exc.args[0]}")
-        return None
-    focal, partner = raw.get("focal"), raw.get("partner")
-    if not isinstance(focal, str) or not isinstance(partner, str):
-        sink.error(E.MISSING_FIELD, f"{where}: 'focal' and 'partner' are required")
-        return None
-    perturbed: set[PropertyCategory] = set()
-    for value in raw.get("perturbs", []):
-        try:
-            perturbed.add(PropertyCategory(value))
-        except ValueError:
-            sink.error(E.UNKNOWN_CATEGORY, f"{where}: unknown category {value!r}")
-            return None
-    source = raw.get("source", "")
-    if not isinstance(source, str):
-        sink.error(E.INVALID_VALUE, f"{where}: 'source' must be a string")
+    form = _form_from_doc(raw.get("form"), where, sink)
+    focal = sink.text(raw, "focal", where)
+    partner = sink.text(raw, "partner", where)
+    perturbed = _categories_from_doc(raw, "perturbs", where, sink)
+    source = sink.text(raw, "source", where, "")
+    if None in (form, focal, partner, perturbed, source):
         return None
     return RelationshipInstance(form=form, focal=focal, partner=partner,
                                 perturbed=frozenset(perturbed), source=source)
@@ -165,131 +144,100 @@ def catalog_to_doc(catalog: Catalog) -> dict:
     }
 
 
-def _condition_from_doc(raw: object, where: str,
+_FLAGS = {True: True, False: False}
+
+
+def _effect_from_doc(raw: dict, where: str, sink: DiagnosticSink, concept: str | None,
+                     properties: tuple[str, ...], stage) -> EffectEntry | None:
+    """One graded cell of ``stage``, a :class:`PerceptionStage` or None."""
+    degree = sink.int_in(raw, "degree", DEGREE_MIN, DEGREE_MAX, where, 0)
+    principle = sink.text(raw, "principle", where, "")
+    worst_case = sink.text(raw, "worst_case", where, "")
+    context = context_from_doc(raw.get("context"), where, sink)
+    quality = raw.get("stage_property")
+    if stage is not None and quality not in stage.quality_properties:
+        sink.error(E.UNKNOWN_STAGE_PROPERTY,
+                   f"{where}: {quality!r} is not a quality property of {stage.name}")
+        return None
+    if None in (concept, stage, degree, principle, worst_case):
+        return None
+    return EffectEntry(concept=concept, properties=properties, stage=stage.name,
+                       stage_property=quality, degree=degree, principle=principle,
+                       worst_case=worst_case, context=context)
+
+
+def _condition_from_doc(raw: dict, where: str,
                         sink: DiagnosticSink) -> TriggeringCondition | None:
-    if not isinstance(raw, dict):
-        sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-        return None
-    required = ("id", "sensor", "sources", "property_owner", "properties",
-                "stage", "degree", "description")
-    for field in required:
-        if field not in raw:
-            sink.error(E.MISSING_FIELD, f"{where}: '{field}' is required")
-            return None
-    stage = raw["stage"]
-    if stage not in STAGE_BY_NAME:
-        sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
-        return None
-    relationships: list[RelationshipInstance] = []
-    for j, rel_raw in enumerate(raw.get("relationships", [])):
-        rel = _relationship_from_doc(rel_raw, f"{where}.relationships[{j}]", sink)
-        if rel is None:
-            return None
-        relationships.append(rel)
-    owner = raw["property_owner"]
-    properties = tuple(str(p) for p in raw["properties"])
-    effects: list[EffectEntry] = []
-    for j, cell_raw in enumerate(raw.get("effects", [])):
-        cwhere = f"{where}.effects[{j}]"
-        if not isinstance(cell_raw, dict):
-            sink.error(E.INVALID_VALUE, f"{cwhere} must be a mapping")
-            return None
-        quality = cell_raw.get("stage_property")
-        if quality not in STAGE_BY_NAME[stage].quality_properties:
-            sink.error(E.UNKNOWN_STAGE_PROPERTY,
-                       f"{cwhere}: {quality!r} is not a quality property of {stage}")
-            return None
-        context = context_from_doc(cell_raw.get("context"), cwhere, sink)
-        effects.append(EffectEntry(
-            concept=owner, properties=properties, stage=stage,
-            stage_property=quality, degree=int(cell_raw.get("degree", 0)),
-            principle=str(cell_raw.get("principle", "")),
-            worst_case=str(cell_raw.get("worst_case", "")), context=context))
+    fields = sink.texts(raw, ("id", "sensor", "property_owner", "description"), where)
+    owner = None if fields is None else fields[2]
+    sources = sink.collection(raw, "sources", where, strings=True, required=True)
+    properties = tuple(sink.collection(raw, "properties", where, strings=True,
+                                       required=True))
+    stage = sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE)
+    degree = sink.int_in(raw, "degree", DEGREE_MIN, DEGREE_MAX, where)
+    distance = sink.choice(raw, "distance_augmented", _FLAGS, where, False)
+    variant = sink.identifier(raw, "variant", where, "default")
+    templated = sink.choice(raw, "templated", _FLAGS, where, True)
+    relationships = [_relationship_from_doc(rel, rwhere, sink)
+                     for rwhere, rel in sink.records(raw, "relationships", where)]
+    effects = [_effect_from_doc(cell, cwhere, sink, owner, properties, stage)
+               for cwhere, cell in sink.records(raw, "effects", where)]
+    rating = sink.collection(raw, "assessment", where, mapping=True)
     assessment = None
-    priority = None
-    if raw.get("assessment") is not None:
-        rating_raw = raw["assessment"]
-        if not isinstance(rating_raw, dict) \
-                or rating_raw.get("exposure") not in EXPOSURE_LEVELS \
-                or rating_raw.get("criticality") not in CRITICALITY_LEVELS:
-            sink.error(E.UNKNOWN_RATING, f"{where}: malformed 'assessment'")
+    if rating:
+        exposure = sink.choice(rating, "exposure", EXPOSURE_LEVELS,
+                               f"{where}.assessment", code=E.UNKNOWN_RATING)
+        criticality = sink.choice(rating, "criticality", CRITICALITY_LEVELS,
+                                  f"{where}.assessment", code=E.UNKNOWN_RATING)
+        if exposure is None or criticality is None:
             return None
-        assessment = AssessmentClass(exposure=rating_raw["exposure"],
-                                     criticality=rating_raw["criticality"])
-        priority = assessment.priority
+        assessment = AssessmentClass(exposure=exposure, criticality=criticality)
+    if None in (fields, stage, degree, distance, variant, templated,
+                *relationships, *effects) or not sources or not properties:
+        return None
+    cid, sensor, owner, description = fields
     return TriggeringCondition(
-        id=str(raw["id"]), sensor=str(raw["sensor"]),
-        sources=tuple(str(s) for s in raw["sources"]),
-        relationships=tuple(relationships), property_owner=str(owner),
-        properties=properties, stage=stage, effects=tuple(effects),
-        degree=int(raw["degree"]), description=str(raw["description"]),
-        distance_augmented=bool(raw.get("distance_augmented", False)),
-        variant=str(raw.get("variant", "default")),
-        templated=bool(raw.get("templated", True)),
-        assessment=assessment, priority=priority)
+        id=cid, sensor=sensor, sources=tuple(sources),
+        relationships=tuple(relationships), property_owner=owner,
+        properties=properties, stage=stage.name, effects=tuple(effects),
+        description=description,
+        degree=degree, distance_augmented=distance, variant=variant,
+        templated=templated, assessment=assessment,
+        priority=None if assessment is None else assessment.priority)
 
 
 def catalog_from_doc(doc: dict, *, source: str = "<document>") -> Catalog:
     check_schema(doc, CATALOG_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     conditions: list[TriggeringCondition] = []
-    raw_conditions = doc.get("conditions", [])
-    if not isinstance(raw_conditions, list):
-        sink.error(E.INVALID_VALUE, "'conditions' must be a list")
-        raw_conditions = []
     seen: set[str] = set()
-    for i, raw in enumerate(raw_conditions):
-        condition = _condition_from_doc(raw, f"conditions[{i}]", sink)
+    for where, raw in sink.records(doc, "conditions"):
+        condition = _condition_from_doc(raw, where, sink)
         if condition is None:
             continue
         if condition.id in seen:
             sink.error(E.DUPLICATE_NAME,
-                       f"conditions[{i}]: duplicate condition id {condition.id!r}")
+                       f"{where}: duplicate condition id {condition.id!r}")
             continue
         seen.add(condition.id)
         conditions.append(condition)
     positives: list[tuple[str, EffectEntry]] = []
-    raw_positives = doc.get("positives", [])
-    if not isinstance(raw_positives, list):
-        sink.error(E.INVALID_VALUE, "'positives' must be a list")
-        raw_positives = []
-    for i, raw in enumerate(raw_positives):
-        where = f"positives[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
-        stage = raw.get("stage")
-        if stage not in STAGE_BY_NAME:
-            sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
-            continue
-        context = context_from_doc(raw.get("context"), where, sink)
-        positives.append((str(raw.get("sensor", "")), EffectEntry(
-            concept=str(raw.get("concept", "")),
-            properties=tuple(str(p) for p in raw.get("properties", [])),
-            stage=stage, stage_property=str(raw.get("stage_property", "")),
-            degree=int(raw.get("degree", 0)),
-            principle=str(raw.get("principle", "")),
-            worst_case=str(raw.get("worst_case", "")), context=context)))
+    for where, raw in sink.records(doc, "positives"):
+        sensor = sink.text(raw, "sensor", where)
+        cell = _effect_from_doc(
+            raw, where, sink, sink.text(raw, "concept", where),
+            tuple(sink.collection(raw, "properties", where, strings=True)),
+            sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE))
+        if sensor is not None and cell is not None:
+            positives.append((sensor, cell))
+    vehicle = sink.text(doc, "vehicle", "", "")
+    threshold = sink.int_in(doc, "threshold", 1, 3, "", 2)
+    bundle_limit = sink.int_in(doc, "bundle_limit", 0, None, "", 2)
+    warnings = sink.collection(doc, "warnings", strings=True)
     sink.raise_if_errors()
-    return Catalog(
-        vehicle=str(doc.get("vehicle", "")),
-        threshold=int(doc.get("threshold", 2)),
-        bundle_limit=int(doc.get("bundle_limit", 2)),
-        conditions=tuple(conditions), positives=tuple(positives),
-        warnings=tuple(str(w) for w in doc.get("warnings", [])))
-
-
-def load_catalog(text: str, *, fmt: str = "yaml",
-                 source: str = "<document>") -> Catalog:
-    return catalog_from_doc(parse_document(text, fmt=fmt, source=source), source=source)
-
-
-def read_catalog(path: str | Path) -> Catalog:
-    return catalog_from_doc(read_document(path), source=str(path))
-
-
-def serialize_catalog(catalog: Catalog, *, fmt: str = "json") -> str:
-    return dump_document(catalog_to_doc(catalog), fmt=fmt)
+    return Catalog(vehicle=vehicle, threshold=threshold, bundle_limit=bundle_limit,
+                   conditions=tuple(conditions), positives=tuple(positives),
+                   warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -434,51 +382,28 @@ def cases_to_doc(cases: Sequence[TestCase], warnings: Sequence[str] = ()) -> dic
     return {"schema": CASES_SCHEMA, "cases": raw_cases, "warnings": list(warnings)}
 
 
+# TestCase fields in order, as the document names them
+_CASE_FIELDS = ("id", "condition", "event", "sensor", "situation", "trigger",
+                "behavior", "fail_criterion", "pass_criterion")
+
+
 def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, ...]:
     check_schema(doc, CASES_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     cases: list[TestCase] = []
-    raw_cases = doc.get("cases", [])
-    if not isinstance(raw_cases, list):
-        sink.error(E.INVALID_VALUE, "'cases' must be a list")
-        raw_cases = []
     seen: set[str] = set()
-    text_fields = ("situation", "trigger", "behavior",
-                   "fail_criterion", "pass_criterion")
-    for i, raw in enumerate(raw_cases):
-        where = f"cases[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
+    for where, raw in sink.records(doc, "cases"):
+        fields = sink.texts(raw, _CASE_FIELDS, where)
+        odd = sink.collection(raw, "odd", where, strings=True)
+        if fields is None:
             continue
-        ok = True
-        for field in ("id", "condition", "event", "sensor") + text_fields:
-            if not isinstance(raw.get(field), str):
-                sink.error(E.MISSING_FIELD, f"{where}: '{field}' is required")
-                ok = False
-        if not ok:
+        if fields[0] in seen:
+            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate case id {fields[0]!r}")
             continue
-        if raw["id"] in seen:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate case id {raw['id']!r}")
-            continue
-        seen.add(raw["id"])
-        cases.append(TestCase(
-            id=raw["id"], condition_id=raw["condition"], event_id=raw["event"],
-            sensor=raw["sensor"], situation=raw["situation"],
-            trigger=raw["trigger"], behavior=raw["behavior"],
-            fail_criterion=raw["fail_criterion"],
-            pass_criterion=raw["pass_criterion"],
-            odd=tuple(str(t) for t in raw.get("odd", []))))
+        seen.add(fields[0])
+        cases.append(TestCase(*fields, odd=tuple(odd)))
     sink.raise_if_errors()
     return tuple(cases)
-
-
-def read_cases(path: str | Path) -> tuple[TestCase, ...]:
-    return cases_from_doc(read_document(path), source=str(path))
-
-
-def serialize_cases(cases: Sequence[TestCase], warnings: Sequence[str] = (), *,
-                    fmt: str = "json") -> str:
-    return dump_document(cases_to_doc(cases, warnings), fmt=fmt)
 
 
 def cases_to_markdown(cases: Sequence[TestCase]) -> str:
@@ -498,7 +423,7 @@ def _result_counts(results: Sequence[Mapping]) -> dict[str, int]:
     counts = {"pass": 0, "marginal": 0, "fail": 0}
     for record in results:
         outcome = record.get("outcome")
-        if outcome in counts:
+        if isinstance(outcome, str) and outcome in counts:
             counts[outcome] += 1
     return counts
 

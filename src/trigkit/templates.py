@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink
 from .naming import display_name, display_property_key, is_identifier
 from .ontology import SENSOR_TARGET, SourceOntology
 from .perception import STAGE_BY_NAME, STAGE_ORDER
-from .relationships import RelationshipBundle, parse_relation_form
+from .relationships import RelationshipBundle
 
 __all__ = [
     "TEMPLATES_SCHEMA",
     "TemplateKey",
     "TemplateSet",
-    "load_templates",
-    "read_templates",
     "templates_from_doc",
     "templates_to_doc",
-    "serialize_templates",
     "cross_validate_templates",
 ]
 
@@ -95,95 +91,46 @@ class TemplateSet:
 # Documents
 # ---------------------------------------------------------------------------
 
-def load_templates(text: str, *, fmt: str = "yaml",
-                   source: str = "<document>") -> TemplateSet:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return templates_from_doc(doc, source=source)
-
-
-def read_templates(path: str | Path) -> TemplateSet:
-    doc = read_document(path)
-    return templates_from_doc(doc, source=str(path))
-
-
 def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
     check_schema(doc, TEMPLATES_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
-    suffix = doc.get("distance_suffix", DEFAULT_DISTANCE_SUFFIX)
-    if not isinstance(suffix, str) or not suffix:
-        sink.error(E.INVALID_VALUE, "'distance_suffix' must be a non-empty string")
-        suffix = DEFAULT_DISTANCE_SUFFIX
+    suffix = sink.text(doc, "distance_suffix", "", DEFAULT_DISTANCE_SUFFIX)
     entries: dict[TemplateKey, tuple[tuple[str, str], ...]] = {}
-    raw_templates = doc.get("templates", [])
-    if not isinstance(raw_templates, list):
-        sink.error(E.INVALID_VALUE, "'templates' must be a list")
-        raw_templates = []
-    for i, raw in enumerate(raw_templates):
-        where = f"templates[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
-        signature = raw.get("relationships", "")
-        if signature is None:
-            signature = ""
-        if not isinstance(signature, str):
-            sink.error(E.INVALID_VALUE, f"{where}: 'relationships' must be a string")
+    for where, raw in sink.records(doc, "templates"):
+        signature = sink.text(raw, "relationships", where, "")
+        concept = sink.identifier(raw, "concept", where)
+        prop_field = sink.text(raw, "property", where)
+        stage = sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE)
+        raw_variants = sink.records(raw, "variants", where, required=True)
+        if None in (signature, concept, prop_field, stage) or not raw_variants:
             continue
         try:
             split_signature(signature)
         except E.ToolkitError as exc:
             sink.error(exc.code, f"{where}: {exc.args[0]}")
             continue
-        concept = raw.get("concept")
-        if not is_identifier(concept):
-            sink.error(E.INVALID_IDENTIFIER, f"{where}: concept {concept!r} is invalid")
-            continue
-        prop_field = raw.get("property")
-        if not isinstance(prop_field, str) \
-                or not all(is_identifier(p) for p in prop_field.split("/")):
+        if not all(is_identifier(p) for p in prop_field.split("/")):
             sink.error(E.INVALID_IDENTIFIER,
                        f"{where}: property key {prop_field!r} is invalid")
             continue
-        stage = raw.get("stage")
-        if stage not in STAGE_BY_NAME:
-            sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
-            continue
-        raw_variants = raw.get("variants")
-        if not isinstance(raw_variants, list) or not raw_variants:
-            sink.error(E.MISSING_FIELD, f"{where}: 'variants' must be a non-empty list")
-            continue
         variants: list[tuple[str, str]] = []
-        tags: set[str] = set()
-        ok = True
-        for j, rv in enumerate(raw_variants):
-            vw = f"{where}.variants[{j}]"
-            if not isinstance(rv, dict):
-                sink.error(E.INVALID_VALUE, f"{vw} must be a mapping")
-                ok = False
+        for vw, rv in raw_variants:
+            tag = sink.identifier(rv, "tag", vw, "default")
+            text = sink.text(rv, "text", vw)
+            if tag is None or text is None:
                 continue
-            tag = rv.get("tag", "default")
-            if not is_identifier(tag):
-                sink.error(E.INVALID_IDENTIFIER, f"{vw}: tag {tag!r} is invalid")
-                ok = False
-                continue
-            if tag in tags:
+            if tag in (t for t, _ in variants):
                 sink.error(E.DUPLICATE_NAME, f"{vw}: duplicate tag {tag!r}")
-                ok = False
-                continue
-            tags.add(tag)
-            text = rv.get("text")
-            if not isinstance(text, str) or not text.strip():
-                sink.error(E.MISSING_FIELD, f"{vw}: 'text' is required")
-                ok = False
                 continue
             variants.append((tag, text))
-        if not ok or not variants:
+        if len(variants) < len(raw_variants):
             continue
-        key: TemplateKey = (signature, concept, prop_field, stage)
+        key: TemplateKey = (signature, concept, prop_field, stage.name)
         if key in entries:
             sink.error(E.DUPLICATE_NAME,
                        f"{where}: duplicate template key "
-                       f"({signature or 'no relations'}, {concept}, {prop_field}, {stage})")
+                       f"({signature or 'no relations'}, {concept}, {prop_field}, "
+                       f"{stage.name})")
             continue
         entries[key] = tuple(variants)
     sink.raise_if_errors()
@@ -209,10 +156,6 @@ def templates_to_doc(templates: TemplateSet) -> dict:
     return {"schema": TEMPLATES_SCHEMA,
             "distance_suffix": templates.distance_suffix,
             "templates": raw_templates}
-
-
-def serialize_templates(templates: TemplateSet, *, fmt: str = "yaml") -> str:
-    return dump_document(templates_to_doc(templates), fmt=fmt)
 
 
 def cross_validate_templates(templates: TemplateSet, ontology: SourceOntology,

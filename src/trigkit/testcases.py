@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import errors as E
-from .docio import check_schema, dump_document, parse_document, read_document
+from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
 from .generation import TriggeringCondition
 from .naming import is_identifier
@@ -41,14 +41,10 @@ __all__ = [
     "compose",
     "outcome_record",
     "ResultsLedger",
-    "load_events",
-    "read_events",
+    "events_from_doc",
     "events_to_doc",
-    "serialize_events",
-    "load_policy",
-    "read_policy",
+    "policy_from_doc",
     "policy_to_doc",
-    "serialize_policy",
     "cross_validate_events",
 ]
 
@@ -230,11 +226,17 @@ class ResultsLedger:
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ToolkitError(E.SYNTAX_ERROR,
                                        f"unreadable results line: {exc.msg}",
                                        file=str(self.path), line=lineno) from None
+                if not isinstance(record, dict):
+                    raise ToolkitError(E.INVALID_VALUE,
+                                       f"results line must be a JSON object, "
+                                       f"got {type(record).__name__}",
+                                       file=str(self.path), line=lineno)
+                records.append(record)
         return records
 
 
@@ -242,17 +244,7 @@ class ResultsLedger:
 # Event documents
 # ---------------------------------------------------------------------------
 
-def load_events(text: str, *, fmt: str = "yaml",
-                source: str = "<document>") -> tuple[HazardousEvent, ...]:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return events_from_doc(doc, source=source)
-
-
-def read_events(path: str | Path) -> tuple[HazardousEvent, ...]:
-    doc = read_document(path)
-    return events_from_doc(doc, source=str(path))
-
-
+# HazardousEvent's text fields, in field order
 _EVENT_TEXT_FIELDS = ("name", "situation", "behavior", "unintended_behavior")
 
 
@@ -261,15 +253,7 @@ def events_from_doc(doc: dict, *, source: str = "<document>") -> tuple[Hazardous
     sink = DiagnosticSink(file=source)
     events: list[HazardousEvent] = []
     ids: set[str] = set()
-    raw_events = doc.get("events", [])
-    if not isinstance(raw_events, list) or not raw_events:
-        sink.error(E.MISSING_FIELD, "'events' must be a non-empty list")
-        raw_events = []
-    for i, raw in enumerate(raw_events):
-        where = f"events[{i}]"
-        if not isinstance(raw, dict):
-            sink.error(E.INVALID_VALUE, f"{where} must be a mapping")
-            continue
+    for where, raw in sink.records(doc, "events", required=True):
         event_id = raw.get("id")
         if not isinstance(event_id, str) or not _EVENT_ID.match(event_id):
             sink.error(E.INVALID_IDENTIFIER, f"{where}: event id {event_id!r} is invalid")
@@ -278,22 +262,12 @@ def events_from_doc(doc: dict, *, source: str = "<document>") -> tuple[Hazardous
             sink.error(E.DUPLICATE_NAME, f"{where}: duplicate event id {event_id!r}")
             continue
         ids.add(event_id)
-        fields = {}
-        ok = True
-        for field in _EVENT_TEXT_FIELDS:
-            value = raw.get(field)
-            if not isinstance(value, str) or not value.strip():
-                sink.error(E.MISSING_FIELD, f"{where}: '{field}' is required")
-                ok = False
-            fields[field] = value
-        target = raw.get("target")
-        if not is_identifier(target):
-            sink.error(E.INVALID_IDENTIFIER, f"{where}: target {target!r} is invalid")
-            ok = False
-        if not ok:
+        texts = sink.texts(raw, _EVENT_TEXT_FIELDS, where)
+        target = sink.identifier(raw, "target", where)
+        note = sink.text(raw, "source", where, "")
+        if None in (texts, target, note):
             continue
-        events.append(HazardousEvent(id=event_id, target=target,
-                                     source=str(raw.get("source", "")), **fields))
+        events.append(HazardousEvent(event_id, *texts, target=target, source=note))
     sink.raise_if_errors()
     events.sort(key=lambda e: e.id)
     return tuple(events)
@@ -312,10 +286,6 @@ def events_to_doc(events: Sequence[HazardousEvent]) -> dict:
     return {"schema": EVENTS_SCHEMA, "events": raw_events}
 
 
-def serialize_events(events: Sequence[HazardousEvent], *, fmt: str = "yaml") -> str:
-    return dump_document(events_to_doc(events), fmt=fmt)
-
-
 def cross_validate_events(events: Sequence[HazardousEvent], ontology: SourceOntology,
                           sink: DiagnosticSink) -> None:
     """Event targets must resolve against the ontology."""
@@ -330,37 +300,18 @@ def cross_validate_events(events: Sequence[HazardousEvent], ontology: SourceOnto
 # Policy documents
 # ---------------------------------------------------------------------------
 
-def load_policy(text: str, *, fmt: str = "yaml",
-                source: str = "<document>") -> ComposePolicy:
-    doc = parse_document(text, fmt=fmt, source=source)
-    return policy_from_doc(doc, source=source)
-
-
-def read_policy(path: str | Path) -> ComposePolicy:
-    doc = read_document(path)
-    return policy_from_doc(doc, source=str(path))
-
-
 def policy_from_doc(doc: dict, *, source: str = "<document>") -> ComposePolicy:
     check_schema(doc, POLICY_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     class_map: list[tuple[str, str]] = []
-    raw_map = doc.get("class_map", {})
-    if not isinstance(raw_map, dict):
-        sink.error(E.INVALID_VALUE, "'class_map' must be a mapping")
-        raw_map = {}
-    for name, target in raw_map.items():
+    for name, target in sink.collection(doc, "class_map", mapping=True).items():
         if not is_identifier(name) or not is_identifier(target):
             sink.error(E.INVALID_IDENTIFIER,
                        f"class_map entry {name!r}: {target!r} is invalid")
             continue
         class_map.append((name, target))
     negations: list[tuple[str, str]] = []
-    raw_negations = doc.get("negations", {})
-    if not isinstance(raw_negations, dict):
-        sink.error(E.INVALID_VALUE, "'negations' must be a mapping")
-        raw_negations = {}
-    for event_id, pass_text in raw_negations.items():
+    for event_id, pass_text in sink.collection(doc, "negations", mapping=True).items():
         if not isinstance(event_id, str) or not _EVENT_ID.match(event_id) \
                 or not isinstance(pass_text, str) or not pass_text.strip():
             sink.error(E.INVALID_VALUE,
@@ -377,7 +328,3 @@ def policy_to_doc(policy: ComposePolicy) -> dict:
     return {"schema": POLICY_SCHEMA,
             "class_map": {name: target for name, target in sorted(policy.class_map)},
             "negations": {behavior: text for behavior, text in sorted(policy.negations)}}
-
-
-def serialize_policy(policy: ComposePolicy, *, fmt: str = "yaml") -> str:
-    return dump_document(policy_to_doc(policy), fmt=fmt)

@@ -4,18 +4,26 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from trigkit.data import reference_config
+from trigkit.data import data_path, reference_config
+from trigkit.docio import dump_document, read_document
 
 CLI = [sys.executable, "-m", "trigkit"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, cwd, config=reference_config(), env_extra=None):
     env = {k: v for k, v in os.environ.items() if k != "TRIGKIT_CONFIG"}
+    # the child runs in a temporary cwd, so a relative PYTHONPATH would not
+    # reach this checkout's package
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     if config is not None:
         env["TRIGKIT_CONFIG"] = str(config)
     if env_extra:
@@ -283,3 +291,36 @@ class TestChainErrors:
         first = (chain["cwd"] / "out" / "catalog.json").read_bytes()
         second = (tmp_path / "out" / "catalog.json").read_bytes()
         assert first == second
+
+
+class TestMalformedDocuments:
+    """A malformed document ends in a located diagnostic, never a traceback."""
+
+    @staticmethod
+    def assert_diagnosed(proc, path):
+        assert proc.returncode == 1
+        assert re.search(rf"^error \w+ {re.escape(str(path))}: ", proc.stderr, re.M)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field, junk", [("degree", ""), ("stage", [])])
+    def test_report_rejects_a_malformed_catalog(self, chain, tmp_path, field, junk):
+        catalog = chain["cwd"] / "out" / "catalog.json"
+        doc = json.loads(catalog.read_text(encoding="utf-8"))
+        doc["conditions"][0][field] = junk
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("report", "--catalog", str(path), cwd=tmp_path)
+        self.assert_diagnosed(proc, path)
+
+    def test_validate_rejects_non_string_relationships(self, tmp_path):
+        matrix = read_document(data_path("compatibility_matrix.yaml"))
+        matrix["entries"][0]["relationships"] = [1, 2]
+        path = tmp_path / "matrix.yaml"
+        path.write_text(dump_document(matrix), encoding="utf-8")
+        config = read_document(reference_config())
+        config["inputs"] = {field: str(data_path(name))
+                            for field, name in config["inputs"].items()}
+        config["inputs"]["matrix"] = str(path)
+        (tmp_path / "project.yaml").write_text(dump_document(config), encoding="utf-8")
+        self.assert_diagnosed(
+            run_cli("validate", cwd=tmp_path, config=tmp_path / "project.yaml"), path)

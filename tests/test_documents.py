@@ -1,0 +1,104 @@
+"""Every document loader rejects malformed fields with DocumentError alone.
+
+A seeded fuzz replaces one field at a time with a junk value in documents of
+all eleven families: the bundled corpus and project config, a generated
+catalog, the test cases composed from it, and a ratings document. Loaders may
+accept the result or raise ``DocumentError``; any other exception would end a
+CLI run in a traceback.
+"""
+
+import random
+
+import pytest
+
+from trigkit.config import config_from_doc
+from trigkit.data import data_path, reference_config
+from trigkit.docio import read_document
+from trigkit.errors import DocumentError, ToolkitError
+from trigkit.generation import effects_from_doc, ratings_from_doc
+from trigkit.ontology import ontology_from_doc
+from trigkit.perception import suite_from_doc
+from trigkit.relationships import matrix_from_doc
+from trigkit.render import cases_from_doc, cases_to_doc, catalog_from_doc, catalog_to_doc
+from trigkit.templates import templates_from_doc
+from trigkit.testcases import compose, events_from_doc, policy_from_doc
+
+JUNK = ([], {}, 7, -1, 3.5, True, None, "", [1, 2], "ZZZ")
+
+BUNDLED = {
+    "triggering-sources@1": ("source_ontology.yaml", ontology_from_doc),
+    "perception-system@1": ("sweeper_system.yaml", suite_from_doc),
+    "compatibility-matrix@1": ("compatibility_matrix.yaml", matrix_from_doc),
+    "effect-knowledge@1": ("effects.yaml", effects_from_doc),
+    "condition-templates@1": ("condition_templates.yaml", templates_from_doc),
+    "hazardous-events@1": ("hazardous_events.yaml", events_from_doc),
+    "compose-policy@1": ("compose_policy.yaml", policy_from_doc),
+}
+FAMILIES = sorted(BUNDLED) + ["condition-catalog@1", "test-cases@1",
+                              "condition-ratings@1", "project-config@1"]
+
+
+def _load_config(doc):
+    return config_from_doc(doc, base_dir=reference_config().parent)
+
+
+@pytest.fixture(scope="module")
+def documents(catalog, events, suite, policy):
+    """schema -> (document, loader) for every family."""
+    docs = {schema: (read_document(data_path(name)), loader)
+            for schema, (name, loader) in BUNDLED.items()}
+    docs["condition-catalog@1"] = (catalog_to_doc(catalog), catalog_from_doc)
+    cases, warnings = compose(catalog.conditions, events, suite, policy)
+    docs["test-cases@1"] = (cases_to_doc(cases, warnings), cases_from_doc)
+    ratings = [{"condition": c.id, "exposure": "E3", "criticality": "C2"}
+               for c in catalog.conditions[:3]]
+    docs["condition-ratings@1"] = (
+        {"schema": "condition-ratings@1", "ratings": ratings}, ratings_from_doc)
+    docs["project-config@1"] = (read_document(reference_config()), _load_config)
+    return docs
+
+
+def _fields(node, path=()):
+    """(path, container, key) for every value below ``node``."""
+    entries = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(entries):
+        yield path + (key,), node, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+def _shape(path):
+    return tuple("*" if isinstance(part, int) else part for part in path)
+
+
+def _sample(doc, rng):
+    """One field per distinct shape (list indices collapsed), chosen by ``rng``."""
+    by_shape = {}
+    for path, container, key in _fields(doc):
+        by_shape.setdefault(_shape(path), []).append((path, container, key))
+    return [rng.choice(by_shape[shape]) for shape in sorted(by_shape, key=repr)]
+
+
+@pytest.mark.parametrize("schema", FAMILIES)
+def test_one_field_junk_raises_only_document_errors(documents, schema):
+    doc, loader = documents[schema]
+    loader(doc)  # the unmutated document loads
+    crashes = []
+    fields = _sample(doc, random.Random(schema))
+    for path, container, key in fields:
+        original = container[key]
+        for junk in JUNK:
+            container[key] = junk
+            try:
+                loader(doc)
+            except DocumentError:
+                pass
+            except ToolkitError as exc:
+                if exc.code != "EmptyConfig":
+                    crashes.append((path, junk, repr(exc)))
+            except Exception as exc:  # noqa: BLE001 - any other type is the finding
+                crashes.append((path, junk, repr(exc)))
+            finally:
+                container[key] = original
+    assert len(fields) > 3
+    assert crashes == []

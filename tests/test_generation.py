@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
     AssessmentClass,
@@ -16,13 +17,13 @@ from trigkit.generation import (
     condition_id,
     context_from_doc,
     context_to_doc,
-    load_effects,
-    load_ratings,
+    effects_from_doc,
+    effects_to_doc,
     parse_degree,
     positive_cells,
     rank,
+    ratings_from_doc,
     render_degree,
-    serialize_effects,
     synthesize_conditions,
     worst_case_filter,
 )
@@ -462,11 +463,19 @@ class TestAssessment:
 # Documents
 # ---------------------------------------------------------------------------
 
+def _load_effects(text, fmt="yaml"):
+    return effects_from_doc(parse_document(text, fmt=fmt))
+
+
+def _load_ratings(text):
+    return ratings_from_doc(parse_document(text))
+
+
 class TestEffectDocuments:
     def test_round_trip(self):
         for fmt in ("yaml", "json"):
-            text = serialize_effects(KB, fmt=fmt)
-            assert load_effects(text, fmt=fmt) == KB
+            text = dump_document(effects_to_doc(KB), fmt=fmt)
+            assert _load_effects(text, fmt=fmt) == KB
 
     def test_degree_zero_cannot_be_authored(self):
         text = """
@@ -476,7 +485,7 @@ effects:
      stage_property: SignalIntensity, degree: 0}
 """
         with pytest.raises(DocumentError, match="degree 0 means unassessed"):
-            load_effects(text)
+            _load_effects(text)
 
     def test_degree_out_of_scale_rejected(self):
         text = """
@@ -486,7 +495,7 @@ effects:
      stage_property: SignalIntensity, degree: -4}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_effects(text)
+            _load_effects(text)
         assert excinfo.value.code == "InvalidValue"
 
     def test_quality_must_belong_to_the_stage(self):
@@ -497,7 +506,7 @@ effects:
      stage_property: Brightness, degree: -2}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_effects(text)
+            _load_effects(text)
         assert excinfo.value.code == "UnknownStageProperty"
 
     def test_unknown_stage_rejected(self):
@@ -508,7 +517,7 @@ effects:
      stage_property: SignalIntensity, degree: -2}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_effects(text)
+            _load_effects(text)
         assert excinfo.value.code == "UnknownStage"
 
     def test_empty_context_rejected(self):
@@ -523,7 +532,7 @@ effects:
     context: {}
 """
         with pytest.raises(DocumentError, match="empty context"):
-            load_effects(text)
+            _load_effects(text)
 
     def test_repeated_property_in_key_rejected(self):
         text = """
@@ -533,7 +542,7 @@ effects:
      stage_property: SignalIntensity, degree: -2}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_effects(text)
+            _load_effects(text)
         assert excinfo.value.code == "InvalidIdentifier"
 
 
@@ -546,14 +555,14 @@ ratings:
 """
 
     def test_load(self):
-        ratings = load_ratings(self.GOOD)
+        ratings = _load_ratings(self.GOOD)
         assert ratings["c111"] == AssessmentClass("E3", "C2")
         assert len(ratings) == 2
 
     def test_duplicate_condition_rejected(self):
         text = self.GOOD + "  - {condition: c111, exposure: E1, criticality: C1}\n"
         with pytest.raises(DocumentError) as excinfo:
-            load_ratings(text)
+            _load_ratings(text)
         assert excinfo.value.code == "DuplicateName"
 
     def test_unknown_level_rejected(self):
@@ -563,9 +572,9 @@ ratings:
   - {condition: c111, exposure: E9, criticality: C2}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_ratings(text)
+            _load_ratings(text)
         assert excinfo.value.code == "UnknownRating"
 
     def test_wrong_schema(self):
         with pytest.raises(DocumentError):
-            load_ratings("schema: effect-knowledge@1\nratings: []\n")
+            _load_ratings("schema: effect-knowledge@1\nratings: []\n")

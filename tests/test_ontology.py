@@ -2,7 +2,7 @@
 
 import pytest
 
-from trigkit.docio import parse_document
+from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.ontology import (
     ConceptKind,
@@ -11,10 +11,9 @@ from trigkit.ontology import (
     SourceProperty,
     is_kind_of,
     legal_categories,
-    load_source_ontology,
     lookup_concept,
+    ontology_from_doc,
     ontology_to_doc,
-    serialize_source_ontology,
 )
 
 MINIMAL = """
@@ -35,7 +34,7 @@ concepts:
 
 
 def _load(text, fmt="yaml"):
-    return load_source_ontology(text, fmt=fmt)
+    return ontology_from_doc(parse_document(text, fmt=fmt))
 
 
 class TestKindsAndCategories:
@@ -230,8 +229,8 @@ def test_concept_accessors():
 def test_serialization_round_trip():
     ontology = _load(MINIMAL)
     for fmt in ("yaml", "json"):
-        text = serialize_source_ontology(ontology, fmt=fmt)
-        assert load_source_ontology(text, fmt=fmt) == ontology
+        text = dump_document(ontology_to_doc(ontology), fmt=fmt)
+        assert _load(text, fmt=fmt) == ontology
 
 
 def test_doc_form_is_sorted_and_stable():

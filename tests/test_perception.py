@@ -2,6 +2,7 @@
 
 import pytest
 
+from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.ontology import (
     ConceptKind,
@@ -18,11 +19,10 @@ from trigkit.perception import (
     SensorClass,
     StagePhase,
     affected_stages,
-    load_sensor_suite,
-    recognition_stage_names,
     sensor_obstruction_stages,
-    serialize_sensor_suite,
     stages_for_class,
+    suite_from_doc,
+    suite_to_doc,
     trace_propagation,
 )
 from trigkit.relationships import (
@@ -30,6 +30,11 @@ from trigkit.relationships import (
     RelationshipInstance,
     RelationshipKind,
 )
+
+
+def _load_suite(text, fmt="yaml"):
+    return suite_from_doc(parse_document(text, fmt=fmt))
+
 
 SUITE = """
 schema: perception-system@1
@@ -83,11 +88,6 @@ class TestStageOntology:
         assert names == ["LightReceiving", "FeatureExtraction",
                          "SemanticSegmentation", "TargetClassification",
                          "TargetTracking"]
-
-    def test_recognition_stages_shared_by_both_classes(self):
-        assert recognition_stage_names() == (
-            "FeatureExtraction", "SemanticSegmentation",
-            "TargetClassification", "TargetTracking")
 
     def test_stage_quality_properties(self):
         by_name = {s.name: s for s in ALL_STAGES}
@@ -235,7 +235,7 @@ def test_sensor_obstruction_stages_by_class():
 
 class TestSuiteLoading:
     def test_minimal_suite(self):
-        suite = load_sensor_suite(SUITE)
+        suite = _load_suite(SUITE)
         assert suite.vehicle == "Sweeper"
         assert [s.sensor for s in suite.sensors] == ["Camera", "LiDAR"]
         camera = suite.get("Camera")
@@ -243,26 +243,26 @@ class TestSuiteLoading:
         assert camera.targets() == ("Pedestrian",)
 
     def test_shared_odd_is_the_default(self):
-        suite = load_sensor_suite(SUITE)
+        suite = _load_suite(SUITE)
         assert suite.get("Camera").odd == ("Daytime", "Light rain")
         assert suite.get("LiDAR").odd == ("Night",)  # own list wins
 
     def test_stage_not_available_to_class(self):
         text = SUITE.replace("LightReceiving, ", "SignalReflection, ")
         with pytest.raises(DocumentError) as excinfo:
-            load_sensor_suite(text)
+            _load_suite(text)
         assert excinfo.value.code == "IllegalStageForClass"
 
     def test_unknown_stage(self):
         text = SUITE.replace("FeatureExtraction", "Daydreaming")
         with pytest.raises(DocumentError) as excinfo:
-            load_sensor_suite(text)
+            _load_suite(text)
         assert excinfo.value.code == "UnknownStage"
 
     def test_unknown_sensor_class(self):
         text = SUITE.replace("class: Passive", "class: Psychic")
         with pytest.raises(DocumentError) as excinfo:
-            load_sensor_suite(text)
+            _load_suite(text)
         assert excinfo.value.code == "UnknownSensorClass"
 
     def test_duplicate_sensor_rejected(self):
@@ -272,7 +272,7 @@ class TestSuiteLoading:
     stages: [LightReceiving]
 """
         with pytest.raises(DocumentError, match="duplicate sensor 'Camera'"):
-            load_sensor_suite(text)
+            _load_suite(text)
 
     def test_sensor_without_stages_rejected(self):
         text = """
@@ -284,7 +284,7 @@ sensors:
     stages: []
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_sensor_suite(text)
+            _load_suite(text)
         assert excinfo.value.code == "EmptyStages"
 
     def test_stages_stored_in_pipeline_order(self):
@@ -296,12 +296,12 @@ sensors:
     class: Active
     stages: [SignalReceiving, SignalTransmission, SignalReflection]
 """
-        suite = load_sensor_suite(text)
+        suite = _load_suite(text)
         assert suite.get("LiDAR").stages == (
             "SignalTransmission", "SignalReflection", "SignalReceiving")
 
     def test_round_trip(self):
-        suite = load_sensor_suite(SUITE)
+        suite = _load_suite(SUITE)
         for fmt in ("yaml", "json"):
-            assert load_sensor_suite(serialize_sensor_suite(suite, fmt=fmt),
-                                     fmt=fmt) == suite
+            assert _load_suite(dump_document(suite_to_doc(suite), fmt=fmt),
+                               fmt=fmt) == suite

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, DiagnosticSink, ToolkitError
 from trigkit.ontology import (
     ConceptKind,
@@ -23,11 +24,16 @@ from trigkit.relationships import (
     cross_validate_matrix,
     instantiate_relationship,
     instantiate_sensor_relationship,
-    load_compatibility_matrix,
+    matrix_from_doc,
+    matrix_to_doc,
     parse_relation_form,
     sensor_applicable_relationships,
-    serialize_compatibility_matrix,
 )
+
+
+def _load_matrix(text, fmt="yaml"):
+    return matrix_from_doc(parse_document(text, fmt=fmt))
+
 
 MATRIX_DOC = """
 schema: compatibility-matrix@1
@@ -78,7 +84,7 @@ ONTOLOGY = SourceOntology(concepts=(CONE, LEAF, PEDESTRIAN, RAIN))
 
 @pytest.fixture
 def compat():
-    return load_compatibility_matrix(MATRIX_DOC)
+    return _load_matrix(MATRIX_DOC)
 
 
 class TestForms:
@@ -106,6 +112,12 @@ class TestForms:
     def test_unknown_kind(self):
         with pytest.raises(ToolkitError, match="unknown relationship 'Orbits'"):
             parse_relation_form("Orbits")
+
+    @pytest.mark.parametrize("label", [7, None, ["Possess"]])
+    def test_non_string_label_is_an_unknown_relationship(self, label):
+        with pytest.raises(ToolkitError) as excinfo:
+            parse_relation_form(label)
+        assert excinfo.value.code == "UnknownRelationship"
 
     def test_default_perturbed_categories(self):
         assert DEFAULT_PERTURBED[RelationshipKind.SPATIAL_POSITION] == {
@@ -331,7 +343,7 @@ class TestMatrixDocuments:
     relationships: [SpatialPosition.Overlay]
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_compatibility_matrix(text)
+            _load_matrix(text)
         assert excinfo.value.code == "DuplicateName"
 
     def test_perturbs_must_reference_a_granted_form(self):
@@ -345,7 +357,7 @@ entries:
       Possess: [FeatureVariability]
 """
         with pytest.raises(DocumentError, match="not granted by this entry"):
-            load_compatibility_matrix(text)
+            _load_matrix(text)
 
     def test_bad_pattern_rejected(self):
         text = """
@@ -356,13 +368,13 @@ entries:
     relationships: [Possess]
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_compatibility_matrix(text)
+            _load_matrix(text)
         assert excinfo.value.code == "UnknownKind"
 
     def test_round_trip(self, compat):
         for fmt in ("yaml", "json"):
-            text = serialize_compatibility_matrix(compat, fmt=fmt)
-            assert load_compatibility_matrix(text, fmt=fmt) == compat
+            text = dump_document(matrix_to_doc(compat), fmt=fmt)
+            assert _load_matrix(text, fmt=fmt) == compat
 
     def test_cross_validation_flags_dangling_names(self, compat):
         sink = DiagnosticSink()
@@ -386,5 +398,5 @@ entries:
     relationships: [CognitiveFeature]
 """
         sink = DiagnosticSink()
-        cross_validate_matrix(load_compatibility_matrix(text), ONTOLOGY, sink)
+        cross_validate_matrix(_load_matrix(text), ONTOLOGY, sink)
         assert any("non-interactive focal kind" in d.message for d in sink.errors)

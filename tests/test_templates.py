@@ -2,15 +2,20 @@
 
 import pytest
 
+from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DiagnosticSink, DocumentError, ToolkitError
 from trigkit.templates import (
     TemplateSet,
     cross_validate_templates,
-    load_templates,
-    serialize_templates,
     split_signature,
+    templates_from_doc,
     templates_to_doc,
 )
+
+
+def _load_templates(text, fmt="yaml"):
+    return templates_from_doc(parse_document(text, fmt=fmt))
+
 
 DOC = """
 schema: condition-templates@1
@@ -57,24 +62,24 @@ class TestSplitSignature:
 
 class TestLookup:
     def test_exact_key_hit(self):
-        templates = load_templates(DOC)
+        templates = _load_templates(DOC)
         variants = templates.lookup("", "Pedestrian", "PerspectiveShape",
                                     "TargetClassification")
         assert variants == (("squatting", "A pedestrian who is squatting"),
                             ("sitting", "A pedestrian who is sitting"))
 
     def test_signature_is_part_of_the_key(self):
-        templates = load_templates(DOC)
+        templates = _load_templates(DOC)
         assert templates.lookup("SurfaceTreatment.Cover(Sensor,Leaf)",
                                 "Leaf", "Material", "LightReceiving") is not None
         assert templates.lookup("", "Leaf", "Material", "LightReceiving") is None
 
     def test_miss_returns_none(self):
-        templates = load_templates(DOC)
+        templates = _load_templates(DOC)
         assert templates.lookup("", "Leaf", "Color", "LightReceiving") is None
 
     def test_len_counts_keys(self):
-        assert len(load_templates(DOC)) == 2
+        assert len(_load_templates(DOC)) == 2
 
 
 class TestGenericDescription:
@@ -128,7 +133,7 @@ templates:
   - {concept: Leaf, property: Material, stage: LightReceiving, variants: []}
 """
         with pytest.raises(DocumentError, match="'variants' must be a non-empty list"):
-            load_templates(text)
+            _load_templates(text)
 
     def test_duplicate_tags_rejected(self):
         text = """
@@ -142,7 +147,7 @@ templates:
       - {tag: default, text: two}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_templates(text)
+            _load_templates(text)
         assert excinfo.value.code == "DuplicateName"
 
     def test_duplicate_keys_rejected(self):
@@ -154,7 +159,7 @@ templates:
       - {tag: other, text: something else}
 """
         with pytest.raises(DocumentError, match="duplicate template key"):
-            load_templates(text)
+            _load_templates(text)
 
     def test_bad_signature_rejected(self):
         text = """
@@ -168,24 +173,24 @@ templates:
       - {tag: default, text: x}
 """
         with pytest.raises(DocumentError) as excinfo:
-            load_templates(text)
+            _load_templates(text)
         assert excinfo.value.code == "InvalidValue"
 
     def test_empty_distance_suffix_rejected(self):
         text = DOC.replace('", combined with a distant target"', '""')
         with pytest.raises(DocumentError, match="distance_suffix"):
-            load_templates(text)
+            _load_templates(text)
 
     def test_round_trip(self):
-        templates = load_templates(DOC)
+        templates = _load_templates(DOC)
         for fmt in ("yaml", "json"):
-            text = serialize_templates(templates, fmt=fmt)
-            again = load_templates(text, fmt=fmt)
+            text = dump_document(templates_to_doc(templates), fmt=fmt)
+            again = _load_templates(text, fmt=fmt)
             assert again.entries == templates.entries
             assert again.distance_suffix == templates.distance_suffix
 
     def test_doc_sorted_by_concept(self):
-        doc = templates_to_doc(load_templates(DOC))
+        doc = templates_to_doc(_load_templates(DOC))
         concepts = [t["concept"] for t in doc["templates"]]
         assert concepts == sorted(concepts)
 
@@ -193,5 +198,5 @@ templates:
         from trigkit.ontology import SourceOntology
 
         sink = DiagnosticSink()
-        cross_validate_templates(load_templates(DOC), SourceOntology(), sink)
+        cross_validate_templates(_load_templates(DOC), SourceOntology(), sink)
         assert any("unknown concept 'Pedestrian'" in d.message for d in sink.errors)

@@ -7,8 +7,9 @@ import pytest
 
 from trigkit.errors import DiagnosticSink, ToolkitError
 from trigkit.generation import TriggeringCondition
-from trigkit.ontology import load_source_ontology
-from trigkit.render import cases_from_doc, cases_to_doc, serialize_cases
+from trigkit.docio import dump_document, parse_document
+from trigkit.ontology import ontology_from_doc
+from trigkit.render import cases_from_doc, cases_to_doc
 from trigkit.testcases import (
     OUTCOME_BY_BEHAVIOR,
     BehaviorClass,
@@ -18,13 +19,9 @@ from trigkit.testcases import (
     cross_validate_events,
     events_from_doc,
     events_to_doc,
-    load_events,
-    load_policy,
     outcome_record,
     policy_from_doc,
     policy_to_doc,
-    serialize_events,
-    serialize_policy,
 )
 
 EVENTS_DOC = """\
@@ -69,16 +66,17 @@ def _bare_condition(source="Cyclist", sensor="Camera", **overrides):
 
 class TestEventDocuments:
     def test_load_sorts_by_id(self):
-        events = load_events(EVENTS_DOC)
+        events = events_from_doc(parse_document(EVENTS_DOC))
         assert [e.id for e in events] == ["HE-1", "HE-2"]
         assert events[1].target == "Pedestrian"
         assert events[0].unintended_behavior == "Continue driving with no bypass maneuver"
 
     def test_round_trip(self):
-        events = load_events(EVENTS_DOC)
+        events = events_from_doc(parse_document(EVENTS_DOC))
         assert events_from_doc(events_to_doc(events)) == events
         for fmt in ("yaml", "json"):
-            assert load_events(serialize_events(events, fmt=fmt), fmt=fmt) == events
+            assert events_from_doc(parse_document(
+                dump_document(events_to_doc(events), fmt=fmt), fmt=fmt)) == events
 
     def test_optional_source_field_survives(self, events):
         assert all(e.source for e in events)
@@ -121,14 +119,14 @@ class TestEventDocuments:
             events_from_doc(doc)
 
     def test_cross_validation_flags_unknown_target(self):
-        ontology = load_source_ontology("""\
+        ontology = ontology_from_doc(parse_document("""\
 schema: triggering-sources@1
 concepts:
   - name: Pedestrian
     kind: InteractiveEntity
     properties: [{name: Color, category: Reflectivity}]
-""")
-        events = load_events(EVENTS_DOC)
+"""))
+        events = events_from_doc(parse_document(EVENTS_DOC))
         sink = DiagnosticSink(file="<events>")
         cross_validate_events(events, ontology, sink)
         assert len(sink.items) == 1
@@ -156,7 +154,8 @@ class TestPolicyDocuments:
     def test_round_trip(self, policy):
         assert policy_from_doc(policy_to_doc(policy)) == policy
         for fmt in ("yaml", "json"):
-            assert load_policy(serialize_policy(policy, fmt=fmt), fmt=fmt) == policy
+            assert policy_from_doc(parse_document(
+                dump_document(policy_to_doc(policy), fmt=fmt), fmt=fmt)) == policy
 
     def test_maps_default_to_empty(self):
         policy = policy_from_doc({"schema": "compose-policy@1"})
@@ -286,7 +285,7 @@ class TestCompose:
         assert doc["schema"] == "test-cases@1"
         assert cases_from_doc(doc) == tuple(cases)
         for fmt in ("yaml", "json"):
-            text = serialize_cases(cases, warnings=warnings, fmt=fmt)
+            text = dump_document(cases_to_doc(cases, warnings=warnings), fmt=fmt)
             reparsed = json.loads(text) if fmt == "json" else None
             if reparsed is not None:
                 assert reparsed["schema"] == "test-cases@1"
@@ -360,4 +359,12 @@ class TestResultsLedger:
             ResultsLedger(path).read()
         assert excinfo.value.code == "SyntaxError"
         assert excinfo.value.line == 3
+        assert excinfo.value.file == str(path)
+
+    def test_non_object_line_reported_with_its_number(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"a": 1}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(ToolkitError, match="must be a JSON object") as excinfo:
+            ResultsLedger(path).read()
+        assert excinfo.value.line == 2
         assert excinfo.value.file == str(path)
