@@ -276,7 +276,7 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
     started = time.perf_counter()
     inputs = load_inputs(config)
     _print_warnings(inputs.warnings)
-    sensors = tuple(args.sensor) if args.sensor else None
+    sensors = tuple(dict.fromkeys(args.sensor)) if args.sensor else None
     catalog = generate_catalog(
         inputs.ontology, inputs.suite, inputs.matrix, inputs.effects,
         inputs.templates, threshold=config.threshold,

@@ -20,7 +20,7 @@ rating sink to the bottom flagged "unrated".
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from . import errors as E
@@ -58,6 +58,7 @@ __all__ = [
     "TriggeringCondition",
     "render_degree",
     "parse_degree",
+    "relation_context_keys",
     "build_matrix",
     "worst_case_filter",
     "positive_cells",
@@ -160,6 +161,10 @@ class RelationContext:
     def satisfied_by(self, bundle: RelationshipBundle, ontology: SourceOntology) -> bool:
         return any(self.matches(rel, ontology) for rel in bundle.relations)
 
+    def key(self) -> tuple:
+        """Hashable form of the context, comparable with :func:`relation_context_keys`."""
+        return (self.form, _pattern_key(self.focal), _pattern_key(self.partner))
+
     def label(self) -> str:
         parts = []
         if self.form is not None:
@@ -169,6 +174,35 @@ class RelationContext:
         if self.partner is not None:
             parts.append(f"partner={self.partner.label}")
         return " ".join(parts)
+
+
+def _pattern_key(pattern: MatrixPattern | None) -> tuple | None:
+    return None if pattern is None else (pattern.name, pattern.kind)
+
+
+def relation_context_keys(rel: RelationshipInstance,
+                          ontology: SourceOntology) -> list[tuple]:
+    """Keys of every context that matches ``rel``.
+
+    ``context.key()`` is in the result exactly when ``context.matches(rel,
+    ontology)``: each of form, focal and partner is either unconstrained or
+    pinned to the relation's value (a concept name, or that concept's kind).
+    """
+    def sides(name: str) -> list[tuple | None]:
+        concept = ontology.get(name)
+        keys: list[tuple | None] = [None, (name, None)]
+        if concept is not None:
+            keys.append((None, concept.kind))
+        return keys
+
+    partners = sides(rel.partner)
+    return [(form, focal, partner)
+            for form in (None, rel.form)
+            for focal in sides(rel.focal)
+            for partner in partners]
+
+
+CellKey = tuple[str, tuple[str, ...], str, str]  # (concept, properties, stage, quality)
 
 
 @dataclass(frozen=True)
@@ -189,6 +223,10 @@ class EffectRule:
     def property_key(self) -> str:
         return "/".join(self.properties)
 
+    @property
+    def cell_key(self) -> CellKey:
+        return (self.concept, self.properties, self.stage, self.stage_property)
+
     def sort_key(self) -> tuple:
         return (self.concept, self.property_key, STAGE_ORDER[self.stage],
                 self.stage_property, self.context.label() if self.context else "")
@@ -196,10 +234,26 @@ class EffectRule:
 
 @dataclass(frozen=True)
 class EffectKnowledgeBase:
-    rules: tuple[EffectRule, ...] = ()
+    """Authored rules, compiled once into the index :func:`build_matrix` reads.
 
-    def group_rules(self) -> tuple[EffectRule, ...]:
-        return tuple(r for r in self.rules if len(r.properties) > 1)
+    ``ranked`` maps each cell key to its rules, best first: lowest degree,
+    then narrowest context, then knowledge-base order. The first of them
+    whose context a bundle satisfies (or that has none) fills the cell.
+    """
+
+    rules: tuple[EffectRule, ...] = ()
+    ranked: dict[CellKey, tuple[EffectRule, ...]] = field(
+        init=False, repr=False, compare=False)
+    group_rules: tuple[EffectRule, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ranked: dict[CellKey, list[EffectRule]] = {}
+        for rule in sorted(self.rules, key=lambda r: (r.degree, -_context_specificity(r))):
+            ranked.setdefault(rule.cell_key, []).append(rule)
+        object.__setattr__(self, "ranked", {key: tuple(rules)
+                                            for key, rules in ranked.items()})
+        object.__setattr__(self, "group_rules",
+                           tuple(r for r in self.rules if len(r.properties) > 1))
 
 
 @dataclass(frozen=True)
@@ -278,7 +332,7 @@ def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
                 if key not in rows:
                     rows.append(key)
     singles = {(concept, props[0]) for concept, props in rows}
-    for rule in kb.group_rules():
+    for rule in kb.group_rules:
         if all((rule.concept, p) in singles for p in rule.properties):
             key = (rule.concept, rule.properties)
             if key not in rows:
@@ -294,7 +348,8 @@ def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,
     Rows are the analyzed concept's own properties, partner properties in the
     relations' perturbed categories, and any knowledge-base joint rows whose
     members are all present. Every cell exists; cells with no matching rule
-    stay at degree 0. When several rules match one cell, the worst survives.
+    stay at degree 0. When several rules match one cell, the worst survives;
+    among equally bad rules the narrower context wins, then the earlier rule.
     """
     source = ontology.get(bundle.source)
     if source is None:
@@ -307,21 +362,15 @@ def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,
                     for quality in STAGE_BY_NAME[stage].quality_properties)
     rows = _matrix_rows(bundle, kb, ontology)
 
-    index: dict[tuple[str, tuple[str, ...], str, str], EffectRule] = {}
-    for rule in kb.rules:
-        if rule.context is not None and not rule.context.satisfied_by(bundle, ontology):
-            continue
-        key = (rule.concept, rule.properties, rule.stage, rule.stage_property)
-        best = index.get(key)
-        if best is None or rule.degree < best.degree \
-                or (rule.degree == best.degree
-                    and _context_specificity(rule) > _context_specificity(best)):
-            index[key] = rule
-
     cells: list[EffectEntry] = []
     for concept, props in rows:
         for stage, quality in columns:
-            rule = index.get((concept, props, stage, quality))
+            rule = None
+            for candidate in kb.ranked.get((concept, props, stage, quality), ()):
+                if candidate.context is None \
+                        or candidate.context.satisfied_by(bundle, ontology):
+                    rule = candidate
+                    break
             if rule is None:
                 cells.append(EffectEntry(concept, props, stage, quality, 0))
             else:

@@ -7,6 +7,14 @@ conditions are synthesized. The empty bundle (the source considered on its
 own) is always included. Bundles whose stage mapping misses the sensor's
 declared stages simply produce nothing.
 
+Bundles combine only the candidate relations an effect rule can use (see
+``_rule_demands``). A bundle holding any other relation cannot yield a
+condition, because every relation of a condition must be demanded by a
+worst-case rule's context, and its beneficial cells are those of the same
+bundle without that relation, which comes earlier in the smallest-first
+order. Skipping such bundles therefore leaves conditions, warnings and
+beneficial cells unchanged.
+
 Ordering is canonical and total, so repeated runs over the same inputs emit
 byte-identical catalogs.
 """
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from . import errors as E
 from .errors import ToolkitError
@@ -23,11 +32,12 @@ from .generation import (
     TriggeringCondition,
     build_matrix,
     positive_cells,
+    relation_context_keys,
     synthesize_conditions,
     worst_case_filter,
 )
 from .ontology import SourceConcept, SourceOntology
-from .perception import STAGE_ORDER, PerceptionSystemSpec, SensorSuite
+from .perception import STAGE_ORDER, PerceptionSystemSpec, SensorSuite, affected_stages
 from .relationships import (
     CompatibilityMatrix,
     RelationshipBundle,
@@ -97,14 +107,13 @@ def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
     return candidates
 
 
-def enumerate_bundles(source: SourceConcept, matrix: CompatibilityMatrix,
-                      ontology: SourceOntology,
-                      limit: int = 2) -> list[RelationshipBundle]:
-    """The empty bundle plus every combination of permitted relations up to
+def enumerate_bundles(source: SourceConcept,
+                      candidates: Sequence[RelationshipInstance],
+                      limit: int) -> list[RelationshipBundle]:
+    """The empty bundle plus every combination of ``candidates`` up to
     ``limit``, smallest first."""
     if limit < 0:
         raise ToolkitError(E.INVALID_VALUE, f"bundle limit must be >= 0, got {limit}")
-    candidates = candidate_relations(source, matrix, ontology)
     bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
     for size in range(1, limit + 1):
         for chosen in combinations(candidates, size):
@@ -119,14 +128,14 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                      sensors: tuple[str, ...] | None = None) -> Catalog:
     """Run the full generation pass over every sensor and source concept.
 
-    ``sensors`` restricts the pass to a subset of the suite; unknown names
-    raise ``UnknownSensor``.
+    ``sensors`` restricts the pass to a subset of the suite, each name taken
+    once in first-given order; unknown names raise ``UnknownSensor``.
     """
     specs: list[PerceptionSystemSpec] = []
     if sensors is None:
         specs = list(suite.sensors)
     else:
-        for name in sensors:
+        for name in dict.fromkeys(sensors):
             spec = suite.get(name)
             if spec is None:
                 raise ToolkitError(E.UNKNOWN_SENSOR,
@@ -139,10 +148,24 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
     seen_ids: set[str] = set()
     seen_positives: set[tuple] = set()
 
+    contexts, positive_concepts, positive_stages = _rule_demands(kb, threshold)
+    # per source: each candidate relation, and whether a rule's context or a
+    # beneficial rule's concept needs it on every sensor
+    candidates: dict[str, list[tuple[RelationshipInstance, bool]]] = {}
+
     for spec in specs:
         for name in ontology.names():
             source = ontology.get(name)
-            for bundle in enumerate_bundles(source, matrix, ontology, limit=bundle_limit):
+            if name not in candidates:
+                candidates[name] = [
+                    (rel, not contexts.isdisjoint(relation_context_keys(rel, ontology))
+                     or (not rel.targets_sensor() and rel.partner in positive_concepts))
+                    for rel in candidate_relations(source, matrix, ontology)]
+            bare = affected_stages(source, (), spec, ontology)
+            relevant = [rel for rel, needed in candidates[name]
+                        if needed or positive_stages
+                        & (affected_stages(source, (rel,), spec, ontology) - bare)]
+            for bundle in enumerate_bundles(source, relevant, bundle_limit):
                 gen_matrix = build_matrix(bundle, spec, kb, ontology)
                 if not gen_matrix.columns:
                     continue
@@ -167,6 +190,32 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
     return Catalog(vehicle=suite.vehicle, threshold=threshold,
                    bundle_limit=bundle_limit, conditions=tuple(conditions),
                    positives=tuple(positives), warnings=tuple(warnings))
+
+
+def _rule_demands(kb: EffectKnowledgeBase, threshold: int
+                  ) -> tuple[frozenset[tuple], frozenset[str], frozenset[str]]:
+    """What a relation must touch to change the catalog.
+
+    A bundle holding a relation that touches none of these yields no
+    condition, and its beneficial cells are those of the same bundle without
+    that relation, which is enumerated earlier:
+
+    - conditions need every relation matched by the context of a rule at or
+      beyond the threshold (see ``synthesize_conditions``);
+    - a beneficial cell changes only through the context of a rule sharing
+      its cell key, a row of the rule's concept, or a column of its stage.
+
+    Returns the keys of those contexts (see ``RelationContext.key``), the
+    concepts of beneficial rules and the stages of beneficial rules.
+    """
+    beneficial = [rule for rule in kb.rules if rule.degree > 0]
+    beneficial_cells = {rule.cell_key for rule in beneficial}
+    contexts = frozenset(rule.context.key() for rule in kb.rules
+                         if rule.context is not None
+                         and (rule.degree <= -threshold
+                              or rule.cell_key in beneficial_cells))
+    return (contexts, frozenset(rule.concept for rule in beneficial),
+            frozenset(rule.stage for rule in beneficial))
 
 
 def _condition_order(condition: TriggeringCondition) -> tuple:

@@ -22,14 +22,17 @@ from trigkit.data import data_path, reference_config
 from trigkit.docio import read_document
 from trigkit.generation import (
     AssessmentClass,
+    EffectEntry,
     EffectKnowledgeBase,
     EffectRule,
     RelationContext,
+    _matrix_rows,
     assess,
     build_matrix,
     effects_from_doc,
     effects_to_doc,
     rank,
+    synthesize_conditions,
     worst_case_filter,
 )
 from trigkit.ontology import (
@@ -51,7 +54,12 @@ from trigkit.perception import (
     suite_from_doc,
     suite_to_doc,
 )
-from trigkit.pipeline import candidate_relations, generate_catalog
+from trigkit.pipeline import (
+    Catalog,
+    _condition_order,
+    candidate_relations,
+    generate_catalog,
+)
 from trigkit.relationships import (
     DEFAULT_PERTURBED,
     RELATION_FORMS,
@@ -60,6 +68,7 @@ from trigkit.relationships import (
     MatrixPattern,
     RelationshipBundle,
     RelationshipInstance,
+    compose_bundle,
     matrix_from_doc,
     matrix_to_doc,
 )
@@ -435,6 +444,97 @@ def test_c3_oracle_equivalence():
              f"brute-force enumeration ({productive} produced conditions) "
              f"in {elapsed:.1f}s (< 30s)"
              + (f"; first mismatches {mismatches[:3]}" if mismatches else ""))
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive reference: skipped bundles and the ranked rule index lose nothing
+# ---------------------------------------------------------------------------
+
+def _reference_cells(bundle, spec, kb, ontology) -> list:
+    """The bundle's graded matrix cells in row-major order, each cell's
+    winner found by one linear scan of every rule: worst degree, then
+    narrower context, then earlier rule. Cells left at 0 are omitted."""
+    source = ontology.get(bundle.source)
+    stages = sorted(affected_stages(source, bundle.relations, spec, ontology),
+                    key=STAGE_ORDER.get)
+    best = {}
+    for rule in kb.rules:
+        if rule.context is not None and not rule.context.satisfied_by(bundle, ontology):
+            continue
+        key = (rule.concept, rule.properties, rule.stage, rule.stage_property)
+        current = best.get(key)
+        if current is None or rule.degree < current.degree \
+                or (rule.degree == current.degree
+                    and _oracle_specificity(rule) > _oracle_specificity(current)):
+            best[key] = rule
+    cells = []
+    for concept, props in _matrix_rows(bundle, kb, ontology):
+        for stage in stages:
+            for quality in STAGE_BY_NAME[stage].quality_properties:
+                rule = best.get((concept, props, stage, quality))
+                if rule is not None:
+                    cells.append(EffectEntry(concept, props, stage, quality, rule.degree,
+                                             rule.principle, rule.worst_case,
+                                             rule.context))
+    return cells
+
+
+def _reference_catalog(ontology, suite, matrix, kb, templates, threshold,
+                       bundle_limit) -> Catalog:
+    """Grade and synthesize every combination of candidate relations."""
+    warnings, conditions, positives, seen = [], [], [], set()
+    for spec in suite.sensors:
+        for name in ontology.names():
+            source = ontology.get(name)
+            candidates = candidate_relations(source, matrix, ontology)
+            bundles = [RelationshipBundle(source=name)]
+            for size in range(1, bundle_limit + 1):
+                bundles.extend(compose_bundle(source, chosen, limit=bundle_limit)
+                               for chosen in combinations(candidates, size))
+            for bundle in bundles:
+                cells = _reference_cells(bundle, spec, kb, ontology)
+                for cell in cells:
+                    key = (spec.sensor, cell.concept, cell.properties, cell.stage,
+                           cell.stage_property)
+                    if cell.degree > 0 and key not in seen:
+                        seen.add(key)
+                        positives.append((spec.sensor, cell))
+                conditions.extend(synthesize_conditions(
+                    [cell for cell in cells if cell.degree <= -threshold], bundle,
+                    spec, templates, ontology, warnings))
+    conditions.sort(key=_condition_order)
+    return Catalog(vehicle=suite.vehicle, threshold=threshold,
+                   bundle_limit=bundle_limit, conditions=tuple(conditions),
+                   positives=tuple(positives), warnings=tuple(warnings))
+
+
+def test_generation_matches_the_exhaustive_reference(inputs):
+    started = time.perf_counter()
+    runs = [(f"bundled limit {limit}", inputs.ontology, inputs.suite, inputs.matrix,
+             inputs.effects, inputs.templates, 2, limit) for limit in (1, 2, 3)]
+    for seed in range(100):
+        rng = random.Random(9200 + seed)  # the scenes of C3
+        ontology = _random_ontology(rng)
+        matrix = _random_matrix(rng, ontology)
+        suite = _random_suite(rng)
+        kb = _random_kb(rng, ontology)
+        threshold = rng.choice((1, 2, 3))
+        bundle_limit = rng.choice((1, 2, 2))
+        for limit in (bundle_limit, 3):
+            runs.append((f"scene {seed} limit {limit}", ontology, suite, matrix, kb,
+                         TemplateSet(), threshold, limit))
+    mismatches = []
+    for label, ontology, suite, matrix, kb, templates, threshold, limit in runs:
+        args = (ontology, suite, matrix, kb, templates)
+        catalog = generate_catalog(*args, threshold=threshold, bundle_limit=limit)
+        if catalog != _reference_catalog(*args, threshold, limit):
+            mismatches.append(label)
+    elapsed = time.perf_counter() - started
+    _verdict("C3 reference", not mismatches,
+             f"{len(runs) - len(mismatches)}/{len(runs)} catalogs (conditions, "
+             f"positives, warnings) equal the exhaustive enumeration in "
+             f"{elapsed:.1f}s" + (f"; first mismatches {mismatches[:3]}"
+                                  if mismatches else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from trigkit.config import strip_timing
 from trigkit.data import data_path, reference_config
 from trigkit.docio import dump_document, read_document
 
@@ -279,6 +280,23 @@ class TestChainErrors:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == (
             "generated 27 conditions (Camera: 27) -> out")
+
+    def test_repeated_sensor_is_taken_once(self, tmp_path):
+        runs = {}
+        for name, flags in (("once", ["--sensor", "Camera"]),
+                            ("twice", ["--sensor", "Camera", "--sensor", "Camera"])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = run_cli("generate", *flags, cwd=cwd)
+            assert proc.returncode == 0, proc.stderr
+            out = cwd / "out"
+            manifest = json.loads((out / "generate.manifest.json")
+                                  .read_text(encoding="utf-8"))
+            runs[name] = (proc.stdout, proc.stderr, strip_timing(manifest),
+                          [(out / f).read_bytes()
+                           for f in ("catalog.json", "catalog.csv", "catalog.md")])
+        assert runs["twice"] == runs["once"]
+        assert runs["twice"][2]["parameters"]["sensors"] == ["Camera"]
 
     def test_unknown_sensor_restriction(self, tmp_path):
         proc = run_cli("generate", "--sensor", "Sonar", cwd=tmp_path)

@@ -23,6 +23,7 @@ from trigkit.generation import (
     positive_cells,
     rank,
     ratings_from_doc,
+    relation_context_keys,
     render_degree,
     synthesize_conditions,
     worst_case_filter,
@@ -198,6 +199,21 @@ class TestRelationContext:
         assert OCCLUSION_CTX.label() == \
             "SpatialPosition.Occlusion partner=kind:DisturbingEntity"
 
+    def test_keys_agree_with_matches(self):
+        rels = (instantiate_relationship(OCCLUSION, PEDESTRIAN, CONE, COMPAT),
+                instantiate_sensor_relationship(COVER, LEAF, COMPAT),
+                instantiate_sensor_relationship(COVER, RAIN, COMPAT))
+        patterns = [None] + [MatrixPattern(name=n) for n in
+                             ("Pedestrian", "Cone", "Leaf", "Rain", "Sensor")] \
+            + [MatrixPattern(kind=k) for k in ConceptKind]
+        for form in (None, OCCLUSION, COVER):
+            for focal in patterns:
+                for partner in patterns:
+                    ctx = RelationContext(form=form, focal=focal, partner=partner)
+                    for rel in rels:
+                        assert (ctx.key() in relation_context_keys(rel, ONTOLOGY)) \
+                            == ctx.matches(rel, ONTOLOGY), (ctx.label(), rel)
+
     def test_doc_round_trip(self):
         from trigkit.errors import DiagnosticSink
 
@@ -263,6 +279,20 @@ class TestBuildMatrix:
         assert cell.degree == -3
         assert cell.worst_case == "occluded"
         assert cell.context == OCCLUSION_CTX
+
+    def test_full_tie_breaks_toward_the_earlier_rule(self):
+        # equal degree, equal context specificity (form + partner kind vs
+        # partner name): knowledge-base order decides
+        by_kind = EffectRule("Pedestrian", ("Color",), "LightReceiving", "Contrast", -2,
+                             worst_case="by kind", context=OCCLUSION_CTX)
+        by_name = EffectRule("Pedestrian", ("Color",), "LightReceiving", "Contrast", -2,
+                             worst_case="by name",
+                             context=RelationContext(partner=MatrixPattern(name="Cone")))
+        for rules in ((by_kind, by_name), (by_name, by_kind)):
+            matrix = build_matrix(_occluded_bundle(), CAMERA,
+                                  EffectKnowledgeBase(rules=rules), ONTOLOGY)
+            cell = matrix.cell(("Pedestrian", ("Color",)), ("LightReceiving", "Contrast"))
+            assert cell.worst_case == rules[0].worst_case
 
     def test_unknown_bundle_source(self):
         with pytest.raises(ToolkitError, match="does not resolve"):

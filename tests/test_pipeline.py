@@ -42,26 +42,30 @@ class TestCandidateRelations:
 class TestEnumerateBundles:
     def test_rain_bundles(self, ontology, matrix):
         rain = ontology.get("Rain")
-        bundles = enumerate_bundles(rain, matrix, ontology, limit=2)
+        bundles = enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
+                                    limit=2)
         assert [b.signature() for b in bundles] == [
             "", "SurfaceTreatment.Cover(Sensor,Rain)"]
 
     def test_limit_zero_keeps_only_the_bare_bundle(self, ontology, matrix):
         pedestrian = ontology.get("Pedestrian")
-        bundles = enumerate_bundles(pedestrian, matrix, ontology, limit=0)
+        bundles = enumerate_bundles(
+            pedestrian, candidate_relations(pedestrian, matrix, ontology), limit=0)
         assert len(bundles) == 1
         assert bundles[0].signature() == ""
 
     def test_bundle_counts_follow_combinations(self, ontology, matrix):
         pedestrian = ontology.get("Pedestrian")
-        singles = len(candidate_relations(pedestrian, matrix, ontology))
-        bundles = enumerate_bundles(pedestrian, matrix, ontology, limit=2)
+        candidates = candidate_relations(pedestrian, matrix, ontology)
+        singles = len(candidates)
+        bundles = enumerate_bundles(pedestrian, candidates, limit=2)
         assert len(bundles) == 1 + singles + singles * (singles - 1) // 2
 
     def test_negative_limit_rejected(self, ontology, matrix):
         rain = ontology.get("Rain")
         with pytest.raises(ToolkitError, match="bundle limit must be >= 0"):
-            enumerate_bundles(rain, matrix, ontology, limit=-1)
+            enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
+                              limit=-1)
 
 
 class TestGenerateCatalog:
@@ -92,12 +96,22 @@ class TestGenerateCatalog:
         assert again == catalog
 
     def test_sensor_filter_selects_a_subset(self, inputs, config, catalog):
-        camera_only = generate_catalog(
-            inputs.ontology, inputs.suite, inputs.matrix, inputs.effects,
-            inputs.templates, threshold=config.threshold,
-            bundle_limit=config.bundle_limit, sensors=("Camera",))
         expected = tuple(c for c in catalog.conditions if c.sensor == "Camera")
-        assert camera_only.conditions == expected
+        for sensors in (("Camera",), ("Camera", "Camera")):
+            camera_only = generate_catalog(
+                inputs.ontology, inputs.suite, inputs.matrix, inputs.effects,
+                inputs.templates, threshold=config.threshold,
+                bundle_limit=config.bundle_limit, sensors=sensors)
+            assert camera_only.conditions == expected
+
+    @pytest.mark.parametrize("limit", [3, 4])
+    def test_larger_bundle_limits_add_nothing(self, inputs, config, catalog, limit):
+        assert config.bundle_limit == 2
+        larger = generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
+                                  inputs.effects, inputs.templates,
+                                  threshold=config.threshold, bundle_limit=limit)
+        assert larger.conditions == catalog.conditions
+        assert larger.positives == catalog.positives
 
     def test_unknown_sensor_rejected(self, inputs):
         with pytest.raises(ToolkitError) as excinfo:
