@@ -33,6 +33,10 @@ __all__ = [
     "check_schema",
 ]
 
+# libyaml's loader when PyYAML was built with it; the pure-Python one otherwise.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def detect_format(path: str | Path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".yaml", ".yml"):
@@ -50,7 +54,7 @@ def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") 
     """Parse ``text`` into a mapping, reporting syntax errors with positions."""
     if fmt == "yaml":
         try:
-            doc = yaml.safe_load(text)
+            doc = yaml.load(text, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             line = col = None
             mark = getattr(exc, "problem_mark", None)

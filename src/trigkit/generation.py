@@ -2,12 +2,13 @@
 
 For one analyzed source (with its relationship bundle) and one declared
 sensor, the generation matrix crosses source properties against the quality
-properties of every affected stage. Cells are filled from an effect knowledge
+properties of every affected stage. Cells are graded from an effect knowledge
 base whose entries grade the worst-case influence of a property on a stage
-quality with a signed degree in [-3, +3]; unfilled cells stay at 0
-("unassessed"). Negative cells at or beyond the worst-case threshold survive
-filtering and are grouped per (property row, stage) into triggering
-conditions; positive cells are diagnostics only and never become conditions.
+quality with a signed degree in [-3, +3]. Only graded cells are stored; a cell
+no rule grades reads as 0 ("unassessed") in the dense view. Negative cells at
+or beyond the worst-case threshold survive filtering and are grouped per
+(property row, stage) into triggering conditions; positive cells are
+diagnostics only and never become conditions.
 
 Each condition for a sensing stage also gets a distance-augmented companion:
 a marginal target distance compounds any sensing degradation.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import errors as E
@@ -203,6 +205,7 @@ def relation_context_keys(rel: RelationshipInstance,
 
 
 CellKey = tuple[str, tuple[str, ...], str, str]  # (concept, properties, stage, quality)
+RowKey = tuple[str, tuple[str, ...]]  # (concept, property names)
 
 
 @dataclass(frozen=True)
@@ -234,26 +237,42 @@ class EffectRule:
 
 @dataclass(frozen=True)
 class EffectKnowledgeBase:
-    """Authored rules, compiled once into the index :func:`build_matrix` reads.
+    """Authored rules, compiled once into the indexes :func:`build_matrix` reads.
 
-    ``ranked`` maps each cell key to its rules, best first: lowest degree,
-    then narrowest context, then knowledge-base order. The first of them
-    whose context a bundle satisfies (or that has none) fills the cell.
+    ``by_row`` maps each (concept, properties) row to its graded columns in
+    matrix column order, each with its rules best first: lowest degree, then
+    narrowest context, then knowledge-base order. The first of them whose
+    context a bundle satisfies (or that has none) fills the cell.
+    ``group_rules`` maps a concept to its joint-property rules.
     """
 
     rules: tuple[EffectRule, ...] = ()
-    ranked: dict[CellKey, tuple[EffectRule, ...]] = field(
+    by_row: dict[RowKey, tuple[tuple[str, str, tuple[EffectRule, ...]], ...]] = field(
         init=False, repr=False, compare=False)
-    group_rules: tuple[EffectRule, ...] = field(init=False, repr=False, compare=False)
+    group_rules: dict[str, tuple[EffectRule, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ranked: dict[CellKey, list[EffectRule]] = {}
+        ranked: dict[RowKey, dict[tuple[str, str], list[EffectRule]]] = {}
         for rule in sorted(self.rules, key=lambda r: (r.degree, -_context_specificity(r))):
-            ranked.setdefault(rule.cell_key, []).append(rule)
-        object.__setattr__(self, "ranked", {key: tuple(rules)
-                                            for key, rules in ranked.items()})
-        object.__setattr__(self, "group_rules",
-                           tuple(r for r in self.rules if len(r.properties) > 1))
+            ranked.setdefault((rule.concept, rule.properties), {}) \
+                .setdefault((rule.stage, rule.stage_property), []).append(rule)
+        object.__setattr__(self, "by_row", {
+            row: tuple((stage, quality, tuple(rules))
+                       for (stage, quality), rules
+                       in sorted(columns.items(), key=lambda item: _column_order(*item[0])))
+            for row, columns in ranked.items()})
+        group_rules: dict[str, list[EffectRule]] = {}
+        for rule in self.rules:
+            if len(rule.properties) > 1:
+                group_rules.setdefault(rule.concept, []).append(rule)
+        object.__setattr__(self, "group_rules", {concept: tuple(rules)
+                                                 for concept, rules in group_rules.items()})
+
+
+def _column_order(stage: str, quality: str) -> tuple[int, int]:
+    """Position of a (stage, quality) column in every matrix that has it."""
+    return STAGE_ORDER[stage], STAGE_BY_NAME[stage].quality_properties.index(quality)
 
 
 @dataclass(frozen=True)
@@ -274,18 +293,29 @@ class EffectEntry:
         return "/".join(self.properties)
 
 
-RowKey = tuple[str, tuple[str, ...]]  # (concept, property names)
-
-
 @dataclass(frozen=True)
 class GenerationMatrix:
-    """Dense property-by-stage-quality grid for one bundle on one sensor."""
+    """Property-by-stage-quality grid for one bundle on one sensor."""
 
     sensor: str
     bundle: RelationshipBundle
     rows: tuple[RowKey, ...]
     columns: tuple[tuple[str, str], ...]  # (stage, quality property)
-    cells: tuple[EffectEntry, ...]  # row-major, len == len(rows) * len(columns)
+    graded: tuple[EffectEntry, ...]  # cells a rule fills, row-major
+
+    @cached_property
+    def cells(self) -> tuple[EffectEntry, ...]:
+        """Dense row-major view, ``len(rows) * len(columns)`` long; a cell no
+        rule fills is an entry of degree 0."""
+        filled = {(c.concept, c.properties, c.stage, c.stage_property): c
+                  for c in self.graded}
+        dense: list[EffectEntry] = []
+        for concept, props in self.rows:
+            for stage, quality in self.columns:
+                cell = filled.get((concept, props, stage, quality))
+                dense.append(cell if cell is not None
+                             else EffectEntry(concept, props, stage, quality, 0))
+        return tuple(dense)
 
     def cell(self, row: RowKey, column: tuple[str, str]) -> EffectEntry:
         i = self.rows.index(row)
@@ -332,11 +362,12 @@ def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
                 if key not in rows:
                     rows.append(key)
     singles = {(concept, props[0]) for concept, props in rows}
-    for rule in kb.group_rules:
-        if all((rule.concept, p) in singles for p in rule.properties):
-            key = (rule.concept, rule.properties)
-            if key not in rows:
-                rows.append(key)
+    for concept in dict.fromkeys(concept for concept, _props in rows):
+        for rule in kb.group_rules.get(concept, ()):
+            if all((concept, p) in singles for p in rule.properties):
+                key = (concept, rule.properties)
+                if key not in rows:
+                    rows.append(key)
     rows.sort(key=lambda r: (0 if r[0] == bundle.source else 1, r[0], len(r[1]), r[1]))
     return tuple(rows)
 
@@ -347,9 +378,10 @@ def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,
 
     Rows are the analyzed concept's own properties, partner properties in the
     relations' perturbed categories, and any knowledge-base joint rows whose
-    members are all present. Every cell exists; cells with no matching rule
-    stay at degree 0. When several rules match one cell, the worst survives;
-    among equally bad rules the narrower context wins, then the earlier rule.
+    members are all present. Only cells a rule fills are built (``graded``);
+    the rest read as degree 0 in the dense ``cells`` view. When several rules
+    match one cell, the worst survives; among equally bad rules the narrower
+    context wins, then the earlier rule.
     """
     source = ontology.get(bundle.source)
     if source is None:
@@ -362,22 +394,19 @@ def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,
                     for quality in STAGE_BY_NAME[stage].quality_properties)
     rows = _matrix_rows(bundle, kb, ontology)
 
-    cells: list[EffectEntry] = []
+    graded: list[EffectEntry] = []
+    stages = frozenset(stage_names)
     for concept, props in rows:
-        for stage, quality in columns:
-            rule = None
-            for candidate in kb.ranked.get((concept, props, stage, quality), ()):
-                if candidate.context is None \
-                        or candidate.context.satisfied_by(bundle, ontology):
-                    rule = candidate
+        for stage, quality, rules in kb.by_row.get((concept, props), ()):
+            if stage not in stages:
+                continue
+            for rule in rules:
+                if rule.context is None or rule.context.satisfied_by(bundle, ontology):
+                    graded.append(EffectEntry(concept, props, stage, quality, rule.degree,
+                                              rule.principle, rule.worst_case, rule.context))
                     break
-            if rule is None:
-                cells.append(EffectEntry(concept, props, stage, quality, 0))
-            else:
-                cells.append(EffectEntry(concept, props, stage, quality, rule.degree,
-                                         rule.principle, rule.worst_case, rule.context))
     return GenerationMatrix(sensor=system.sensor, bundle=bundle, rows=rows,
-                            columns=columns, cells=tuple(cells))
+                            columns=columns, graded=tuple(graded))
 
 
 def worst_case_filter(matrix: GenerationMatrix, threshold: int = 2) -> list[EffectEntry]:
@@ -389,12 +418,12 @@ def worst_case_filter(matrix: GenerationMatrix, threshold: int = 2) -> list[Effe
     if threshold not in (1, 2, 3):
         raise ToolkitError(E.INVALID_VALUE,
                            f"threshold must be 1, 2 or 3, got {threshold!r}")
-    return [cell for cell in matrix.cells if cell.degree <= -threshold]
+    return [cell for cell in matrix.graded if cell.degree <= -threshold]
 
 
 def positive_cells(matrix: GenerationMatrix) -> list[EffectEntry]:
     """Cells graded as beneficial; reported separately, never synthesized."""
-    return [cell for cell in matrix.cells if cell.degree > 0]
+    return [cell for cell in matrix.graded if cell.degree > 0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,14 @@ from typing import Iterable
 from . import errors as E
 from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
-from .ontology import ConceptKind, PropertyCategory, SourceConcept, SourceOntology
+from .ontology import (
+    SENSOR_TARGET,
+    ConceptKind,
+    PropertyCategory,
+    SourceConcept,
+    SourceOntology,
+)
+from .relationships import RelationshipKind
 
 __all__ = [
     "SensorClass",
@@ -212,9 +219,6 @@ def affected_stages(source: SourceConcept,
     values referencing the source (possibly empty). The result is a subset of
     the system's declared stages.
     """
-    from .ontology import SENSOR_TARGET  # local import keeps module order simple
-    from .relationships import RelationshipKind
-
     if not system.stages:
         raise ToolkitError(E.EMPTY_STAGES,
                            f"system {system.sensor!r} declares no stages")

@@ -1,6 +1,11 @@
 """Document parsing, schema markers and canonical dumps."""
 
+from pathlib import Path
+
 import pytest
+import yaml
+
+import trigkit.data
 
 from trigkit.docio import (
     check_schema,
@@ -25,14 +30,21 @@ class TestParseDocument:
         assert parse_document("") == {}
         assert parse_document("# only a comment\n") == {}
 
-    def test_yaml_syntax_error_carries_line(self):
-        bad = "a: 1\nb: [1, 2\nc: 3\n"
+    @pytest.mark.parametrize("bad,line,column", [
+        pytest.param("a: 1\nb: [1, 2\nc: 3\n", 3, 2, id="unclosed-flow-sequence"),
+        pytest.param("a: 1\n  b: 2\n", 2, 4, id="mapping-in-scalar"),
+        pytest.param("a: [\n", 2, 1, id="truncated-flow-sequence"),
+        pytest.param("- a\nb: 1\n", 2, 1, id="mapping-after-sequence"),
+        pytest.param("a: &x 1\nb: *y\n", 2, 4, id="undefined-alias"),
+    ])
+    def test_yaml_syntax_error_carries_line(self, bad, line, column):
         with pytest.raises(DocumentError) as excinfo:
             parse_document(bad, source="broken.yaml")
         diag = excinfo.value.diagnostics[0]
         assert diag.code == "SyntaxError"
         assert diag.file == "broken.yaml"
-        assert diag.line is not None
+        assert diag.line == line
+        assert diag.message.endswith(f"(column {column})")
 
     def test_json_syntax_error_carries_line_and_column(self):
         with pytest.raises(DocumentError) as excinfo:
@@ -119,3 +131,10 @@ def test_read_reports_the_file_in_diagnostics(tmp_path):
     with pytest.raises(DocumentError) as excinfo:
         read_document(path)
     assert excinfo.value.diagnostics[0].file == str(path)
+
+
+@pytest.mark.parametrize("path", sorted(Path(trigkit.data.__file__).parent.glob("*.yaml")),
+                         ids=lambda path: path.name)
+def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
+    text = path.read_text(encoding="utf-8")
+    assert parse_document(text) == yaml.load(text, Loader=yaml.SafeLoader)

@@ -36,6 +36,7 @@ from trigkit.ontology import (
     SourceProperty,
 )
 from trigkit.perception import PerceptionSystemSpec, SensorClass
+from trigkit.pipeline import candidate_relations, enumerate_bundles
 from trigkit.relationships import (
     CompatibilityMatrix,
     MatrixEntry,
@@ -302,6 +303,29 @@ class TestBuildMatrix:
         matrix = build_matrix(_bare(LEAF), CAMERA, KB, ONTOLOGY)
         assert matrix.columns == ()
         assert matrix.cells == ()
+
+    def test_joint_rule_of_a_concept_outside_the_bundle_adds_no_row(self):
+        # KB holds Pedestrian's PerspectiveShape/Color rule; Rain's bundle
+        # has no Pedestrian row for it to join
+        matrix = build_matrix(_bare(RAIN), LIDAR, KB, ONTOLOGY)
+        assert matrix.rows == (("Rain", ("Density",)),)
+
+    def test_graded_cells_are_the_graded_part_of_the_dense_view(self, inputs):
+        ontology, kb = inputs.ontology, inputs.effects
+        for spec in inputs.suite.sensors:
+            for name in ontology.names():
+                source = ontology.get(name)
+                candidates = candidate_relations(source, inputs.matrix, ontology)
+                for bundle in enumerate_bundles(source, candidates, 2):
+                    matrix = build_matrix(bundle, spec, kb, ontology)
+                    assert matrix.graded == tuple(c for c in matrix.cells if c.degree)
+                    assert len(matrix.cells) == len(matrix.rows) * len(matrix.columns)
+                    graded = {((c.concept, c.properties), (c.stage, c.stage_property))
+                              for c in matrix.graded}
+                    for row in matrix.rows:
+                        for column in matrix.columns:
+                            if (row, column) not in graded:
+                                assert matrix.cell(row, column).degree == 0
 
 
 class TestFilters:

@@ -47,12 +47,10 @@ def _tiny_matrix():
     column = ("LightReceiving", "Brightness")
     rows = (("Pedestrian", ("PerspectiveShape",)),
             ("MovableObstacle", ("Volume",)))
-    cells = (EffectEntry("Pedestrian", ("PerspectiveShape",),
-                         "LightReceiving", "Brightness", -3),
-             EffectEntry("MovableObstacle", ("Volume",),
-                         "LightReceiving", "Brightness", 0))
+    graded = (EffectEntry("Pedestrian", ("PerspectiveShape",),
+                          "LightReceiving", "Brightness", -3),)
     return GenerationMatrix(sensor="Camera", bundle=bundle, rows=rows,
-                            columns=(column,), cells=cells)
+                            columns=(column,), graded=graded)
 
 
 # ---------------------------------------------------------------------------
