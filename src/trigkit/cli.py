@@ -5,6 +5,13 @@ Subcommands mirror the pipeline: ``validate`` checks every configured input,
 the condition catalog, ``assess`` applies analyst ratings, ``compose`` pairs
 conditions with hazardous events, and ``report`` renders the ranked summary.
 
+Each command reads only the inputs it uses. ``validate``, ``stages``,
+``matrix`` and ``generate`` read and cross-check all configured documents
+(all seven in the bundled project); ``compose`` reads four: the ontology,
+system, events and policy, next to the catalog it pairs. ``assess`` and
+``report`` read no configured input, only catalogs, cases, ratings and
+results.
+
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
 """
@@ -235,12 +242,7 @@ def _print_warnings(warnings) -> None:
 def _cmd_validate(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config)
     _print_warnings(inputs.warnings)
-    checked = [config.ontology, config.system, config.matrix, config.effects,
-               config.templates]
-    if inputs.events is not None:
-        checked.append(config.events)
-    if inputs.policy is not None:
-        checked.append(config.policy)
+    checked = config.input_paths()
     for path in checked:
         print(f"ok {path}")
     print(f"validated {len(checked)} documents, "
@@ -354,9 +356,13 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
     return 0
 
 
+#: The inputs ``compose`` reads, in the order its manifest lists them.
+_COMPOSE_INPUTS = ("ontology", "system", "events", "policy")
+
+
 def _cmd_compose(args, config: ProjectConfig) -> int:
     started = time.perf_counter()
-    inputs = load_inputs(config, need_events=True)
+    inputs = load_inputs(config, documents=_COMPOSE_INPUTS)
     catalog_path = _default_catalog_path(args, config)
     catalog = _read_catalog_file(catalog_path)
     cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite,
@@ -375,7 +381,8 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
         by_event[case.event_id] = by_event.get(case.event_id, 0) + 1
     manifest = build_manifest(
         "compose", {},
-        [config.path, catalog_path, config.system, config.events, config.policy],
+        [config.path, catalog_path]
+        + [getattr(config, name) for name in _COMPOSE_INPUTS],
         [out_path, md_path],
         {"test_cases": len(cases), "by_event": by_event,
          "conditions": len(catalog.conditions)},

@@ -143,14 +143,29 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
 
 @dataclass(frozen=True)
 class ProjectInputs:
+    """The documents one command read; those it did not read are None."""
+
     ontology: SourceOntology
     suite: SensorSuite
-    matrix: CompatibilityMatrix
-    effects: EffectKnowledgeBase
-    templates: TemplateSet
+    matrix: CompatibilityMatrix | None = None
+    effects: EffectKnowledgeBase | None = None
+    templates: TemplateSet | None = None
     events: tuple[HazardousEvent, ...] | None = None
     policy: ComposePolicy | None = None
     warnings: tuple[str, ...] = ()
+
+
+#: Input name -> (ProjectInputs field, document loader, cross-check against
+#: the ontology). Inputs are read, and then cross-checked, in this order.
+_READERS = {
+    "ontology": ("ontology", ontology_from_doc, None),
+    "system": ("suite", suite_from_doc, cross_validate_suite),
+    "matrix": ("matrix", matrix_from_doc, cross_validate_matrix),
+    "effects": ("effects", effects_from_doc, cross_validate_effects),
+    "templates": ("templates", templates_from_doc, cross_validate_templates),
+    "events": ("events", events_from_doc, cross_validate_events),
+    "policy": ("policy", policy_from_doc, None),
+}
 
 
 def _read_required(path: Path | None, label: str):
@@ -161,42 +176,36 @@ def _read_required(path: Path | None, label: str):
     return read_document(path)
 
 
-def load_inputs(config: ProjectConfig, *, need_events: bool = False) -> ProjectInputs:
-    """Load and cross-validate every document the config points at.
+def load_inputs(config: ProjectConfig, *, need_events: bool = False,
+                documents: tuple[str, ...] | None = None) -> ProjectInputs:
+    """Load and cross-validate the input documents a command uses.
 
-    Structural errors in any document raise immediately; cross-document
-    dangling references are collected and raised together.
+    ``documents`` names the inputs to read, ``ontology`` among them (every
+    cross-check is against it); each must be configured. Without it the five
+    required inputs are read, plus events and policy when ``need_events`` is
+    set or the config names them. ``validate``, ``stages``, ``matrix`` and
+    ``generate`` read that default set; ``compose`` reads only ontology,
+    system, events and policy. Structural errors in any document raise
+    immediately; cross-document dangling references are collected and
+    raised together.
     """
-    ontology = ontology_from_doc(_read_required(config.ontology, "ontology"),
-                                 source=str(config.ontology))
-    suite = suite_from_doc(_read_required(config.system, "system"),
-                           source=str(config.system))
-    matrix = matrix_from_doc(_read_required(config.matrix, "matrix"),
-                             source=str(config.matrix))
-    effects = effects_from_doc(_read_required(config.effects, "effects"),
-                               source=str(config.effects))
-    templates = templates_from_doc(_read_required(config.templates, "templates"),
-                                   source=str(config.templates))
-    events = None
-    policy = None
-    if need_events or config.events is not None:
-        events = events_from_doc(_read_required(config.events, "events"),
-                                 source=str(config.events))
-    if need_events or config.policy is not None:
-        policy = policy_from_doc(_read_required(config.policy, "policy"),
-                                 source=str(config.policy))
+    if documents is None:
+        documents = _REQUIRED_INPUTS + tuple(
+            name for name in _OPTIONAL_INPUTS
+            if need_events or getattr(config, name) is not None)
+    loaded = {}
+    for name in documents:
+        path = getattr(config, name)
+        loaded[name] = _READERS[name][1](_read_required(path, name), source=str(path))
 
     sink = DiagnosticSink(file=str(config.path))
-    cross_validate_suite(suite, ontology, sink)
-    cross_validate_matrix(matrix, ontology, sink)
-    cross_validate_effects(effects, ontology, sink)
-    cross_validate_templates(templates, ontology, sink)
-    if events is not None:
-        cross_validate_events(events, ontology, sink)
+    for name, document in loaded.items():
+        cross_validate = _READERS[name][2]
+        if cross_validate is not None:
+            cross_validate(document, loaded["ontology"], sink)
     sink.raise_if_errors()
-    return ProjectInputs(ontology=ontology, suite=suite, matrix=matrix,
-                         effects=effects, templates=templates, events=events,
-                         policy=policy,
+    return ProjectInputs(**{_READERS[name][0]: document
+                            for name, document in loaded.items()},
                          warnings=tuple(str(w) for w in sink.warnings))
 
 

@@ -349,7 +349,8 @@ def _context_specificity(rule: EffectRule) -> int:
 def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
                  ontology: SourceOntology) -> tuple[RowKey, ...]:
     source = ontology.get(bundle.source)
-    rows: list[RowKey] = [(source.name, (p,)) for p in source.property_names()]
+    rows: dict[RowKey, None] = {(source.name, (p,)): None
+                                for p in source.property_names()}
     for rel in bundle.relations:
         if rel.targets_sensor():
             continue
@@ -358,18 +359,14 @@ def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
             continue
         for prop in partner.property_names():
             if partner.categories_of(prop) & rel.perturbed:
-                key = (partner.name, (prop,))
-                if key not in rows:
-                    rows.append(key)
+                rows[(partner.name, (prop,))] = None
     singles = {(concept, props[0]) for concept, props in rows}
     for concept in dict.fromkeys(concept for concept, _props in rows):
         for rule in kb.group_rules.get(concept, ()):
             if all((concept, p) in singles for p in rule.properties):
-                key = (concept, rule.properties)
-                if key not in rows:
-                    rows.append(key)
-    rows.sort(key=lambda r: (0 if r[0] == bundle.source else 1, r[0], len(r[1]), r[1]))
-    return tuple(rows)
+                rows[(concept, rule.properties)] = None
+    return tuple(sorted(rows, key=lambda r: (0 if r[0] == bundle.source else 1,
+                                             r[0], len(r[1]), r[1])))
 
 
 def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,

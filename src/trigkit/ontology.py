@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import errors as E
 from .docio import check_schema
@@ -95,14 +96,19 @@ class SourceConcept:
     properties: tuple[SourceProperty, ...] = ()
     instances: tuple[str, ...] = ()
 
-    def property_names(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
+    @cached_property
+    def _categories(self) -> dict[str, frozenset[PropertyCategory]]:
+        """Property name -> its categories, in first-declared order."""
+        grouped: dict[str, set[PropertyCategory]] = {}
         for prop in self.properties:
-            seen.setdefault(prop.name, None)
-        return tuple(seen)
+            grouped.setdefault(prop.name, set()).add(prop.category)
+        return {name: frozenset(categories) for name, categories in grouped.items()}
+
+    def property_names(self) -> tuple[str, ...]:
+        return tuple(self._categories)
 
     def categories_of(self, property_name: str) -> frozenset[PropertyCategory]:
-        return frozenset(p.category for p in self.properties if p.name == property_name)
+        return self._categories.get(property_name, frozenset())
 
     def has_category(self, category: PropertyCategory) -> bool:
         return any(p.category is category for p in self.properties)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from trigkit.config import strip_timing
+from trigkit.config import read_config, strip_timing
 from trigkit.data import data_path, reference_config
 from trigkit.docio import dump_document, read_document
 
@@ -239,6 +239,14 @@ class TestChain:
                          .read_text(encoding="utf-8"))
         assert len(doc["cases"]) == 61
 
+    def test_compose_manifest_lists_the_inputs_it_reads(self, chain):
+        manifest = json.loads((chain["cwd"] / "out" / "compose.manifest.json")
+                              .read_text(encoding="utf-8"))
+        config = read_config(reference_config())
+        assert [entry["path"] for entry in manifest["inputs"]] == [
+            str(config.path), "out/catalog_assessed.json", str(config.ontology),
+            str(config.system), str(config.events), str(config.policy)]
+
     def test_report_markdown_defaults_to_stdout(self, chain):
         proc = chain["report_md"]
         assert proc.returncode == 0
@@ -330,15 +338,43 @@ class TestMalformedDocuments:
         proc = run_cli("report", "--catalog", str(path), cwd=tmp_path)
         self.assert_diagnosed(proc, path)
 
+    @staticmethod
+    def config_with(tmp_path, field, doc):
+        """A copy of the bundled config whose ``field`` input is ``doc``."""
+        path = tmp_path / f"{field}.yaml"
+        path.write_text(dump_document(doc), encoding="utf-8")
+        config = read_document(reference_config())
+        config["inputs"] = {name: str(data_path(file))
+                            for name, file in config["inputs"].items()}
+        config["inputs"][field] = str(path)
+        (tmp_path / "project.yaml").write_text(dump_document(config), encoding="utf-8")
+        return tmp_path / "project.yaml", path
+
     def test_validate_rejects_non_string_relationships(self, tmp_path):
         matrix = read_document(data_path("compatibility_matrix.yaml"))
         matrix["entries"][0]["relationships"] = [1, 2]
-        path = tmp_path / "matrix.yaml"
-        path.write_text(dump_document(matrix), encoding="utf-8")
-        config = read_document(reference_config())
-        config["inputs"] = {field: str(data_path(name))
-                            for field, name in config["inputs"].items()}
-        config["inputs"]["matrix"] = str(path)
-        (tmp_path / "project.yaml").write_text(dump_document(config), encoding="utf-8")
-        self.assert_diagnosed(
-            run_cli("validate", cwd=tmp_path, config=tmp_path / "project.yaml"), path)
+        config, path = self.config_with(tmp_path, "matrix", matrix)
+        self.assert_diagnosed(run_cli("validate", cwd=tmp_path, config=config), path)
+
+    def test_compose_does_not_read_effects(self, chain, tmp_path):
+        effects = read_document(data_path("effects.yaml"))
+        effects["effects"][0]["degree"] = ""
+        config, path = self.config_with(tmp_path, "effects", effects)
+        for command in ("validate", "generate"):
+            self.assert_diagnosed(run_cli(command, cwd=tmp_path, config=config), path)
+
+        out = chain["cwd"] / "out"
+        proc = run_cli("compose", "--catalog", str(out / "catalog_assessed.json"),
+                       cwd=tmp_path, config=config)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "test_cases.json").read_bytes() \
+            == (out / "test_cases.json").read_bytes()
+
+    def test_compose_rejects_an_event_target_outside_the_ontology(self, chain, tmp_path):
+        events = read_document(data_path("hazardous_events.yaml"))
+        events["events"][0]["target"] = "Hovercraft"
+        config, _path = self.config_with(tmp_path, "events", events)
+        proc = run_cli("compose", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
+                       cwd=tmp_path, config=config)
+        self.assert_diagnosed(proc, config)
+        assert "target 'Hovercraft' does not resolve in the ontology" in proc.stderr
