@@ -44,7 +44,6 @@ from .generation import (
     assess,
     build_matrix,
     condition_id,
-    parse_degree,
     positive_cells,
     rank,
     render_degree,
@@ -62,7 +61,6 @@ from .ontology import (
     SourceConcept,
     SourceOntology,
     SourceProperty,
-    is_kind_of,
     legal_categories,
     lookup_concept,
 )
@@ -78,7 +76,6 @@ from .perception import (
     SensorSuite,
     StagePhase,
     affected_stages,
-    sensor_obstruction_stages,
     stages_for_class,
     trace_propagation,
 )

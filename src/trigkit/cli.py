@@ -5,12 +5,12 @@ Subcommands mirror the pipeline: ``validate`` checks every configured input,
 the condition catalog, ``assess`` applies analyst ratings, ``compose`` pairs
 conditions with hazardous events, and ``report`` renders the ranked summary.
 
-Each command reads only the inputs it uses. ``validate``, ``stages``,
-``matrix`` and ``generate`` read and cross-check all configured documents
-(all seven in the bundled project); ``compose`` reads four: the ontology,
-system, events and policy, next to the catalog it pairs. ``assess`` and
-``report`` read no configured input, only catalogs, cases, ratings and
-results.
+Each command reads only the inputs it uses. ``validate`` and ``generate``
+read and cross-check all configured documents (all seven in the bundled
+project); ``stages`` reads the ontology, system and matrix, and ``matrix``
+adds the effects; ``compose`` reads four: the ontology, system, events and
+policy, next to the catalog it pairs. ``assess`` and ``report`` read no
+configured input, only catalogs, cases, ratings and results.
 
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
@@ -251,7 +251,7 @@ def _cmd_validate(args, config: ProjectConfig) -> int:
 
 
 def _cmd_stages(args, config: ProjectConfig) -> int:
-    inputs = load_inputs(config)
+    inputs = load_inputs(config, documents=("ontology", "system", "matrix"))
     spec = _system_for(args, inputs)
     source, bundle = _bundle_from_args(args, inputs, config)
     stages = affected_stages(source, bundle.relations, spec, inputs.ontology)
@@ -261,7 +261,7 @@ def _cmd_stages(args, config: ProjectConfig) -> int:
 
 
 def _cmd_matrix(args, config: ProjectConfig) -> int:
-    inputs = load_inputs(config)
+    inputs = load_inputs(config, documents=("ontology", "system", "matrix", "effects"))
     spec = _system_for(args, inputs)
     source, bundle = _bundle_from_args(args, inputs, config)
     gen_matrix = build_matrix(bundle, spec, inputs.effects, inputs.ontology)

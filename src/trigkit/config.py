@@ -183,11 +183,11 @@ def load_inputs(config: ProjectConfig, *, need_events: bool = False,
     ``documents`` names the inputs to read, ``ontology`` among them (every
     cross-check is against it); each must be configured. Without it the five
     required inputs are read, plus events and policy when ``need_events`` is
-    set or the config names them. ``validate``, ``stages``, ``matrix`` and
-    ``generate`` read that default set; ``compose`` reads only ontology,
-    system, events and policy. Structural errors in any document raise
-    immediately; cross-document dangling references are collected and
-    raised together.
+    set or the config names them. ``validate`` and ``generate`` read that
+    default set; ``stages`` reads ontology, system and matrix, ``matrix``
+    adds effects, and ``compose`` reads ontology, system, events and policy.
+    Structural errors in any document raise immediately; cross-document
+    dangling references are collected and raised together.
     """
     if documents is None:
         documents = _REQUIRED_INPUTS + tuple(

@@ -59,7 +59,6 @@ __all__ = [
     "AssessmentClass",
     "TriggeringCondition",
     "render_degree",
-    "parse_degree",
     "relation_context_keys",
     "build_matrix",
     "worst_case_filter",
@@ -109,26 +108,6 @@ def render_degree(degree: int, *, style: str = "figure") -> str:
     return " ".join(marks) if style == "figure" else "".join(marks)
 
 
-def parse_degree(text: str) -> int:
-    """Inverse of :func:`render_degree`; accepts both mark styles."""
-    if not isinstance(text, str):
-        raise ToolkitError(E.INVALID_VALUE, f"degree text must be a string, got {text!r}")
-    stripped = text.strip()
-    if not stripped:
-        return 0
-    marks = stripped.split() if " " in stripped else list(stripped)
-    unique = set(marks)
-    if unique <= {"+"}:
-        sign = 1
-    elif unique <= {FIGURE_MINUS} or unique <= {"-"}:
-        sign = -1
-    else:
-        raise ToolkitError(E.INVALID_VALUE, f"unreadable degree marks {text!r}")
-    if len(marks) > DEGREE_MAX:
-        raise ToolkitError(E.INVALID_VALUE, f"degree {text!r} exceeds the scale")
-    return sign * len(marks)
-
-
 # ---------------------------------------------------------------------------
 # Effect knowledge base
 # ---------------------------------------------------------------------------
@@ -164,8 +143,10 @@ class RelationContext:
         return any(self.matches(rel, ontology) for rel in bundle.relations)
 
     def key(self) -> tuple:
-        """Hashable form of the context, comparable with :func:`relation_context_keys`."""
-        return (self.form, _pattern_key(self.focal), _pattern_key(self.partner))
+        """Hashable form of the context, comparable with :func:`relation_context_keys`.
+        It holds strings only, so hashing it never calls back into Python."""
+        return (None if self.form is None else self.form.label,
+                _pattern_key(self.focal), _pattern_key(self.partner))
 
     def label(self) -> str:
         parts = []
@@ -179,7 +160,9 @@ class RelationContext:
 
 
 def _pattern_key(pattern: MatrixPattern | None) -> tuple | None:
-    return None if pattern is None else (pattern.name, pattern.kind)
+    if pattern is None:
+        return None
+    return pattern.name, None if pattern.kind is None else pattern.kind.value
 
 
 def relation_context_keys(rel: RelationshipInstance,
@@ -194,12 +177,12 @@ def relation_context_keys(rel: RelationshipInstance,
         concept = ontology.get(name)
         keys: list[tuple | None] = [None, (name, None)]
         if concept is not None:
-            keys.append((None, concept.kind))
+            keys.append((None, concept.kind.value))
         return keys
 
     partners = sides(rel.partner)
     return [(form, focal, partner)
-            for form in (None, rel.form)
+            for form in (None, rel.form.label)
             for focal in sides(rel.focal)
             for partner in partners]
 

@@ -39,7 +39,6 @@ __all__ = [
     "ontology_from_doc",
     "ontology_to_doc",
     "lookup_concept",
-    "is_kind_of",
 ]
 
 ONTOLOGY_SCHEMA = "triggering-sources@1"
@@ -135,18 +134,6 @@ def lookup_concept(ontology: SourceOntology, name: str) -> SourceConcept:
     if concept is None:
         raise ToolkitError(E.UNKNOWN_CONCEPT, f"unknown concept {name!r}")
     return concept
-
-
-def is_kind_of(ontology: SourceOntology, name: str, ancestor: str) -> bool:
-    """True when ``name`` is ``ancestor`` or refines it through parents."""
-    current = ontology.get(name)
-    seen = set()
-    while current is not None and current.name not in seen:
-        if current.name == ancestor:
-            return True
-        seen.add(current.name)
-        current = ontology.get(current.parent) if current.parent else None
-    return False
 
 
 # ---------------------------------------------------------------------------

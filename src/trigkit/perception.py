@@ -105,6 +105,8 @@ ALL_STAGES: tuple[PerceptionStage, ...] = (
 
 STAGE_BY_NAME: dict[str, PerceptionStage] = {s.name: s for s in ALL_STAGES}
 STAGE_ORDER: dict[str, int] = {s.name: i for i, s in enumerate(ALL_STAGES)}
+_RECOGNITION_STAGES = frozenset(s.name for s in ALL_STAGES
+                                if s.phase is StagePhase.RECOGNITION)
 
 
 def stages_for_class(sensor_class: SensorClass) -> tuple[PerceptionStage, ...]:
@@ -163,9 +165,6 @@ class PerceptionSystemSpec:
     functionality: tuple[tuple[str, str], ...] = ()  # (target concept, task)
     odd: tuple[str, ...] = ()
 
-    def declared_recognition(self) -> tuple[str, ...]:
-        return tuple(s for s in self.stages if STAGE_BY_NAME[s].phase is StagePhase.RECOGNITION)
-
     def targets(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for concept, _task in self.functionality:
@@ -204,11 +203,6 @@ def _r4_stages(sensor_class: SensorClass) -> frozenset[str]:
                      if sensor_class is SensorClass.ACTIVE else {"LightReceiving"})
 
 
-def sensor_obstruction_stages(sensor_class: SensorClass) -> frozenset[str]:
-    """Stages reached when the sensor itself is covered or obstructed (R4)."""
-    return _r4_stages(sensor_class)
-
-
 def affected_stages(source: SourceConcept,
                     relations: Iterable,
                     system: PerceptionSystemSpec,
@@ -227,7 +221,7 @@ def affected_stages(source: SourceConcept,
                            f"source {source.name!r} does not resolve in the ontology")
 
     declared = frozenset(system.stages)
-    recognition = frozenset(system.declared_recognition())
+    recognition = declared & _RECOGNITION_STAGES
     result: set[str] = set()
 
     is_entity = source.kind in (ConceptKind.INTERACTIVE, ConceptKind.DISTURBING)

@@ -370,6 +370,25 @@ class TestMalformedDocuments:
         assert (tmp_path / "out" / "test_cases.json").read_bytes() \
             == (out / "test_cases.json").read_bytes()
 
+    def test_stages_and_matrix_read_only_their_inputs(self, tmp_path):
+        query = ("--source", "Pedestrian", "--sensor", "Camera")
+        effects = read_document(data_path("effects.yaml"))
+        effects["effects"][0]["degree"] = ""
+        templates = read_document(data_path("condition_templates.yaml"))
+        templates["templates"][0]["stage"] = []
+        for field, doc, readers in (("effects", effects, {"matrix"}),
+                                    ("templates", templates, set())):
+            (tmp_path / field).mkdir()
+            config, path = self.config_with(tmp_path / field, field, doc)
+            self.assert_diagnosed(run_cli("validate", cwd=tmp_path, config=config), path)
+            for command in ("stages", "matrix"):
+                proc = run_cli(command, *query, cwd=tmp_path, config=config)
+                if command in readers:
+                    self.assert_diagnosed(proc, path)
+                else:
+                    assert proc.returncode == 0, proc.stderr
+                    assert proc.stdout == run_cli(command, *query, cwd=tmp_path).stdout
+
     def test_compose_rejects_an_event_target_outside_the_ontology(self, chain, tmp_path):
         events = read_document(data_path("hazardous_events.yaml"))
         events["events"][0]["target"] = "Hovercraft"

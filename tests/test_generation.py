@@ -1,8 +1,6 @@
 """Generation matrix, worst-case filter, synthesis, assessment and ranking."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
@@ -19,7 +17,6 @@ from trigkit.generation import (
     context_to_doc,
     effects_from_doc,
     effects_to_doc,
-    parse_degree,
     positive_cells,
     rank,
     ratings_from_doc,
@@ -153,26 +150,6 @@ class TestDegrees:
             render_degree(-4)
         with pytest.raises(ToolkitError):
             render_degree("--")
-
-    @pytest.mark.parametrize("text,expected", [
-        ("− − −", -3), ("---", -3), ("-", -1), ("", 0), ("  ", 0),
-        ("+ +", 2), ("+++", 3),
-    ])
-    def test_parse(self, text, expected):
-        assert parse_degree(text) == expected
-
-    def test_parse_rejects_mixed_marks(self):
-        with pytest.raises(ToolkitError, match="unreadable degree marks"):
-            parse_degree("+-")
-
-    def test_parse_rejects_overlong_runs(self):
-        with pytest.raises(ToolkitError, match="exceeds the scale"):
-            parse_degree("----")
-
-    @given(st.integers(min_value=-3, max_value=3),
-           st.sampled_from(["figure", "ascii"]))
-    def test_round_trip(self, degree, style):
-        assert parse_degree(render_degree(degree, style=style)) == degree
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from trigkit.ontology import (
     PropertyCategory,
     SourceConcept,
     SourceProperty,
-    is_kind_of,
     legal_categories,
     lookup_concept,
     ontology_from_doc,
@@ -198,18 +197,6 @@ concepts:
 
 
 class TestTaxonomy:
-    def test_is_kind_of_walks_parents(self):
-        text = """
-schema: triggering-sources@1
-concepts:
-  - {name: RoadsideStructure, kind: InteractiveEntity}
-  - {name: TemporaryStructure, kind: InteractiveEntity, parent: RoadsideStructure}
-"""
-        ontology = _load(text)
-        assert is_kind_of(ontology, "TemporaryStructure", "RoadsideStructure")
-        assert is_kind_of(ontology, "RoadsideStructure", "RoadsideStructure")
-        assert not is_kind_of(ontology, "RoadsideStructure", "TemporaryStructure")
-
     def test_lookup_concept_error(self):
         with pytest.raises(ToolkitError, match="unknown concept 'Yeti'"):
             lookup_concept(_load(MINIMAL), "Yeti")

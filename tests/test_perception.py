@@ -19,7 +19,6 @@ from trigkit.perception import (
     SensorClass,
     StagePhase,
     affected_stages,
-    sensor_obstruction_stages,
     stages_for_class,
     suite_from_doc,
     suite_to_doc,
@@ -225,12 +224,6 @@ class TestAffectedStages:
         stray = _concept("Stray", ConceptKind.DISTURBING)
         with pytest.raises(ToolkitError, match="does not resolve"):
             affected_stages(stray, [], self.ACTIVE, _ontology())
-
-
-def test_sensor_obstruction_stages_by_class():
-    assert sensor_obstruction_stages(SensorClass.ACTIVE) == {
-        "SignalTransmission", "SignalReceiving"}
-    assert sensor_obstruction_stages(SensorClass.PASSIVE) == {"LightReceiving"}
 
 
 class TestSuiteLoading:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trigkit import pipeline
 from trigkit.errors import ToolkitError
 from trigkit.pipeline import (
     candidate_relations,
@@ -112,6 +113,30 @@ class TestGenerateCatalog:
                                   threshold=config.threshold, bundle_limit=limit)
         assert larger.conditions == catalog.conditions
         assert larger.positives == catalog.positives
+
+    def test_matrices_are_built_only_for_bundles_that_can_add(self, inputs, config,
+                                                               catalog, monkeypatch):
+        built = []
+        real_build = pipeline.build_matrix
+
+        def counting_build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "build_matrix", counting_build)
+        counts = {}
+        for limit in (2, 3, 4):
+            built.clear()
+            larger = generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
+                                      inputs.effects, inputs.templates,
+                                      threshold=config.threshold, bundle_limit=limit)
+            assert (larger.conditions, larger.positives, larger.warnings) \
+                == (catalog.conditions, catalog.positives, catalog.warnings)
+            assert all(m.columns for m in built)
+            counts[limit] = len(built)
+        # larger bundles pass the relevance filter but can add nothing, so no
+        # matrix is built for them
+        assert counts == {2: 42, 3: 42, 4: 42}
 
     def test_unknown_sensor_rejected(self, inputs):
         with pytest.raises(ToolkitError) as excinfo:
