@@ -41,7 +41,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     banner("Inputs")
     config = read_config(reference_config())
-    inputs = load_inputs(config, need_events=True)
+    inputs = load_inputs(config)
     print(f"vehicle: {inputs.suite.vehicle}")
     print(f"sensors: {', '.join(s.sensor for s in inputs.suite.sensors)}")
     print(f"triggering sources: {len(inputs.ontology.concepts)} concepts, "

@@ -235,6 +235,18 @@ def _print_warnings(warnings) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _write_outputs(command: str, directory: Path, outputs: dict[Path, str],
+                   parameters: dict, inputs: list[Path], totals: dict,
+                   warnings: int, started: float) -> None:
+    """Write each output file, then ``<command>.manifest.json`` in
+    ``directory`` with their digests and the seconds since ``started``."""
+    for path, text in outputs.items():
+        path.write_text(text, encoding="utf-8")
+    manifest = build_manifest(command, parameters, inputs, sorted(outputs), totals,
+                              warnings, time.perf_counter() - started)
+    write_manifest(manifest, directory / f"{command}.manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -290,9 +302,6 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
         directory / "catalog.csv": catalog_to_csv(catalog),
         directory / "catalog.md": catalog_to_markdown(catalog),
     }
-    for path, text in outputs.items():
-        path.write_text(text, encoding="utf-8")
-
     totals: dict = {"conditions": len(catalog.conditions),
                     "by_sensor": catalog.count_by_sensor()}
     if config.expected_total is not None:
@@ -301,11 +310,9 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
     parameters = {"threshold": catalog.threshold,
                   "bundle_limit": catalog.bundle_limit,
                   "sensors": list(sensors) if sensors else "all"}
-    manifest = build_manifest(
-        "generate", parameters, [config.path] + config.input_paths(),
-        sorted(outputs), totals, len(catalog.warnings),
-        time.perf_counter() - started)
-    write_manifest(manifest, directory / "generate.manifest.json")
+    _write_outputs("generate", directory, outputs, parameters,
+                   [config.path] + config.input_paths(), totals,
+                   len(catalog.warnings), started)
 
     summary = ", ".join(f"{sensor}: {count}" for sensor, count
                         in sorted(catalog.count_by_sensor().items()))
@@ -341,16 +348,13 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
 
     directory = _output_dir(args, config)
     out_path = directory / "catalog_assessed.json"
-    out_path.write_text(dump_document(catalog_to_doc(catalog), fmt="json"),
-                        encoding="utf-8")
     rated = sum(1 for c in conditions if c.assessment is not None)
-    manifest = build_manifest(
-        "assess", {"ratings": str(ratings_path)},
-        [config.path, catalog_path, ratings_path], [out_path],
-        {"conditions": len(conditions), "rated": rated,
-         "unrated": len(conditions) - rated},
-        0, time.perf_counter() - started)
-    write_manifest(manifest, directory / "assess.manifest.json")
+    _write_outputs("assess", directory,
+                   {out_path: dump_document(catalog_to_doc(catalog), fmt="json")},
+                   {"ratings": str(ratings_path)},
+                   [config.path, catalog_path, ratings_path],
+                   {"conditions": len(conditions), "rated": rated,
+                    "unrated": len(conditions) - rated}, 0, started)
     print(f"rated {rated} of {len(conditions)} conditions "
           f"({len(conditions) - rated} unrated) -> {out_path}")
     return 0
@@ -371,23 +375,17 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
 
     directory = _output_dir(args, config)
     out_path = directory / "test_cases.json"
-    out_path.write_text(dump_document(cases_to_doc(cases, warnings), fmt="json"),
-                        encoding="utf-8")
-    md_path = directory / "test_cases.md"
-    md_path.write_text(cases_to_markdown(cases), encoding="utf-8")
-
     by_event: dict[str, int] = {}
     for case in cases:
         by_event[case.event_id] = by_event.get(case.event_id, 0) + 1
-    manifest = build_manifest(
-        "compose", {},
-        [config.path, catalog_path]
-        + [getattr(config, name) for name in _COMPOSE_INPUTS],
-        [out_path, md_path],
-        {"test_cases": len(cases), "by_event": by_event,
-         "conditions": len(catalog.conditions)},
-        len(warnings), time.perf_counter() - started)
-    write_manifest(manifest, directory / "compose.manifest.json")
+    _write_outputs("compose", directory,
+                   {out_path: dump_document(cases_to_doc(cases, warnings), fmt="json"),
+                    directory / "test_cases.md": cases_to_markdown(cases)},
+                   {}, [config.path, catalog_path]
+                   + [getattr(config, name) for name in _COMPOSE_INPUTS],
+                   {"test_cases": len(cases), "by_event": by_event,
+                    "conditions": len(catalog.conditions)},
+                   len(warnings), started)
     print(f"composed {len(cases)} test cases from {len(catalog.conditions)} "
           f"conditions -> {out_path}")
     return 0

@@ -176,23 +176,22 @@ def _read_required(path: Path | None, label: str):
     return read_document(path)
 
 
-def load_inputs(config: ProjectConfig, *, need_events: bool = False,
+def load_inputs(config: ProjectConfig, *,
                 documents: tuple[str, ...] | None = None) -> ProjectInputs:
     """Load and cross-validate the input documents a command uses.
 
     ``documents`` names the inputs to read, ``ontology`` among them (every
     cross-check is against it); each must be configured. Without it the five
-    required inputs are read, plus events and policy when ``need_events`` is
-    set or the config names them. ``validate`` and ``generate`` read that
-    default set; ``stages`` reads ontology, system and matrix, ``matrix``
-    adds effects, and ``compose`` reads ontology, system, events and policy.
+    required inputs are read, plus events and policy when the config names
+    them. ``validate`` and ``generate`` read that default set; ``stages``
+    reads ontology, system and matrix, ``matrix`` adds effects, and
+    ``compose`` reads ontology, system, events and policy.
     Structural errors in any document raise immediately; cross-document
     dangling references are collected and raised together.
     """
     if documents is None:
         documents = _REQUIRED_INPUTS + tuple(
-            name for name in _OPTIONAL_INPUTS
-            if need_events or getattr(config, name) is not None)
+            name for name in _OPTIONAL_INPUTS if getattr(config, name) is not None)
     loaded = {}
     for name in documents:
         path = getattr(config, name)

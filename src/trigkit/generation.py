@@ -305,12 +305,6 @@ class GenerationMatrix:
         j = self.columns.index(column)
         return self.cells[i * len(self.columns) + j]
 
-    def stages(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for stage, _q in self.columns:
-            seen.setdefault(stage, None)
-        return tuple(seen)
-
 
 # ---------------------------------------------------------------------------
 # Matrix construction

@@ -1,4 +1,4 @@
-"""Perception-system model: stages, error propagation, and stage mapping.
+"""Perception-system model: stages and stage mapping.
 
 The stage ontology is closed-world and hard-coded. Active sensing runs
 through signal transmission, propagation, reflection and receiving, each
@@ -8,10 +8,8 @@ classes: feature extraction, semantic segmentation, target classification and
 target tracking, graded by feature variety/similarity/contradiction/
 visibility.
 
-A recognition error propagates backwards along a five-event chain; the two
-propagation patterns differ in where the root cause sits. ``affected_stages``
-maps a triggering source (plus its relationship context) onto the stages of a
-declared perception system using five rules:
+``affected_stages`` maps a triggering source (plus its relationship context)
+onto the stages of a declared perception system using five rules:
 
 R1  entities owning a reflection-area property reach the reflection stage
     (active) or light receiving (passive);
@@ -47,15 +45,12 @@ __all__ = [
     "SensorClass",
     "StagePhase",
     "PerceptionStage",
-    "ChainEvent",
-    "PropagationPattern",
     "PerceptionSystemSpec",
     "SensorSuite",
     "ALL_STAGES",
     "STAGE_BY_NAME",
     "SYSTEM_SCHEMA",
     "stages_for_class",
-    "trace_propagation",
     "affected_stages",
     "suite_from_doc",
     "suite_to_doc",
@@ -111,44 +106,6 @@ _RECOGNITION_STAGES = frozenset(s.name for s in ALL_STAGES
 
 def stages_for_class(sensor_class: SensorClass) -> tuple[PerceptionStage, ...]:
     return tuple(s for s in ALL_STAGES if sensor_class in s.sensor_classes)
-
-
-# ---------------------------------------------------------------------------
-# Error propagation chain
-# ---------------------------------------------------------------------------
-
-class ChainEvent(str, Enum):
-    PHYSICAL_INFLUENCE = "PhysicalInfluence"
-    UNSATISFYING_SIGNAL = "UnsatisfyingSignal"
-    RAW_DATA_DEGRADING = "RawDataDegrading"
-    FEATURE_MISSING = "FeatureMissing"
-    RECOGNITION_ERROR = "RecognitionError"
-
-
-class PropagationPattern(str, Enum):
-    PHYSICAL_CONDITION_BASED = "PhysicalConditionBased"
-    TARGET_FEATURE_BASED = "TargetFeatureBased"
-
-
-_CHAIN: tuple[ChainEvent, ...] = tuple(ChainEvent)
-
-
-def trace_propagation(root: ChainEvent | str) -> tuple[tuple[ChainEvent, ...], PropagationPattern]:
-    """Chain suffix from ``root`` to the recognition error, plus its pattern.
-
-    Roots in the physical half of the chain (influence, signal, raw data)
-    follow the physical-condition pattern; roots at the feature level follow
-    the target-feature pattern.
-    """
-    try:
-        event = ChainEvent(root)
-    except ValueError:
-        raise ToolkitError(E.INVALID_VALUE, f"unknown chain event {root!r}") from None
-    index = _CHAIN.index(event)
-    chain = _CHAIN[index:]
-    pattern = (PropagationPattern.PHYSICAL_CONDITION_BASED if index <= 2
-               else PropagationPattern.TARGET_FEATURE_BASED)
-    return chain, pattern
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,14 @@ from .generation import (
     synthesize_conditions,
     worst_case_filter,
 )
-from .ontology import SourceConcept, SourceOntology
+from .ontology import SENSOR_TARGET, SourceConcept, SourceOntology, legal_categories
 from .perception import STAGE_ORDER, PerceptionSystemSpec, SensorSuite, affected_stages
 from .relationships import (
     CompatibilityMatrix,
     RelationshipBundle,
     RelationshipInstance,
-    applicable_relationships,
+    _instance_from_entry,
     compose_bundle,
-    instantiate_relationship,
-    instantiate_sensor_relationship,
-    sensor_applicable_relationships,
 )
 from .templates import TemplateSet
 
@@ -97,34 +94,32 @@ class Catalog:
             counts[condition.sensor] = counts.get(condition.sensor, 0) + 1
         return counts
 
-    def by_id(self, condition_id: str) -> TriggeringCondition | None:
-        for condition in self.conditions:
-            if condition.id == condition_id:
-                return condition
-        return None
-
 
 def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
                         ontology: SourceOntology) -> list[RelationshipInstance]:
     """Every single relation the matrix permits around ``source`` as focal,
     plus relations that cover or obstruct the sensor with ``source`` as the
-    covering partner. Canonically ordered."""
+    covering partner. Canonically ordered.
+
+    Each pair is resolved once. A form whose perturbed categories ``source``
+    cannot hold is skipped (``instantiate_relationship`` would reject it)."""
     candidates: list[RelationshipInstance] = []
-    for form in sorted(sensor_applicable_relationships(source, matrix),
-                       key=lambda f: f.label):
-        candidates.append(instantiate_sensor_relationship(form, source, matrix))
+    entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
+    if entry is not None:
+        candidates += [_instance_from_entry(form, SENSOR_TARGET, source.name, entry)
+                       for form in entry.forms]
+    legal = legal_categories(source.kind)
     for partner_name in ontology.names():
         if partner_name == source.name:
             continue
         partner = ontology.get(partner_name)
-        for form in sorted(applicable_relationships(source, partner, matrix),
-                           key=lambda f: f.label):
-            try:
-                candidates.append(instantiate_relationship(form, source, partner, matrix))
-            except ToolkitError as exc:
-                if exc.code in (E.ILLEGAL_CATEGORY_FOR_KIND, E.SELF_RELATION):
-                    continue  # the matrix grants a form this focal cannot hold
-                raise
+        entry = matrix.resolve(source.name, source.kind, partner.name, partner.kind)
+        if entry is None:
+            continue
+        for form in entry.forms:
+            rel = _instance_from_entry(form, source.name, partner.name, entry)
+            if rel.perturbed <= legal:
+                candidates.append(rel)
     candidates.sort(key=lambda r: r.sort_key())
     return candidates
 

@@ -46,7 +46,6 @@ __all__ = [
     "RelationshipBundle",
     "MATRIX_SCHEMA",
     "parse_relation_form",
-    "applicable_relationships",
     "instantiate_relationship",
     "instantiate_sensor_relationship",
     "compose_bundle",
@@ -196,19 +195,6 @@ class CompatibilityMatrix:
         return best[1] if best else None
 
 
-def applicable_relationships(focal: SourceConcept, partner: SourceConcept,
-                             matrix: CompatibilityMatrix) -> frozenset[RelationForm]:
-    entry = matrix.resolve(focal.name, focal.kind, partner.name, partner.kind)
-    return frozenset(entry.forms) if entry else frozenset()
-
-
-def sensor_applicable_relationships(source: SourceConcept,
-                                    matrix: CompatibilityMatrix) -> frozenset[RelationForm]:
-    """Forms permitted between the sensor itself (focal) and ``source``."""
-    entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
-    return frozenset(entry.forms) if entry else frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Instances and bundles
 # ---------------------------------------------------------------------------
@@ -239,6 +225,17 @@ class RelationshipInstance:
         return self.focal == SENSOR_TARGET
 
 
+def _instance_from_entry(form: RelationForm, focal: str, partner: str,
+                        entry: MatrixEntry) -> RelationshipInstance:
+    """``form`` between ``focal`` and ``partner``, as granted by ``entry``:
+    it perturbs the entry's override for the form, else the kind's default."""
+    perturbed = entry.perturbed_for(form)
+    if perturbed is None:
+        perturbed = DEFAULT_PERTURBED[form.kind]
+    return RelationshipInstance(form=form, focal=focal, partner=partner,
+                                perturbed=perturbed, source=entry.source)
+
+
 def instantiate_relationship(form: RelationForm, focal: SourceConcept,
                              partner: SourceConcept,
                              matrix: CompatibilityMatrix) -> RelationshipInstance:
@@ -249,43 +246,32 @@ def instantiate_relationship(form: RelationForm, focal: SourceConcept,
     possession.
     """
     entry = matrix.resolve(focal.name, focal.kind, partner.name, partner.kind)
-    permitted = frozenset(entry.forms) if entry else frozenset()
-    if form not in permitted:
+    if entry is None or form not in entry.forms:
         raise ToolkitError(E.INCOMPATIBLE_PAIR,
                            f"{form.label} is not permitted between {focal.name!r} "
                            f"and {partner.name!r}")
     if focal.name == partner.name and form.kind is not RelationshipKind.POSSESS:
         raise ToolkitError(E.SELF_RELATION,
                            f"{form.label} requires distinct focal and partner")
-    perturbed = entry.perturbed_for(form) if entry else None
-    if perturbed is None:
-        perturbed = DEFAULT_PERTURBED[form.kind]
-    illegal = perturbed - legal_categories(focal.kind)
+    rel = _instance_from_entry(form, focal.name, partner.name, entry)
+    illegal = rel.perturbed - legal_categories(focal.kind)
     if illegal:
         names = ", ".join(sorted(c.value for c in illegal))
         raise ToolkitError(E.ILLEGAL_CATEGORY_FOR_KIND,
                            f"perturbed categories [{names}] are not legal for "
                            f"{focal.kind.value} focal {focal.name!r}")
-    return RelationshipInstance(form=form, focal=focal.name, partner=partner.name,
-                                perturbed=perturbed,
-                                source=entry.source if entry else "")
+    return rel
 
 
 def instantiate_sensor_relationship(form: RelationForm, source: SourceConcept,
                                     matrix: CompatibilityMatrix) -> RelationshipInstance:
     """Relation whose focal is the perceiving sensor and partner is ``source``."""
     entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
-    permitted = frozenset(entry.forms) if entry else frozenset()
-    if form not in permitted:
+    if entry is None or form not in entry.forms:
         raise ToolkitError(E.INCOMPATIBLE_PAIR,
                            f"{form.label} is not permitted between the sensor "
                            f"and {source.name!r}")
-    perturbed = entry.perturbed_for(form) if entry else None
-    if perturbed is None:
-        perturbed = DEFAULT_PERTURBED[form.kind]
-    return RelationshipInstance(form=form, focal=SENSOR_TARGET, partner=source.name,
-                                perturbed=perturbed,
-                                source=entry.source if entry else "")
+    return _instance_from_entry(form, SENSOR_TARGET, source.name, entry)
 
 
 @dataclass(frozen=True)
@@ -293,19 +279,11 @@ class RelationshipBundle:
     """The relations considered together for one analyzed source concept.
 
     Regular relations share the source as their focal; sensor-targeting
-    relations carry the source as their partner. ``perturbed`` is the union
-    across relations.
+    relations carry the source as their partner.
     """
 
     source: str
     relations: tuple[RelationshipInstance, ...] = ()
-
-    @property
-    def perturbed(self) -> frozenset[PropertyCategory]:
-        out: set[PropertyCategory] = set()
-        for rel in self.relations:
-            out |= rel.perturbed
-        return frozenset(out)
 
     def signature(self) -> str:
         return ";".join(f"{r.form.label}({r.focal},{r.partner})"

@@ -121,25 +121,16 @@ def _condition_to_doc(condition: TriggeringCondition) -> dict:
 
 
 def catalog_to_doc(catalog: Catalog) -> dict:
-    positives = []
-    for sensor, cell in catalog.positives:
-        raw: dict = {"sensor": sensor, "concept": cell.concept,
-                     "properties": list(cell.properties), "stage": cell.stage,
-                     "stage_property": cell.stage_property, "degree": cell.degree}
-        if cell.principle:
-            raw["principle"] = cell.principle
-        if cell.worst_case:
-            raw["worst_case"] = cell.worst_case
-        if cell.context is not None:
-            raw["context"] = context_to_doc(cell.context)
-        positives.append(raw)
     return {
         "schema": CATALOG_SCHEMA,
         "vehicle": catalog.vehicle,
         "threshold": catalog.threshold,
         "bundle_limit": catalog.bundle_limit,
         "conditions": [_condition_to_doc(c) for c in catalog.conditions],
-        "positives": positives,
+        "positives": [{"sensor": sensor, "concept": cell.concept,
+                       "properties": list(cell.properties), "stage": cell.stage,
+                       **_effect_to_doc(cell)}
+                      for sensor, cell in catalog.positives],
         "warnings": list(catalog.warnings),
     }
 

@@ -83,9 +83,6 @@ class TemplateSet:
             text += ", with the sensor obstructed"
         return text
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # Documents

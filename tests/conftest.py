@@ -14,7 +14,7 @@ def config():
 
 @pytest.fixture(scope="session")
 def inputs(config):
-    return load_inputs(config, need_events=True)
+    return load_inputs(config)
 
 
 @pytest.fixture(scope="session")

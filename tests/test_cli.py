@@ -71,6 +71,15 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "trigkit 0.1.0"
 
+    def test_importing_one_module_leaves_the_package_unloaded(self):
+        code = ("import sys, trigkit.errors; "
+                "print(sorted({'trigkit.pipeline', 'yaml'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_subcommand_is_a_usage_error(self, tmp_path):
         proc = run_cli(cwd=tmp_path, config=None)
         assert proc.returncode == 2

@@ -110,7 +110,7 @@ class TestConfigDocuments:
 
 class TestLoadInputs:
     def test_reference_inputs_load_cleanly(self, config):
-        inputs = load_inputs(config, need_events=True)
+        inputs = load_inputs(config)
         assert inputs.warnings == ()
         assert inputs.ontology.get("Pedestrian") is not None
         assert inputs.suite.vehicle == "RoadSweeper"
@@ -149,7 +149,7 @@ class TestLoadInputs:
             doc["inputs"][field] = str(data_path(name))
         config = config_from_doc(doc, base_dir=tmp_path)
         with pytest.raises(ToolkitError, match="config names no events input"):
-            load_inputs(config, need_events=True)
+            load_inputs(config, documents=("ontology", "events"))
 
     def test_dangling_reference_across_documents(self, tmp_path):
         ontology_text = data_path("source_ontology.yaml").read_text(encoding="utf-8")

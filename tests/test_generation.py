@@ -224,8 +224,8 @@ class TestBuildMatrix:
 
     def test_columns_follow_affected_stages(self):
         matrix = build_matrix(_bare(PEDESTRIAN), CAMERA, KB, ONTOLOGY)
-        assert matrix.stages() == ("LightReceiving", "FeatureExtraction",
-                                   "TargetClassification")
+        stages = tuple(dict.fromkeys(stage for stage, _quality in matrix.columns))
+        assert stages == ("LightReceiving", "FeatureExtraction", "TargetClassification")
         assert ("LightReceiving", "Brightness") in matrix.columns
         assert ("TargetClassification", "Visibility") in matrix.columns
         assert len(matrix.columns) == 3 + 4 + 4

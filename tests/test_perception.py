@@ -1,4 +1,4 @@
-"""Perception stages, propagation chain and the source-to-stage mapping rules."""
+"""Perception stages and the source-to-stage mapping rules."""
 
 import pytest
 
@@ -13,16 +13,13 @@ from trigkit.ontology import (
 )
 from trigkit.perception import (
     ALL_STAGES,
-    ChainEvent,
     PerceptionSystemSpec,
-    PropagationPattern,
     SensorClass,
     StagePhase,
     affected_stages,
     stages_for_class,
     suite_from_doc,
     suite_to_doc,
-    trace_propagation,
 )
 from trigkit.relationships import (
     RelationForm,
@@ -101,29 +98,6 @@ class TestStageOntology:
         sensing = [s.name for s in ALL_STAGES if s.phase is StagePhase.SENSING]
         assert "LightReceiving" in sensing
         assert "TargetClassification" not in sensing
-
-
-class TestPropagation:
-    def test_full_chain_from_physical_root(self):
-        chain, pattern = trace_propagation(ChainEvent.PHYSICAL_INFLUENCE)
-        assert [e.value for e in chain] == [
-            "PhysicalInfluence", "UnsatisfyingSignal", "RawDataDegrading",
-            "FeatureMissing", "RecognitionError"]
-        assert pattern is PropagationPattern.PHYSICAL_CONDITION_BASED
-
-    def test_feature_root_uses_target_feature_pattern(self):
-        chain, pattern = trace_propagation("FeatureMissing")
-        assert chain == (ChainEvent.FEATURE_MISSING, ChainEvent.RECOGNITION_ERROR)
-        assert pattern is PropagationPattern.TARGET_FEATURE_BASED
-
-    def test_chain_always_ends_at_recognition_error(self):
-        for event in ChainEvent:
-            chain, _ = trace_propagation(event)
-            assert chain[-1] is ChainEvent.RECOGNITION_ERROR
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ToolkitError, match="unknown chain event"):
-            trace_propagation("Hunch")
 
 
 class TestAffectedStages:

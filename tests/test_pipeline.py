@@ -9,6 +9,7 @@ from trigkit.pipeline import (
     enumerate_bundles,
     generate_catalog,
 )
+from trigkit.relationships import CompatibilityMatrix
 
 
 class TestCandidateRelations:
@@ -38,6 +39,21 @@ class TestCandidateRelations:
         assert ("CognitiveFeature", "MovableObstacle") in labels
         # the generic interactive-pair grant was replaced by the specific entry
         assert ("SpatialPosition.Overlay", "MovableObstacle") not in labels
+
+    def test_each_pair_is_resolved_once(self, ontology, matrix, monkeypatch):
+        calls = []
+        real_resolve = CompatibilityMatrix.resolve
+
+        def counting_resolve(self, *args):
+            calls.append(args)
+            return real_resolve(self, *args)
+
+        monkeypatch.setattr(CompatibilityMatrix, "resolve", counting_resolve)
+        for name in ontology.names():
+            calls.clear()
+            candidate_relations(ontology.get(name), matrix, ontology)
+            # the sensor pair, then one per other concept
+            assert len(calls) == 1 + (len(ontology.names()) - 1)
 
 
 class TestEnumerateBundles:
@@ -83,11 +99,6 @@ class TestGenerateCatalog:
         counts = catalog.count_by_sensor()
         assert set(counts) == {"Camera", "LiDAR"}
         assert sum(counts.values()) == len(catalog.conditions)
-
-    def test_by_id(self, catalog):
-        first = catalog.conditions[0]
-        assert catalog.by_id(first.id) == first
-        assert catalog.by_id("c000000000000") is None
 
     def test_generation_is_deterministic(self, inputs, config, catalog):
         again = generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,

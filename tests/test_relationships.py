@@ -19,7 +19,6 @@ from trigkit.relationships import (
     MatrixPattern,
     RelationForm,
     RelationshipKind,
-    applicable_relationships,
     compose_bundle,
     cross_validate_matrix,
     instantiate_relationship,
@@ -27,7 +26,6 @@ from trigkit.relationships import (
     matrix_from_doc,
     matrix_to_doc,
     parse_relation_form,
-    sensor_applicable_relationships,
 )
 
 
@@ -178,15 +176,15 @@ class TestResolve:
                               "Leaf", ConceptKind.DISTURBING) is None
 
     def test_applicable_relationships(self, compat):
-        forms = applicable_relationships(PEDESTRIAN, RAIN, compat)
-        assert {f.label for f in forms} == {"SurfaceTreatment.Cover",
-                                            "SurfaceTreatment.Lighten"}
-        assert applicable_relationships(CONE, LEAF, compat) == frozenset()
+        entry = compat.resolve("Pedestrian", ConceptKind.INTERACTIVE,
+                               "Rain", ConceptKind.MODIFICATION)
+        assert {f.label for f in entry.forms} == {"SurfaceTreatment.Cover",
+                                                  "SurfaceTreatment.Lighten"}
 
     def test_sensor_applicable_relationships(self, compat):
-        forms = sensor_applicable_relationships(LEAF, compat)
-        assert {f.label for f in forms} == {"SurfaceTreatment.Cover"}
-        assert sensor_applicable_relationships(CONE, compat) == frozenset()
+        entry = compat.resolve("Sensor", None, "Leaf", ConceptKind.DISTURBING)
+        assert {f.label for f in entry.forms} == {"SurfaceTreatment.Cover"}
+        assert compat.resolve("Sensor", None, "Cone", ConceptKind.DISTURBING) is None
 
 
 class TestInstantiate:
@@ -279,7 +277,6 @@ class TestBundles:
         assert bundle.source == "Pedestrian"
         assert bundle.relations == ()
         assert bundle.signature() == ""
-        assert bundle.perturbed == frozenset()
 
     def test_signature_format(self, compat):
         rel = self._occlusion(compat)
@@ -325,14 +322,6 @@ class TestBundles:
         with pytest.raises(ToolkitError) as excinfo:
             compose_bundle(CONE, [cover])
         assert excinfo.value.code == "MixedFocal"
-
-    def test_perturbed_union(self, compat):
-        occ = self._occlusion(compat)  # override: ReflectionArea only
-        cognitive = instantiate_relationship(
-            parse_relation_form("CognitiveFeature"), PEDESTRIAN, LEAF, compat)
-        bundle = compose_bundle(PEDESTRIAN, [occ, cognitive])
-        assert bundle.perturbed == {PropertyCategory.REFLECTION_AREA,
-                                    PropertyCategory.FEATURE_VARIABILITY}
 
 
 class TestMatrixDocuments:

@@ -78,9 +78,6 @@ class TestLookup:
         templates = _load_templates(DOC)
         assert templates.lookup("", "Leaf", "Color", "LightReceiving") is None
 
-    def test_len_counts_keys(self):
-        assert len(_load_templates(DOC)) == 2
-
 
 class TestGenericDescription:
     def test_bare_bundle(self):
