@@ -405,6 +405,9 @@ def _cmd_report(args, config: ProjectConfig) -> int:
                            f"cases {cases_path} does not exist; run 'compose' first")
     results = []
     if args.results:
+        if not Path(args.results).exists():
+            raise ToolkitError(E.MISSING_INPUT,
+                               f"results ledger {args.results} does not exist")
         results = ResultsLedger(args.results).read()
 
     if args.format == "json":

@@ -7,6 +7,7 @@ report several problems at once attach a list of :class:`Diagnostic` records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .naming import is_identifier
 
@@ -158,7 +159,7 @@ class DiagnosticSink:
         value = raw.get(key)
         kind = dict if mapping else list
         if isinstance(value, kind) and (value or not required) \
-                and (not strings or all(isinstance(v, str) for v in value)):
+                and (not strings or all(map(isinstance, value, repeat(str)))):
             return value
         if value is not None or required:
             noun = ("non-empty " if required else "") + ("mapping" if mapping else "list")
@@ -198,12 +199,14 @@ class DiagnosticSink:
         """The required non-blank strings at ``keys``, in order; None when any
         is missing or wrong. One call per record keeps wide records cheap."""
         values = [raw.get(key) for key in keys]
-        for value in values:
-            if not (isinstance(value, str) and value.strip()):
-                for key in keys:
-                    self.text(raw, key, where)
-                return None
-        return values
+        try:
+            if all(map(str.strip, values)):
+                return values
+        except TypeError:  # a value that is not a string
+            pass
+        for key in keys:
+            self.text(raw, key, where)
+        return None
 
     def identifier(self, raw: dict, key: str, where: str = "",
                    default=_REQUIRED) -> str | None:

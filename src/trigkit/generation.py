@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 from . import errors as E
@@ -59,6 +60,7 @@ __all__ = [
     "AssessmentClass",
     "TriggeringCondition",
     "render_degree",
+    "context_sides",
     "relation_context_keys",
     "build_matrix",
     "worst_case_filter",
@@ -165,26 +167,26 @@ def _pattern_key(pattern: MatrixPattern | None) -> tuple | None:
     return pattern.name, None if pattern.kind is None else pattern.kind.value
 
 
+def context_sides(ontology: SourceOntology) -> dict[str, tuple]:
+    """Concept name -> each way a context side can match it: unconstrained,
+    by the concept's name, or by its kind. Built once per run for
+    ``relation_context_keys``."""
+    return {concept.name: (None, (concept.name, None), (None, concept.kind.value))
+            for concept in ontology.concepts}
+
+
 def relation_context_keys(rel: RelationshipInstance,
-                          ontology: SourceOntology) -> list[tuple]:
-    """Keys of every context that matches ``rel``.
+                          sides: dict[str, tuple]) -> list[tuple]:
+    """Keys of every context that matches ``rel``, given the ontology's
+    ``context_sides``.
 
     ``context.key()`` is in the result exactly when ``context.matches(rel,
     ontology)``: each of form, focal and partner is either unconstrained or
     pinned to the relation's value (a concept name, or that concept's kind).
     """
-    def sides(name: str) -> list[tuple | None]:
-        concept = ontology.get(name)
-        keys: list[tuple | None] = [None, (name, None)]
-        if concept is not None:
-            keys.append((None, concept.kind.value))
-        return keys
-
-    partners = sides(rel.partner)
-    return [(form, focal, partner)
-            for form in (None, rel.form.label)
-            for focal in sides(rel.focal)
-            for partner in partners]
+    focals = sides.get(rel.focal) or (None, (rel.focal, None))
+    partners = sides.get(rel.partner) or (None, (rel.partner, None))
+    return list(product((None, rel.form.label), focals, partners))
 
 
 CellKey = tuple[str, tuple[str, ...], str, str]  # (concept, properties, stage, quality)

@@ -21,6 +21,9 @@ R4  sources that cover or obstruct the sensor itself reach signal
 R5  disturbing entities and environmental modifications reach recognition
     stages only through a relationship whose focal concept is interactive.
 
+R1-R3 depend on the source alone (``source_stages``), and R4 and R5 on one
+relation at a time (``relation_stages``), so the stages of a bundle are the
+source's own plus those each of its relations adds (``affected_stages``).
 Results are always intersected with the stages the system declares.
 """
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "STAGE_BY_NAME",
     "SYSTEM_SCHEMA",
     "stages_for_class",
+    "source_stages",
+    "relation_stages",
     "affected_stages",
     "suite_from_doc",
     "suite_to_doc",
@@ -160,11 +165,46 @@ def _r4_stages(sensor_class: SensorClass) -> frozenset[str]:
                      if sensor_class is SensorClass.ACTIVE else {"LightReceiving"})
 
 
+def source_stages(source: SourceConcept,
+                  system: PerceptionSystemSpec) -> frozenset[str]:
+    """Declared stages of ``system`` that ``source`` reaches on its own (R1-R3)."""
+    result: set[str] = set()
+    if source.kind in (ConceptKind.INTERACTIVE, ConceptKind.DISTURBING) \
+            and source.has_category(PropertyCategory.REFLECTION_AREA):
+        result |= _r1_stages(system.sensor_class)  # R1
+    if source.kind is ConceptKind.INTERACTIVE:
+        result |= _RECOGNITION_STAGES  # R2
+    if source.kind is ConceptKind.MODIFICATION:
+        result |= _r3_stages(system.sensor_class)  # R3
+    return frozenset(result.intersection(system.stages))
+
+
+def relation_stages(source: SourceConcept, rel,
+                    system: PerceptionSystemSpec,
+                    ontology: SourceOntology) -> frozenset[str]:
+    """Declared stages of ``system`` that the one relation ``rel`` lets
+    ``source`` reach (R4, R5); R4 and R5 act on each relation alone."""
+    if rel.focal == SENSOR_TARGET and rel.partner == source.name:
+        covering = (rel.form.kind is RelationshipKind.SURFACE_TREATMENT
+                    and rel.form.subkind == "Cover")
+        obstructing = (rel.form.kind is RelationshipKind.SPATIAL_POSITION
+                       and rel.form.subkind == "Occlusion")
+        if covering or obstructing:
+            return _r4_stages(system.sensor_class).intersection(system.stages)  # R4
+    elif source.kind is not ConceptKind.INTERACTIVE:
+        focal = ontology.get(rel.focal)
+        if focal is not None and focal.kind is ConceptKind.INTERACTIVE:
+            return _RECOGNITION_STAGES.intersection(system.stages)  # R5
+    return frozenset()
+
+
 def affected_stages(source: SourceConcept,
                     relations: Iterable,
                     system: PerceptionSystemSpec,
                     ontology: SourceOntology) -> frozenset[str]:
-    """Stages of ``system`` that ``source`` can degrade, given its relations.
+    """Stages of ``system`` that ``source`` can degrade, given its relations:
+    its own stages (``source_stages``) plus those each relation adds
+    (``relation_stages``).
 
     ``relations`` holds :class:`~trigkit.relationships.RelationshipInstance`
     values referencing the source (possibly empty). The result is a subset of
@@ -176,33 +216,8 @@ def affected_stages(source: SourceConcept,
     if ontology.get(source.name) is None:
         raise ToolkitError(E.UNKNOWN_CONCEPT,
                            f"source {source.name!r} does not resolve in the ontology")
-
-    declared = frozenset(system.stages)
-    recognition = declared & _RECOGNITION_STAGES
-    result: set[str] = set()
-
-    is_entity = source.kind in (ConceptKind.INTERACTIVE, ConceptKind.DISTURBING)
-    if is_entity and source.has_category(PropertyCategory.REFLECTION_AREA):
-        result |= _r1_stages(system.sensor_class)  # R1
-    if source.kind is ConceptKind.INTERACTIVE:
-        result |= recognition  # R2
-    if source.kind is ConceptKind.MODIFICATION:
-        result |= _r3_stages(system.sensor_class)  # R3
-
-    for rel in relations:
-        if rel.focal == SENSOR_TARGET and rel.partner == source.name:
-            covering = (rel.form.kind is RelationshipKind.SURFACE_TREATMENT
-                        and rel.form.subkind == "Cover")
-            obstructing = (rel.form.kind is RelationshipKind.SPATIAL_POSITION
-                           and rel.form.subkind == "Occlusion")
-            if covering or obstructing:
-                result |= _r4_stages(system.sensor_class)  # R4
-        elif source.kind is not ConceptKind.INTERACTIVE:
-            focal = ontology.get(rel.focal)
-            if focal is not None and focal.kind is ConceptKind.INTERACTIVE:
-                result |= recognition  # R5
-
-    return frozenset(result) & declared
+    return source_stages(source, system).union(
+        *(relation_stages(source, rel, system, ontology) for rel in relations))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,22 @@ partners of its regular relations:
   bundle satisfies is positive.
 
 A bundle failing both adds no condition, warning or beneficial cell, so its
-matrix is not built. The rule indexes the tests read are compiled once per
-run (``_rule_demands``), and what a relation matches once per source
-(``_Candidate``), so each bundle costs a few set lookups.
+matrix is not built.
+
+Work that does not depend on the bundle is done once, outside the bundle
+loop. Per run: the rule indexes the tests read (``_rule_demands``) and each
+concept's context-key sides (``context_sides``). Per source: the candidate
+relations and what each matches (``_Candidate``), shared by every sensor.
+Per (sensor, source): the candidate list is validated and put in canonical
+order once (``enumerate_bundles``), the stages the source reaches on its own
+are mapped once (R1-R3), and each candidate's added stages come from the
+per-relation rules R4 and R5 (``relation_stages``). A bundle then reaches
+the union of those stages, and its tests cost a few set lookups.
+
+Sources are walked outermost so that their candidates live for one source
+only; each sensor keeps its own conditions, beneficial cells and warnings,
+and these are joined in sensor order, as if each sensor ran over every
+source in turn.
 
 Ordering is canonical and total, so repeated runs over the same inputs emit
 byte-identical catalogs.
@@ -53,13 +66,20 @@ from .generation import (
     EffectKnowledgeBase,
     TriggeringCondition,
     build_matrix,
+    context_sides,
     positive_cells,
     relation_context_keys,
     synthesize_conditions,
     worst_case_filter,
 )
 from .ontology import SENSOR_TARGET, SourceConcept, SourceOntology, legal_categories
-from .perception import STAGE_ORDER, PerceptionSystemSpec, SensorSuite, affected_stages
+from .perception import (
+    STAGE_ORDER,
+    PerceptionSystemSpec,
+    SensorSuite,
+    affected_stages,
+    relation_stages,
+)
 from .relationships import (
     CompatibilityMatrix,
     RelationshipBundle,
@@ -127,14 +147,22 @@ def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
 def enumerate_bundles(source: SourceConcept,
                       candidates: Sequence[RelationshipInstance],
                       limit: int) -> list[RelationshipBundle]:
-    """The empty bundle plus every combination of ``candidates`` up to
-    ``limit``, smallest first."""
+    """The empty bundle plus every combination of the candidates up to
+    ``limit``, smallest first.
+
+    The candidates are validated and canonicalised once, by ``compose_bundle``
+    (``MixedFocal`` for a relation around another focal): duplicates collapse
+    to one and the rest are put in canonical order. Each combination of the
+    canonical relations is then already a canonical bundle. For canonical
+    candidates, as ``candidate_relations`` returns them, bundle i holds
+    combination i of ``candidates``."""
     if limit < 0:
         raise ToolkitError(E.INVALID_VALUE, f"bundle limit must be >= 0, got {limit}")
+    relations = compose_bundle(source, candidates, limit=len(candidates)).relations
     bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
     for size in range(1, limit + 1):
-        for chosen in combinations(candidates, size):
-            bundles.append(compose_bundle(source, list(chosen), limit=limit))
+        bundles += [RelationshipBundle(source.name, chosen)
+                    for chosen in combinations(relations, size)]
     return bundles
 
 
@@ -159,42 +187,42 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                                    f"suite for {suite.vehicle!r} has no sensor {name!r}")
             specs.append(spec)
 
-    warnings: list[str] = []
     conditions: list[TriggeringCondition] = []
-    positives: list[tuple[str, EffectEntry]] = []
+    # per sensor: its beneficial cells and its warnings
+    found: list[tuple[list, list[str]]] = [([], []) for _spec in specs]
     seen_ids: set[str] = set()
     seen_positives: set[tuple] = set()
 
     contexts, positive_concepts, positive_stages, worst, beneficial = \
         _rule_demands(kb, threshold)
-    # per source: each candidate relation with what the tests need of it
-    per_source: dict[str, list[_Candidate]] = {}
+    sides = context_sides(ontology)
 
-    for spec in specs:
-        for name in ontology.names():
-            source = ontology.get(name)
-            if name not in per_source:
-                per_source[name] = [
-                    _Candidate(rel, ontology, contexts, positive_concepts)
-                    for rel in candidate_relations(source, matrix, ontology)]
-            # R4 and R5 act per relation, so a bundle reaches the bare stages
-            # plus those each of its relations adds
+    for name in ontology.names():
+        source = ontology.get(name)
+        # each candidate relation with what the tests need of it, shared by
+        # every sensor
+        candidates = [_Candidate(rel, name, sides, ontology, contexts,
+                                 positive_concepts, worst)
+                      for rel in candidate_relations(source, matrix, ontology)]
+        for spec, (positives, warnings) in zip(specs, found):
+            # a bundle reaches the source's own stages plus those each of
+            # its relations adds (R4 and R5 act per relation)
             bare = affected_stages(source, (), spec, ontology)
-            relevant = []
-            for candidate in per_source[name]:
-                adds = affected_stages(source, (candidate.rel,), spec, ontology) - bare
-                if candidate.needed or positive_stages & adds:
-                    relevant.append((candidate, adds))
-            bundles = enumerate_bundles(source, [c.rel for c, _adds in relevant],
-                                        bundle_limit)
+            relevant, added = [], []  # the usable candidates, the stages each adds
+            for candidate in candidates:
+                adds = relation_stages(source, candidate.rel, spec, ontology) - bare
+                if candidate.needed or not positive_stages.isdisjoint(adds):
+                    relevant.append(candidate)
+                    added.append(adds)
+            bundles = enumerate_bundles(source, [c.rel for c in relevant], bundle_limit)
             # bundle i holds combination i of ``relevant``, smallest first
-            chosen = chain([()], *(combinations(relevant, size)
-                                   for size in range(1, bundle_limit + 1)))
-            for bundle, picked in zip(bundles, chosen, strict=True):
-                stages = bare.union(*(adds for _c, adds in picked))
+            sizes = range(1, bundle_limit + 1)
+            chosen = chain([()], *(combinations(relevant, size) for size in sizes))
+            adding = chain([()], *(combinations(added, size) for size in sizes))
+            for bundle, picked, adds in zip(bundles, chosen, adding, strict=True):
+                stages = bare.union(*adds)
                 if not stages or picked and not _may_change(
-                        name, [c for c, _adds in picked], stages, spec.sensor,
-                        worst, beneficial, seen_positives):
+                        name, picked, stages, spec.sensor, beneficial, seen_positives):
                     continue
                 gen_matrix = build_matrix(bundle, spec, kb, ontology)
                 for cell in positive_cells(gen_matrix):
@@ -214,10 +242,13 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                     seen_ids.add(condition.id)
                     conditions.append(condition)
 
+    # the sensor leads the stable sort, so each sensor's conditions keep
+    # the order they were found in
     conditions.sort(key=_condition_order)
     return Catalog(vehicle=suite.vehicle, threshold=threshold,
                    bundle_limit=bundle_limit, conditions=tuple(conditions),
-                   positives=tuple(positives), warnings=tuple(warnings))
+                   positives=tuple(chain.from_iterable(p for p, _w in found)),
+                   warnings=tuple(chain.from_iterable(w for _p, w in found)))
 
 
 def _rule_demands(kb: EffectKnowledgeBase, threshold: int) -> tuple:
@@ -265,20 +296,27 @@ class _Candidate:
     """A candidate relation of one source with what the bundle tests read of
     it, built once per source and shared by every sensor: whether any rule
     can use it (``needed``, see ``_rule_demands``), the rule context keys
-    that match it, and the partner whose rows it can add. It caches tuples
-    of strings only, no sets or dicts: containers that outlive the pass push
-    the cyclic collector into an extra full collection later in the process.
+    that match it, the partner whose rows it can add, and the worst-case
+    groups its rules match on the rows it brings (the source's and the
+    partner's). The groups are sets of ``_rule_demands``'s index, so building
+    a candidate copies none unless several of its keys match one concept;
+    candidates live for one source only.
     """
 
-    __slots__ = ("rel", "partner", "keys", "needed", "_ontology", "_props")
+    __slots__ = ("rel", "source", "partner", "keys", "needed", "own_groups",
+                 "partner_groups", "_ontology", "_worst", "_props")
 
-    def __init__(self, rel: RelationshipInstance, ontology: SourceOntology,
-                 contexts: frozenset[tuple], positive_concepts: frozenset[str]):
-        self.rel, self._ontology = rel, ontology
+    def __init__(self, rel: RelationshipInstance, source: str, sides: dict[str, tuple],
+                 ontology: SourceOntology, contexts: frozenset[tuple],
+                 positive_concepts: frozenset[str], worst: dict):
+        self.rel, self.source, self._ontology, self._worst = rel, source, ontology, worst
         self.partner = None if rel.targets_sensor() else rel.partner
-        self.keys = tuple(key for key in relation_context_keys(rel, ontology)
-                          if key in contexts)
+        self.keys = tuple(filter(contexts.__contains__,
+                                 relation_context_keys(rel, sides)))
         self.needed = bool(self.keys) or self.partner in positive_concepts
+        self.own_groups = self._match(source)
+        self.partner_groups = _NO_GROUPS if self.partner is None \
+            else self._match(self.partner)
         self._props: tuple[str, ...] | None = None
 
     def props(self) -> tuple[str, ...]:
@@ -290,17 +328,26 @@ class _Candidate:
                 if partner.categories_of(p) & self.rel.perturbed)
         return self._props
 
-    def groups(self, concept: str, worst: dict) -> AbstractSet[tuple]:
+    def groups(self, concept: str) -> AbstractSet[tuple]:
         """``concept``'s worst-case groups with a rule whose context matches
         the relation."""
-        by_key = worst.get(concept, {})
+        if concept == self.source:
+            return self.own_groups
+        if concept == self.partner:
+            return self.partner_groups
+        return self._match(concept)
+
+    def _match(self, concept: str) -> AbstractSet[tuple]:
+        by_key = self._worst.get(concept, _NO_GROUPS)
         matched = [by_key[key] for key in self.keys if key in by_key]
-        return matched[0] if len(matched) == 1 else frozenset().union(*matched)
+        return matched[0] if len(matched) == 1 else _NO_GROUPS.union(*matched)
 
 
-def _may_change(source: str, picked: list[_Candidate], stages: frozenset[str],
-                sensor: str, worst: dict, beneficial: dict,
-                seen_positives: set[tuple]) -> bool:
+_NO_GROUPS: frozenset = frozenset()
+
+
+def _may_change(source: str, picked: tuple[_Candidate, ...], stages: frozenset[str],
+                sensor: str, beneficial: dict, seen_positives: set[tuple]) -> bool:
     """Whether the matrix of the bundle of ``picked`` relations can add a
     condition or a beneficial cell not seen yet. Both tests are necessary
     (see the module docstring), so a bundle failing them changes nothing."""
@@ -311,9 +358,9 @@ def _may_change(source: str, picked: list[_Candidate], stages: frozenset[str],
             owners[candidate.partner] = owners.get(candidate.partner, ()) + (candidate,)
     keys = None
     for concept, adding in owners.items():
-        groups = first.groups(concept, worst)
+        groups = first.groups(concept)
         if rest:
-            groups = groups.intersection(*(c.groups(concept, worst) for c in rest))
+            groups = groups.intersection(*(c.groups(concept) for c in rest))
         if groups and any(stage in stages for _props, stage in groups):
             return True
         for props, stage, quality, low, high in beneficial.get(concept, ()):

@@ -88,13 +88,19 @@ class RelationForm:
             raise ToolkitError(E.UNKNOWN_RELATIONSHIP,
                                f"{self.kind.value} does not take a subkind")
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """Built once per form; cached outside the fields, so equality, hashing,
+        ordering and ``repr`` stay the fields'."""
         return self.kind.value if self.subkind is None else f"{self.kind.value}.{self.subkind}"
 
 
 def parse_relation_form(label: str) -> RelationForm:
     """``Kind`` or ``Kind.Subkind`` to a form; anything else is ``UnknownRelationship``."""
+    try:
+        return _FORM_BY_LABEL[label]
+    except (KeyError, TypeError):  # not a canonical label, or unhashable
+        pass
     kind_part, _, sub_part = label.partition(".") if isinstance(label, str) else ("", "", "")
     try:
         kind = RelationshipKind(kind_part)
@@ -110,6 +116,7 @@ RELATION_FORMS: tuple[RelationForm, ...] = tuple(
     for kind in RelationshipKind
     for sub in (_SUBKINDS[kind] or (None,))
 )
+_FORM_BY_LABEL = {form.label: form for form in RELATION_FORMS}
 
 #: Property categories of the focal concept that each kind perturbs unless a
 #: matrix entry overrides the set.
@@ -309,8 +316,7 @@ def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstanc
     raised when a regular relation names a different focal, ``BundleTooLarge``
     when more than ``limit`` distinct relations remain.
     """
-    deduped: list[RelationshipInstance] = []
-    seen: set[tuple] = set()
+    deduped: dict[tuple, RelationshipInstance] = {}  # sort key -> first relation
     for rel in relations:
         if rel.targets_sensor():
             if rel.partner != focal.name:
@@ -321,16 +327,12 @@ def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstanc
             raise ToolkitError(E.MIXED_FOCAL,
                                f"relation focal {rel.focal!r} does not match bundle "
                                f"focal {focal.name!r}")
-        key = (rel.form, rel.focal, rel.partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(rel)
+        deduped.setdefault(rel.sort_key(), rel)
     if len(deduped) > limit:
         raise ToolkitError(E.BUNDLE_TOO_LARGE,
                            f"bundle holds {len(deduped)} relations, limit is {limit}")
-    deduped.sort(key=lambda r: r.sort_key())
-    return RelationshipBundle(source=focal.name, relations=tuple(deduped))
+    return RelationshipBundle(source=focal.name,
+                              relations=tuple(deduped[key] for key in sorted(deduped)))
 
 
 # ---------------------------------------------------------------------------

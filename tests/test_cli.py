@@ -317,6 +317,15 @@ class TestChainErrors:
         assert proc.returncode == 0
         assert "0 composed test cases" in proc.stdout
 
+    def test_report_with_missing_results_file(self, chain):
+        proc = run_cli("report", "--results", "missing.jsonl", "--format", "json",
+                       cwd=chain["cwd"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "MissingInput" in proc.stderr
+        assert "missing.jsonl" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_sensor_restriction(self, tmp_path):
         proc = run_cli("generate", "--sensor", "Camera", cwd=tmp_path)
         assert proc.returncode == 0

@@ -14,6 +14,7 @@ from trigkit.generation import (
     build_matrix,
     condition_id,
     context_from_doc,
+    context_sides,
     context_to_doc,
     effects_from_doc,
     effects_to_doc,
@@ -184,12 +185,13 @@ class TestRelationContext:
         patterns = [None] + [MatrixPattern(name=n) for n in
                              ("Pedestrian", "Cone", "Leaf", "Rain", "Sensor")] \
             + [MatrixPattern(kind=k) for k in ConceptKind]
+        sides = context_sides(ONTOLOGY)
         for form in (None, OCCLUSION, COVER):
             for focal in patterns:
                 for partner in patterns:
                     ctx = RelationContext(form=form, focal=focal, partner=partner)
                     for rel in rels:
-                        assert (ctx.key() in relation_context_keys(rel, ONTOLOGY)) \
+                        assert (ctx.key() in relation_context_keys(rel, sides)) \
                             == ctx.matches(rel, ONTOLOGY), (ctx.label(), rel)
 
     def test_doc_round_trip(self):

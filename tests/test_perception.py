@@ -17,11 +17,15 @@ from trigkit.perception import (
     SensorClass,
     StagePhase,
     affected_stages,
+    relation_stages,
+    source_stages,
     stages_for_class,
     suite_from_doc,
     suite_to_doc,
 )
+from trigkit.pipeline import candidate_relations, enumerate_bundles
 from trigkit.relationships import (
+    RELATION_FORMS,
     RelationForm,
     RelationshipInstance,
     RelationshipKind,
@@ -198,6 +202,78 @@ class TestAffectedStages:
         stray = _concept("Stray", ConceptKind.DISTURBING)
         with pytest.raises(ToolkitError, match="does not resolve"):
             affected_stages(stray, [], self.ACTIVE, _ontology())
+
+
+def _reference_stages(source, relations, system, ontology):
+    """R1-R5 applied in one pass over the source and all its relations."""
+    declared = set(system.stages)
+    recognition = {s.name for s in ALL_STAGES if s.phase is StagePhase.RECOGNITION}
+    active = system.sensor_class is SensorClass.ACTIVE
+    result = set()
+    if source.kind in (ConceptKind.INTERACTIVE, ConceptKind.DISTURBING) and any(
+            p.category is PropertyCategory.REFLECTION_AREA for p in source.properties):
+        result.add("SignalReflection" if active else "LightReceiving")
+    if source.kind is ConceptKind.INTERACTIVE:
+        result |= recognition
+    if source.kind is ConceptKind.MODIFICATION:
+        result.add("SignalPropagation" if active else "LightReceiving")
+    for rel in relations:
+        if rel.focal == "Sensor" and rel.partner == source.name:
+            if rel.form in (COVER, OCCLUSION):
+                result |= {"SignalTransmission", "SignalReceiving"} if active \
+                    else {"LightReceiving"}
+        elif source.kind is not ConceptKind.INTERACTIVE:
+            focal = ontology.get(rel.focal)
+            if focal is not None and focal.kind is ConceptKind.INTERACTIVE:
+                result |= recognition
+    return frozenset(result & declared)
+
+
+class TestStagesPerRelation:
+    """``affected_stages`` is the source's own stages plus what each relation
+    adds, so generation can map each relation once. Checked against the five
+    rules applied in one pass."""
+
+    @staticmethod
+    def _relations(source, ontology, matrix):
+        """The source's candidate relations, plus every form from every other
+        concept onto the source, where R5 can fire."""
+        yield from candidate_relations(source, matrix, ontology)
+        for focal in ontology.names():
+            if focal != source.name:
+                for form in RELATION_FORMS:
+                    yield _rel(form, focal, source.name)
+
+    def test_relation_stages_are_what_one_relation_adds(self, ontology, matrix, suite):
+        checked = 0
+        for spec in suite.sensors:
+            for name in ontology.names():
+                source = ontology.get(name)
+                bare = _reference_stages(source, (), spec, ontology)
+                assert source_stages(source, spec) == bare
+                assert affected_stages(source, (), spec, ontology) == bare
+                for rel in self._relations(source, ontology, matrix):
+                    adds = relation_stages(source, rel, spec, ontology)
+                    assert adds <= set(spec.stages)
+                    assert adds - bare == _reference_stages(source, (rel,), spec,
+                                                            ontology) - bare
+                    checked += 1
+        assert checked > 100
+
+    def test_bundle_stages_are_the_bare_stages_plus_each_relations(
+            self, ontology, matrix, suite):
+        for spec in suite.sensors:
+            for name in ontology.names():
+                source = ontology.get(name)
+                bare = source_stages(source, spec)
+                candidates = candidate_relations(source, matrix, ontology)
+                for bundle in enumerate_bundles(source, candidates, 2):
+                    stages = affected_stages(source, bundle.relations, spec, ontology)
+                    assert stages == bare.union(*(
+                        relation_stages(source, rel, spec, ontology)
+                        for rel in bundle.relations))
+                    assert stages == _reference_stages(source, bundle.relations, spec,
+                                                       ontology)
 
 
 class TestSuiteLoading:

@@ -1,5 +1,7 @@
 """End-to-end catalog generation over the bundled road-sweeper corpus."""
 
+from itertools import combinations
+
 import pytest
 
 from trigkit import pipeline
@@ -9,7 +11,7 @@ from trigkit.pipeline import (
     enumerate_bundles,
     generate_catalog,
 )
-from trigkit.relationships import CompatibilityMatrix
+from trigkit.relationships import CompatibilityMatrix, compose_bundle
 
 
 class TestCandidateRelations:
@@ -83,6 +85,59 @@ class TestEnumerateBundles:
         with pytest.raises(ToolkitError, match="bundle limit must be >= 0"):
             enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
                               limit=-1)
+
+
+class TestCandidatesValidatedOnce:
+    def test_out_of_order_and_duplicated_candidates_are_canonicalised(
+            self, ontology, matrix):
+        pedestrian = ontology.get("Pedestrian")
+        canonical = candidate_relations(pedestrian, matrix, ontology)
+        messy = list(reversed(canonical)) + canonical[:3]
+        for limit in (0, 1, 2, 3):
+            bundles = enumerate_bundles(pedestrian, messy, limit)
+            assert bundles == enumerate_bundles(pedestrian, canonical, limit)
+            expected = [()] + [chosen for size in range(1, limit + 1)
+                               for chosen in combinations(canonical, size)]
+            assert [b.relations for b in bundles] == expected
+            # each bundle is what composing its relations gives
+            for bundle in bundles[1:]:
+                assert bundle == compose_bundle(pedestrian, bundle.relations,
+                                                limit=limit)
+
+    def test_a_relation_around_another_focal_is_rejected(self, ontology, matrix):
+        pedestrian = ontology.get("Pedestrian")
+        candidates = candidate_relations(pedestrian, matrix, ontology)
+        foreign = candidate_relations(ontology.get("MovableObstacle"), matrix,
+                                      ontology)
+        foreign = [rel for rel in foreign if not rel.targets_sensor()][:1]
+        with pytest.raises(ToolkitError) as excinfo:
+            enumerate_bundles(pedestrian, candidates + foreign, 1)
+        assert excinfo.value.code == "MixedFocal"
+
+    def test_compose_bundle_runs_once_per_enumeration(self, inputs, monkeypatch):
+        composed, enumerated = [], []
+        real_compose, real_enumerate = pipeline.compose_bundle, pipeline.enumerate_bundles
+
+        def counting_compose(*args, **kwargs):
+            composed.append(args[0].name)
+            return real_compose(*args, **kwargs)
+
+        def counting_enumerate(*args):
+            bundles = real_enumerate(*args)
+            enumerated.append(len(bundles))
+            return bundles
+
+        monkeypatch.setattr(pipeline, "compose_bundle", counting_compose)
+        monkeypatch.setattr(pipeline, "enumerate_bundles", counting_enumerate)
+        for limit in (1, 2, 3):
+            composed.clear()
+            enumerated.clear()
+            generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
+                             inputs.effects, inputs.templates, bundle_limit=limit)
+            pairs = len(inputs.suite.sensors) * len(inputs.ontology.names())
+            # one validation per (sensor, source), however many bundles
+            assert len(enumerated) == len(composed) == pairs
+            assert sum(enumerated) > pairs
 
 
 class TestGenerateCatalog:

@@ -29,6 +29,30 @@ from trigkit.relationships import (
 )
 
 
+class _Label(str):
+    """A label that is a ``str`` subclass, as a custom loader may produce."""
+
+
+def _parse_by_partition(label):
+    """``Kind`` or ``Kind.Subkind`` split at the first dot, the reference
+    rule for labels that are not a legal form's own label."""
+    kind_part, _, sub_part = label.partition(".") if isinstance(label, str) \
+        else ("", "", "")
+    try:
+        kind = RelationshipKind(kind_part)
+    except ValueError:
+        raise ToolkitError("UnknownRelationship",
+                           f"unknown relationship {label!r}") from None
+    return RelationForm(kind, sub_part or None)
+
+
+def _outcome(parse, label):
+    try:
+        return ("form", parse(label))
+    except ToolkitError as exc:
+        return ("error", exc.code, str(exc))
+
+
 def _load_matrix(text, fmt="yaml"):
     return matrix_from_doc(parse_document(text, fmt=fmt))
 
@@ -116,6 +140,34 @@ class TestForms:
         with pytest.raises(ToolkitError) as excinfo:
             parse_relation_form(label)
         assert excinfo.value.code == "UnknownRelationship"
+
+    def test_every_legal_label_parses_to_its_form(self):
+        for form in RELATION_FORMS:
+            parsed = parse_relation_form(form.label)
+            assert parsed == form
+            assert parsed.label == form.label
+            # a copy of the label, and a str subclass of it, parse alike
+            assert parse_relation_form("".join(form.label)) == form
+            assert parse_relation_form(_Label(form.label)) == form
+
+    @pytest.mark.parametrize("label", [
+        "Possess.", "CognitiveFeature.", "SpatialPosition", "SpatialPosition.",
+        "SpatialPosition.Cover", "Possess.Firmly", "spatialposition.overlay",
+        "Orbits", "", ".", "SpatialPosition.Overlay.Again", 7, None, ["Possess"],
+        {"Possess": 1}, _Label("Possess."), _Label("Orbits"),
+    ])
+    def test_other_labels_parse_as_the_partition_rule_does(self, label):
+        assert _outcome(parse_relation_form, label) == _outcome(_parse_by_partition,
+                                                                label)
+
+    def test_form_label_is_built_once(self):
+        form = RelationForm(RelationshipKind.SPATIAL_POSITION, "Overlay")
+        assert form.label is form.label == "SpatialPosition.Overlay"
+        # equality, hashing, order and repr still read the fields alone
+        twin = RelationForm(RelationshipKind.SPATIAL_POSITION, "Overlay")
+        assert form == twin and hash(form) == hash(twin)
+        assert repr(form) == repr(twin)
+        assert RELATION_FORMS[1] < form  # Occlusion before Overlay
 
     def test_default_perturbed_categories(self):
         assert DEFAULT_PERTURBED[RelationshipKind.SPATIAL_POSITION] == {

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from trigkit.docio import dump_document, parse_document
-from trigkit.errors import ToolkitError
+from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
     AssessmentClass,
     EffectEntry,
@@ -211,6 +211,31 @@ class TestCaseViews:
                           "behavior": "b", "fail_criterion": "f"}]}
         with pytest.raises(ToolkitError, match="'pass_criterion' is required"):
             cases_from_doc(doc)
+
+    def test_string_subclass_fields_read_as_plain_strings(self):
+        class Text(str):
+            pass
+
+        case = {"id": "t0", "condition": "c0", "event": "HE-1",
+                "sensor": "Camera", "situation": "s", "trigger": "t",
+                "behavior": "b", "fail_criterion": "f", "pass_criterion": "p"}
+        plain = {"schema": "test-cases@1", "cases": [dict(case, odd=["Night"])]}
+        tagged = {"schema": "test-cases@1",
+                  "cases": [dict({k: Text(v) for k, v in case.items()},
+                                 odd=[Text("Night")])]}
+        assert cases_from_doc(tagged) == cases_from_doc(plain)
+
+    def test_each_bad_text_field_is_located(self):
+        case = {"id": "t0", "condition": "c0", "event": "HE-1",
+                "sensor": "Camera", "situation": " ", "trigger": 7,
+                "behavior": "b", "fail_criterion": "f", "pass_criterion": "p",
+                "odd": ["Night", 3]}
+        with pytest.raises(DocumentError) as excinfo:
+            cases_from_doc({"schema": "test-cases@1", "cases": [case]})
+        assert [d.message for d in excinfo.value.diagnostics] == [
+            "cases[0]: 'situation' must be a non-empty string",
+            "cases[0]: 'trigger' must be a non-empty string",
+            "cases[0]: 'odd' must be a list of strings"]
 
     def test_duplicate_case_ids_rejected(self):
         case = {"id": "t0", "condition": "c0", "event": "HE-1",
