@@ -5,9 +5,21 @@ all eleven families: the bundled corpus and project config, a generated
 catalog, the test cases composed from it, and a ratings document. Loaders may
 accept the result or raise ``DocumentError``; any other exception would end a
 CLI run in a traceback.
+
+Each family's outcomes (every diagnostic as severity, code, file, line and
+message, or ``ok``) must also equal those recorded in
+``tests/data/golden_diagnostics.json``, so a change to a reader cannot alter
+what it reports. The fuzz also duplicates the first entry of one list of each
+list shape. After a deliberate change to the diagnostics, rewrite the file
+with ``TRIGKIT_WRITE_GOLDEN=1 python -m pytest tests/test_documents.py`` and
+review its diff.
 """
 
+import copy
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +46,7 @@ BUNDLED = {
     "hazardous-events@1": ("hazardous_events.yaml", events_from_doc),
     "compose-policy@1": ("compose_policy.yaml", policy_from_doc),
 }
+GOLDEN = Path(__file__).parent / "data" / "golden_diagnostics.json"
 FAMILIES = sorted(BUNDLED) + ["condition-catalog@1", "test-cases@1",
                               "condition-ratings@1", "project-config@1"]
 
@@ -79,26 +92,68 @@ def _sample(doc, rng):
     return [rng.choice(by_shape[shape]) for shape in sorted(by_shape, key=repr)]
 
 
+def _duplicated_lists(doc, rng):
+    """One non-empty list per distinct shape, chosen by ``rng``."""
+    by_shape = {}
+    for path, container, key in _fields(doc):
+        if isinstance(container[key], list) and container[key]:
+            by_shape.setdefault(_shape(path), []).append((path, container, key))
+    return [rng.choice(by_shape[shape]) for shape in sorted(by_shape, key=repr)]
+
+
+def _mutations(doc, rng):
+    """(label, container, key, value) for each junk and duplicate mutation."""
+    for path, container, key in _sample(doc, rng):
+        for junk in JUNK:
+            yield f"{'/'.join(map(str, path))} = {junk!r}", container, key, junk
+    for path, container, key in _duplicated_lists(doc, rng):
+        value = container[key]
+        yield (f"{'/'.join(map(str, path))} duplicated first entry", container, key,
+               [copy.deepcopy(value[0])] + value)
+
+
+def _outcome(loader, doc):
+    """``"ok"``, or the diagnostics as [severity, code, file, line, message]."""
+    try:
+        loader(doc)
+    except DocumentError as exc:
+        return [[d.severity, d.code, d.file, d.line, d.message]
+                for d in exc.diagnostics]
+    except ToolkitError as exc:
+        if exc.code != "EmptyConfig":
+            raise
+        return [["error", exc.code, exc.file, exc.line, exc.args[0]]]
+    return "ok"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    if os.environ.get("TRIGKIT_WRITE_GOLDEN"):
+        recorded = {}
+        yield recorded
+        GOLDEN.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
+    else:
+        yield json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("schema", FAMILIES)
-def test_one_field_junk_raises_only_document_errors(documents, schema):
+def test_one_field_junk_raises_only_document_errors(documents, golden, schema):
     doc, loader = documents[schema]
     loader(doc)  # the unmutated document loads
     crashes = []
-    fields = _sample(doc, random.Random(schema))
-    for path, container, key in fields:
+    outcomes = []
+    for label, container, key, value in _mutations(doc, random.Random(schema)):
         original = container[key]
-        for junk in JUNK:
-            container[key] = junk
-            try:
-                loader(doc)
-            except DocumentError:
-                pass
-            except ToolkitError as exc:
-                if exc.code != "EmptyConfig":
-                    crashes.append((path, junk, repr(exc)))
-            except Exception as exc:  # noqa: BLE001 - any other type is the finding
-                crashes.append((path, junk, repr(exc)))
-            finally:
-                container[key] = original
-    assert len(fields) > 3
+        container[key] = value
+        try:
+            outcomes.append([label, _outcome(loader, doc)])
+        except Exception as exc:  # noqa: BLE001 - any other type is the finding
+            crashes.append((label, repr(exc)))
+        finally:
+            container[key] = original
+    assert len(outcomes) > 3 * len(JUNK)
     assert crashes == []
+    if os.environ.get("TRIGKIT_WRITE_GOLDEN"):
+        golden[schema] = outcomes
+    assert outcomes == golden[schema]
