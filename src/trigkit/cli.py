@@ -131,20 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
 
-    try:
-        config = read_config(resolve_config_path(args.config))
-    except FileNotFoundError as exc:
-        print(f"error: {E.MISSING_INPUT}: config file not found: {exc.filename}",
-              file=sys.stderr)
-        return 2
-    except DocumentError as exc:
-        for diag in exc.diagnostics:
-            print(format_diagnostic(diag), file=sys.stderr)
-        return 2
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     handler = {
         "validate": _cmd_validate,
         "stages": _cmd_stages,
@@ -154,19 +140,24 @@ def main(argv: list[str] | None = None) -> int:
         "compose": _cmd_compose,
         "report": _cmd_report,
     }[args.command]
+    status = 2  # a failure before the config is read is a usage error
     try:
+        config = read_config(resolve_config_path(args.config))
+        status = 1
         return handler(args, config)
     except FileNotFoundError as exc:
-        print(f"error: {E.MISSING_INPUT}: file not found: {exc.filename}",
+        what = "config file" if status == 2 else "file"
+        print(f"error: {E.MISSING_INPUT}: {what} not found: {exc.filename}",
               file=sys.stderr)
-        return 1
     except DocumentError as exc:
         for diag in exc.diagnostics:
             print(format_diagnostic(diag), file=sys.stderr)
-        return 1
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # a directory where a file belongs, and the like
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+    return status
 
 
 def entrypoint() -> None:  # console-script hook

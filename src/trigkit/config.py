@@ -58,8 +58,18 @@ ENV_CONFIG = "TRIGKIT_CONFIG"
 TOOL_NAME = "trigkit"
 TOOL_VERSION = "0.1.0"
 
-_REQUIRED_INPUTS = ("ontology", "system", "matrix", "effects", "templates")
-_OPTIONAL_INPUTS = ("events", "policy")
+#: Input name -> (ProjectInputs field, document loader, cross-check against
+#: the ontology, whether the config may omit it). Inputs are read, cross-checked
+#: and listed in manifests in this order.
+_READERS = {
+    "ontology": ("ontology", ontology_from_doc, None, False),
+    "system": ("suite", suite_from_doc, cross_validate_suite, False),
+    "matrix": ("matrix", matrix_from_doc, cross_validate_matrix, False),
+    "effects": ("effects", effects_from_doc, cross_validate_effects, False),
+    "templates": ("templates", templates_from_doc, cross_validate_templates, False),
+    "events": ("events", events_from_doc, cross_validate_events, True),
+    "policy": ("policy", policy_from_doc, None, True),
+}
 
 
 @dataclass(frozen=True)
@@ -79,13 +89,13 @@ class ProjectConfig:
     bundle_limit: int = 2
     expected_total: int | None = None
 
+    def input_names(self) -> tuple[str, ...]:
+        """The required inputs and the optional ones configured, in order."""
+        return tuple(name for name, (*_, optional) in _READERS.items()
+                     if not optional or getattr(self, name) is not None)
+
     def input_paths(self) -> list[Path]:
-        paths = [self.ontology, self.system, self.matrix, self.effects,
-                 self.templates]
-        for optional in (self.events, self.policy):
-            if optional is not None:
-                paths.append(optional)
-        return paths
+        return [getattr(self, name) for name in self.input_names()]
 
 
 def resolve_config_path(cli_value: str | None) -> Path:
@@ -113,12 +123,11 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
     sink = DiagnosticSink(file=source)
 
     inputs = sink.collection(doc, "inputs", mapping=True)
-    resolved = {field: sink.text(inputs, field, "inputs", noun="path string")
-                for field in _REQUIRED_INPUTS}
-    resolved.update({field: sink.text(inputs, field, "inputs", None, noun="path string")
-                     for field in _OPTIONAL_INPUTS})
-    resolved = {field: None if value is None else (base_dir / value).resolve()
-                for field, value in resolved.items()}
+    paths = {}
+    for name, (*_, optional) in _READERS.items():
+        value = sink.text(inputs, name, "inputs", None, noun="path string") if optional \
+            else sink.text(inputs, name, "inputs", noun="path string")
+        paths[name] = None if value is None else (base_dir / value).resolve()
 
     parameters = sink.collection(doc, "parameters", mapping=True)
     threshold = sink.choice(parameters, "threshold", (1, 2, 3), "parameters", 2)
@@ -128,12 +137,8 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
 
     sink.raise_if_errors()
     return ProjectConfig(
-        path=path if path is not None else base_dir / "<config>",
-        ontology=resolved["ontology"], system=resolved["system"],
-        matrix=resolved["matrix"], effects=resolved["effects"],
-        templates=resolved["templates"], events=resolved["events"],
-        policy=resolved["policy"], output_dir=Path(output_dir),
-        threshold=threshold, bundle_limit=bundle_limit,
+        path=path if path is not None else base_dir / "<config>", **paths,
+        output_dir=Path(output_dir), threshold=threshold, bundle_limit=bundle_limit,
         expected_total=expected_total)
 
 
@@ -153,19 +158,6 @@ class ProjectInputs:
     events: tuple[HazardousEvent, ...] | None = None
     policy: ComposePolicy | None = None
     warnings: tuple[str, ...] = ()
-
-
-#: Input name -> (ProjectInputs field, document loader, cross-check against
-#: the ontology). Inputs are read, and then cross-checked, in this order.
-_READERS = {
-    "ontology": ("ontology", ontology_from_doc, None),
-    "system": ("suite", suite_from_doc, cross_validate_suite),
-    "matrix": ("matrix", matrix_from_doc, cross_validate_matrix),
-    "effects": ("effects", effects_from_doc, cross_validate_effects),
-    "templates": ("templates", templates_from_doc, cross_validate_templates),
-    "events": ("events", events_from_doc, cross_validate_events),
-    "policy": ("policy", policy_from_doc, None),
-}
 
 
 def _read_required(path: Path | None, label: str):
@@ -190,8 +182,7 @@ def load_inputs(config: ProjectConfig, *,
     dangling references are collected and raised together.
     """
     if documents is None:
-        documents = _REQUIRED_INPUTS + tuple(
-            name for name in _OPTIONAL_INPUTS if getattr(config, name) is not None)
+        documents = config.input_names()
     loaded = {}
     for name in documents:
         path = getattr(config, name)

@@ -145,6 +145,15 @@ class DiagnosticSink:
         if self.errors:
             raise DocumentError(self.items)
 
+    def first(self, seen: set, key, where: str, noun: str) -> bool:
+        """Whether ``key`` is new to ``seen``, which it is then added to; a
+        repeat records ``DuplicateName`` as ``where: duplicate noun 'key'``."""
+        if key in seen:
+            self.error(DUPLICATE_NAME, f"{where}: duplicate {noun} {key!r}")
+            return False
+        seen.add(key)
+        return True
+
     # Typed field readers. Each reads ``raw[key]`` from a parsed mapping and
     # never raises: a value that does not fit records a located error and
     # yields None (an empty container from ``collection``/``records``). An absent

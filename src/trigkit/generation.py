@@ -721,17 +721,15 @@ def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, Asse
     check_schema(doc, RATINGS_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
     out: dict[str, AssessmentClass] = {}
+    ids: set[str] = set()
     for where, raw in sink.records(doc, "ratings"):
         cid = sink.text(raw, "condition", where)
         exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
                                code=E.UNKNOWN_RATING)
         criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
                                   code=E.UNKNOWN_RATING)
-        if None in (cid, exposure, criticality):
-            continue
-        if cid in out:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate rating for {cid!r}")
-            continue
-        out[cid] = AssessmentClass(exposure=exposure, criticality=criticality)
+        if None not in (cid, exposure, criticality) \
+                and sink.first(ids, cid, where, "rating for"):
+            out[cid] = AssessmentClass(exposure=exposure, criticality=criticality)
     sink.raise_if_errors()
     return out

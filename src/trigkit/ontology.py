@@ -158,13 +158,8 @@ def ontology_from_doc(doc: dict, *, source: str = "<document>") -> SourceOntolog
     names: set[str] = set()
     for where, raw in sink.records(doc, "concepts"):
         concept = _concept_from_doc(raw, where, sink)
-        if concept is None:
-            continue
-        if concept.name in names:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate concept name {concept.name!r}")
-            continue
-        names.add(concept.name)
-        concepts.append(concept)
+        if concept is not None and sink.first(names, concept.name, where, "concept name"):
+            concepts.append(concept)
 
     by_name = {c.name: c for c in concepts}
     for concept in concepts:
@@ -217,19 +212,16 @@ def _concept_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> SourceConc
         seen_props.add(key)
         properties.append(SourceProperty(pname, category, note))
 
-    instances: list[str] = []
+    instances: set[str] = set()
     for inst in sink.collection(raw, "instances", where):
         if not is_identifier(inst):
             sink.error(E.INVALID_IDENTIFIER, f"{where}: instance {inst!r} is invalid")
-        elif inst in instances:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate instance {inst!r}")
         else:
-            instances.append(inst)
+            sink.first(instances, inst, where, "instance")
 
     properties.sort(key=lambda p: (p.name, p.category.value))
-    instances.sort()
     return SourceConcept(name=name, kind=kind, parent=parent,
-                         properties=tuple(properties), instances=tuple(instances))
+                         properties=tuple(properties), instances=tuple(sorted(instances)))
 
 
 def _check_cycles(concepts: list[SourceConcept], sink: DiagnosticSink) -> None:

@@ -237,13 +237,8 @@ def suite_from_doc(doc: dict, *, source: str = "<document>") -> SensorSuite:
     names: set[str] = set()
     for where, raw in sink.records(doc, "sensors", required=True):
         spec = _sensor_from_doc(raw, where, shared_odd, sink)
-        if spec is None:
-            continue
-        if spec.sensor in names:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate sensor {spec.sensor!r}")
-            continue
-        names.add(spec.sensor)
-        sensors.append(spec)
+        if spec is not None and sink.first(names, spec.sensor, where, "sensor"):
+            sensors.append(spec)
 
     sink.raise_if_errors()
     sensors.sort(key=lambda s: s.sensor)
@@ -259,7 +254,7 @@ def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
         return None
 
     allowed = {s.name for s in stages_for_class(sensor_class)}
-    stages: list[str] = []
+    stages: set[str] = set()
     for stage in sink.collection(raw, "stages", where, strings=True):
         if stage not in STAGE_BY_NAME:
             sink.error(E.UNKNOWN_STAGE, f"{where}: unknown stage {stage!r}")
@@ -267,10 +262,8 @@ def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
             sink.error(E.ILLEGAL_STAGE_FOR_CLASS,
                        f"{where}: stage {stage} is not available to a "
                        f"{sensor_class.value} sensor")
-        elif stage in stages:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate stage {stage!r}")
         else:
-            stages.append(stage)
+            sink.first(stages, stage, where, "stage")
     if not stages:
         sink.error(E.EMPTY_STAGES, f"{where}: sensor declares no stages")
         return None
@@ -285,10 +278,9 @@ def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
     odd = sink.collection(raw, "odd", where, strings=True) if raw.get("odd") is not None \
         else shared_odd
 
-    stages.sort(key=lambda s: STAGE_ORDER[s])
     functionality.sort()
     return PerceptionSystemSpec(sensor=name, sensor_class=sensor_class,
-                                stages=tuple(stages),
+                                stages=tuple(sorted(stages, key=STAGE_ORDER.get)),
                                 functionality=tuple(functionality),
                                 odd=tuple(odd))
 

@@ -85,6 +85,7 @@ from .relationships import (
     RelationshipBundle,
     RelationshipInstance,
     _instance_from_entry,
+    bundle_signature,
     compose_bundle,
 )
 from .templates import TemplateSet
@@ -383,8 +384,7 @@ def _condition_order(condition: TriggeringCondition) -> tuple:
     return (condition.sensor,
             condition.sources[0],
             len(condition.relationships),
-            ";".join(r.form.label + "(" + r.focal + "," + r.partner + ")"
-                     for r in condition.relationships),
+            bundle_signature(condition.relationships),
             condition.property_owner != condition.sources[0],
             condition.property_owner,
             condition.property_key,

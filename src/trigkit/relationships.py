@@ -45,6 +45,7 @@ __all__ = [
     "CompatibilityMatrix",
     "RelationshipInstance",
     "RelationshipBundle",
+    "bundle_signature",
     "MATRIX_SCHEMA",
     "parse_relation_form",
     "instantiate_relationship",
@@ -304,8 +305,12 @@ class RelationshipBundle:
     relations: tuple[RelationshipInstance, ...] = ()
 
     def signature(self) -> str:
-        return ";".join(f"{r.form.label}({r.focal},{r.partner})"
-                        for r in self.relations)
+        return bundle_signature(self.relations)
+
+
+def bundle_signature(relations: Sequence[RelationshipInstance]) -> str:
+    """``Form(focal,partner)`` for each relation, joined by ``;``."""
+    return ";".join(f"{r.form.label}({r.focal},{r.partner})" for r in relations)
 
 
 def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstance],
@@ -381,13 +386,9 @@ def matrix_from_doc(doc: dict, *, source: str = "<document>") -> CompatibilityMa
         focal = _pattern_from_doc(raw.get("focal"), f"{where}.focal", sink)
         partner = _pattern_from_doc(raw.get("partner"), f"{where}.partner", sink)
         note = sink.text(raw, "source", where, "")
-        if focal is None or partner is None or note is None:
+        if focal is None or partner is None or note is None \
+                or not sink.first(seen_pairs, (focal.label, partner.label), where, "pair"):
             continue
-        pair = (focal.label, partner.label)
-        if pair in seen_pairs:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate pair {pair}")
-            continue
-        seen_pairs.add(pair)
 
         forms: list[RelationForm] = []
         for label in sink.collection(raw, "relationships", where):

@@ -204,14 +204,8 @@ def catalog_from_doc(doc: dict, *, source: str = "<document>") -> Catalog:
     seen: set[str] = set()
     for where, raw in sink.records(doc, "conditions"):
         condition = _condition_from_doc(raw, where, sink)
-        if condition is None:
-            continue
-        if condition.id in seen:
-            sink.error(E.DUPLICATE_NAME,
-                       f"{where}: duplicate condition id {condition.id!r}")
-            continue
-        seen.add(condition.id)
-        conditions.append(condition)
+        if condition is not None and sink.first(seen, condition.id, where, "condition id"):
+            conditions.append(condition)
     positives: list[tuple[str, EffectEntry]] = []
     for where, raw in sink.records(doc, "positives"):
         sensor = sink.text(raw, "sensor", where)
@@ -295,10 +289,14 @@ def catalog_to_markdown(catalog: Catalog) -> str:
 # Generation-matrix views
 # ---------------------------------------------------------------------------
 
-def matrix_to_doc(matrix: GenerationMatrix) -> dict:
+def _matrix_rows(matrix: GenerationMatrix) -> list[tuple[tuple, tuple[EffectEntry, ...]]]:
+    """Each row of ``matrix`` with its cells, in column order."""
     width = len(matrix.columns)
-    grid = [[cell.degree for cell in matrix.cells[i * width:(i + 1) * width]]
-            for i in range(len(matrix.rows))]
+    return [(row, matrix.cells[i * width:(i + 1) * width])
+            for i, row in enumerate(matrix.rows)]
+
+
+def matrix_to_doc(matrix: GenerationMatrix) -> dict:
     return {
         "schema": MATRIX_DOC_SCHEMA,
         "sensor": matrix.sensor,
@@ -308,7 +306,8 @@ def matrix_to_doc(matrix: GenerationMatrix) -> dict:
                  for concept, props in matrix.rows],
         "columns": [{"stage": stage, "stage_property": quality}
                     for stage, quality in matrix.columns],
-        "degrees": grid,
+        "degrees": [[cell.degree for cell in cells]
+                    for _row, cells in _matrix_rows(matrix)],
     }
 
 
@@ -328,9 +327,7 @@ def matrix_to_csv(matrix: GenerationMatrix) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["Property"] + [_column_label(s, q) for s, q in matrix.columns])
-    width = len(matrix.columns)
-    for i, row in enumerate(matrix.rows):
-        cells = matrix.cells[i * width:(i + 1) * width]
+    for row, cells in _matrix_rows(matrix):
         writer.writerow([_row_label(matrix, row)]
                         + [render_degree(c.degree, style="ascii") for c in cells])
     return buffer.getvalue()
@@ -338,12 +335,9 @@ def matrix_to_csv(matrix: GenerationMatrix) -> str:
 
 def matrix_to_markdown(matrix: GenerationMatrix) -> str:
     header = ["Property"] + [_column_label(s, q) for s, q in matrix.columns]
-    width = len(matrix.columns)
-    rows = []
-    for i, row in enumerate(matrix.rows):
-        cells = matrix.cells[i * width:(i + 1) * width]
-        rows.append([_row_label(matrix, row)]
-                    + [render_degree(c.degree, style="figure") for c in cells])
+    rows = [[_row_label(matrix, row)]
+            + [render_degree(c.degree, style="figure") for c in cells]
+            for row, cells in _matrix_rows(matrix)]
     relationships = matrix.bundle.signature() or "none"
     title = (f"# Generation matrix — {display_name(matrix.bundle.source)} "
              f"on {matrix.sensor}")
@@ -386,13 +380,8 @@ def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, 
     for where, raw in sink.records(doc, "cases"):
         fields = sink.texts(raw, _CASE_FIELDS, where)
         odd = sink.collection(raw, "odd", where, strings=True)
-        if fields is None:
-            continue
-        if fields[0] in seen:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate case id {fields[0]!r}")
-            continue
-        seen.add(fields[0])
-        cases.append(TestCase(*fields, odd=tuple(odd)))
+        if fields is not None and sink.first(seen, fields[0], where, "case id"):
+            cases.append(TestCase(*fields, odd=tuple(odd)))
     sink.raise_if_errors()
     return tuple(cases)
 

@@ -111,15 +111,12 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
                        f"{where}: property key {prop_field!r} is invalid")
             continue
         variants: list[tuple[str, str]] = []
+        tags: set[str] = set()
         for vw, rv in raw_variants:
             tag = sink.identifier(rv, "tag", vw, "default")
             text = sink.text(rv, "text", vw)
-            if tag is None or text is None:
-                continue
-            if tag in (t for t, _ in variants):
-                sink.error(E.DUPLICATE_NAME, f"{vw}: duplicate tag {tag!r}")
-                continue
-            variants.append((tag, text))
+            if tag is not None and text is not None and sink.first(tags, tag, vw, "tag"):
+                variants.append((tag, text))
         if len(variants) < len(raw_variants):
             continue
         key: TemplateKey = (signature, concept, prop_field, stage.name)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import errors as E
-from .docio import check_schema
+from .docio import check_schema, read_text
 from .errors import DiagnosticSink, ToolkitError
 from .generation import TriggeringCondition
 from .naming import is_identifier
@@ -236,23 +236,22 @@ class ResultsLedger:
         if not self.path.exists():
             return []
         records = []
-        with open(self.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ToolkitError(E.SYNTAX_ERROR,
-                                       f"unreadable results line: {exc.msg}",
-                                       file=str(self.path), line=lineno) from None
-                if not isinstance(record, dict):
-                    raise ToolkitError(E.INVALID_VALUE,
-                                       f"results line must be a JSON object, "
-                                       f"got {type(record).__name__}",
-                                       file=str(self.path), line=lineno)
-                records.append(record)
+        for lineno, line in enumerate(read_text(self.path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ToolkitError(E.SYNTAX_ERROR,
+                                   f"unreadable results line: {exc.msg}",
+                                   file=str(self.path), line=lineno) from None
+            if not isinstance(record, dict):
+                raise ToolkitError(E.INVALID_VALUE,
+                                   f"results line must be a JSON object, "
+                                   f"got {type(record).__name__}",
+                                   file=str(self.path), line=lineno)
+            records.append(record)
         return records
 
 
@@ -274,10 +273,8 @@ def events_from_doc(doc: dict, *, source: str = "<document>") -> tuple[Hazardous
         if not isinstance(event_id, str) or not _EVENT_ID.match(event_id):
             sink.error(E.INVALID_IDENTIFIER, f"{where}: event id {event_id!r} is invalid")
             continue
-        if event_id in ids:
-            sink.error(E.DUPLICATE_NAME, f"{where}: duplicate event id {event_id!r}")
+        if not sink.first(ids, event_id, where, "event id"):
             continue
-        ids.add(event_id)
         texts = sink.texts(raw, _EVENT_TEXT_FIELDS, where)
         target = sink.identifier(raw, "target", where)
         note = sink.text(raw, "source", where, "")

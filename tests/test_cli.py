@@ -440,3 +440,73 @@ class TestMalformedDocuments:
                        cwd=tmp_path, config=config)
         self.assert_diagnosed(proc, config)
         assert "target 'Hovercraft' does not resolve in the ontology" in proc.stderr
+
+
+def _non_utf8(path):
+    path.write_bytes(b"schema: x\nname: caf\xe9\n")
+    return path, "error SyntaxError {}:2: not UTF-8 text: invalid continuation byte " \
+                 "(column 10)"
+
+
+def _directory(path):
+    path.mkdir()
+    return path, "error: {}: Is a directory"
+
+
+def _config_naming(tmp_path, effects):
+    """A copy of the bundled config whose effects input is ``effects``."""
+    config = read_document(reference_config())
+    config["inputs"] = {name: str(data_path(file))
+                        for name, file in config["inputs"].items()}
+    config["inputs"]["effects"] = str(effects)
+    path = tmp_path / "project.yaml"
+    path.write_text(dump_document(config), encoding="utf-8")
+    return path
+
+
+def _ledger(path):
+    path.write_bytes(b'{"outcome": "pass"}\n{"note": "\xff"}\n')
+    return path, "error SyntaxError {}:2: not UTF-8 text: invalid start byte (column 11)"
+
+
+def _file(path):
+    path.write_text("", encoding="utf-8")
+    return path, "error: {}: File exists"
+
+
+#: case -> (exit code, how the bad path is made, the command that reads it).
+#: In the command, BAD is that path, PROJECT a config naming it as the effects
+#: input, and CATALOG a generated catalog.
+UNREADABLE = {
+    "config-directory": (2, _directory, ["--config", "BAD", "validate"]),
+    "config-non-utf8": (2, _non_utf8, ["--config", "BAD", "validate"]),
+    "input-directory": (1, _directory, ["--config", "PROJECT", "validate"]),
+    "input-non-utf8": (1, _non_utf8, ["--config", "PROJECT", "validate"]),
+    "ratings-directory": (1, _directory,
+                          ["assess", "--ratings", "BAD", "--catalog", "CATALOG"]),
+    "ratings-non-utf8": (1, _non_utf8,
+                         ["assess", "--ratings", "BAD", "--catalog", "CATALOG"]),
+    "cases-non-utf8": (1, _non_utf8, ["report", "--cases", "BAD", "--catalog", "CATALOG"]),
+    "results-non-utf8": (1, _ledger,
+                         ["report", "--results", "BAD", "--catalog", "CATALOG"]),
+    "output-dir-file": (1, _file, ["generate", "--output-dir", "BAD"]),
+}
+
+
+class TestUnreadableFiles:
+    """A directory or a non-UTF-8 file where a document belongs, or a file
+    where the output directory belongs, ends in one error line naming the
+    path, never a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_one_error_line(self, chain, tmp_path, case):
+        code, make, command = UNREADABLE[case]
+        bad, line = make(tmp_path / "bad.yaml")
+        paths = {"BAD": bad, "CATALOG": chain["cwd"] / "out" / "catalog.json"}
+        if "PROJECT" in command:
+            paths["PROJECT"] = _config_naming(tmp_path, bad)
+        proc = run_cli(*[str(paths.get(arg, arg)) for arg in command], cwd=tmp_path)
+        assert proc.returncode == code
+        assert [text for text in proc.stderr.splitlines()
+                if text.startswith("error")] == [line.format(bad)]
+        assert "Traceback" not in proc.stderr

@@ -137,6 +137,23 @@ def test_read_reports_the_file_in_diagnostics(tmp_path):
     assert excinfo.value.diagnostics[0].file == str(path)
 
 
+def test_read_locates_a_byte_that_is_not_utf8(tmp_path):
+    # far past the first read buffer, after CRLF line ends
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(b"schema: widgets@1\r\n" + b"note: ok\r\n" * 3000 + b"name: \x80\r\n")
+    with pytest.raises(DocumentError) as excinfo:
+        read_document(path)
+    diag = excinfo.value.diagnostics[0]
+    assert (diag.code, diag.file, diag.line, diag.message) == (
+        "SyntaxError", str(path), 3002, "not UTF-8 text: invalid start byte (column 7)")
+
+
+def test_read_translates_line_ends(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(b"schema: widgets@1\r\nname: |\r\n  a\r  b\r\n")
+    assert read_document(path) == {"schema": "widgets@1", "name": "a\nb\n"}
+
+
 @pytest.mark.parametrize("path", sorted(Path(trigkit.data.__file__).parent.glob("*.yaml")),
                          ids=lambda path: path.name)
 def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):

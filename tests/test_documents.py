@@ -84,29 +84,25 @@ def _shape(path):
     return tuple("*" if isinstance(part, int) else part for part in path)
 
 
-def _sample(doc, rng):
-    """One field per distinct shape (list indices collapsed), chosen by ``rng``."""
+def _sample(fields, rng):
+    """One of ``fields`` per distinct shape (list indices collapsed), chosen by
+    ``rng``."""
     by_shape = {}
-    for path, container, key in _fields(doc):
+    for path, container, key in fields:
         by_shape.setdefault(_shape(path), []).append((path, container, key))
     return [rng.choice(by_shape[shape]) for shape in sorted(by_shape, key=repr)]
 
 
-def _duplicated_lists(doc, rng):
-    """One non-empty list per distinct shape, chosen by ``rng``."""
-    by_shape = {}
-    for path, container, key in _fields(doc):
-        if isinstance(container[key], list) and container[key]:
-            by_shape.setdefault(_shape(path), []).append((path, container, key))
-    return [rng.choice(by_shape[shape]) for shape in sorted(by_shape, key=repr)]
-
-
 def _mutations(doc, rng):
-    """(label, container, key, value) for each junk and duplicate mutation."""
-    for path, container, key in _sample(doc, rng):
+    """(label, container, key, value) for each junk mutation of one field per
+    shape, then for duplicating the first entry of one non-empty list per shape."""
+    fields = list(_fields(doc))
+    for path, container, key in _sample(fields, rng):
         for junk in JUNK:
             yield f"{'/'.join(map(str, path))} = {junk!r}", container, key, junk
-    for path, container, key in _duplicated_lists(doc, rng):
+    lists = [(path, container, key) for path, container, key in fields
+             if isinstance(container[key], list) and container[key]]
+    for path, container, key in _sample(lists, rng):
         value = container[key]
         yield (f"{'/'.join(map(str, path))} duplicated first entry", container, key,
                [copy.deepcopy(value[0])] + value)
