@@ -2,6 +2,12 @@
 
 Catalogs and test-case sets serialize to schema-tagged documents that parse
 back into equal objects, so every pipeline stage can be driven from files.
+Reading one back checks the whole document first, with C-level tests over the
+fields as the writers lay them out, and builds the records directly; a
+document that does not fit is read again by the located reader, which is the
+only source of diagnostics. Both build equal records from every document the
+located reader accepts.
+
 Tabular views exist in two styles: CSV (machine-friendly, ASCII degree marks)
 and Markdown (review-friendly, spaced typographic degree marks).
 """
@@ -9,11 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import errors as E
 from .docio import check_schema
-from .errors import DiagnosticSink
+from .errors import DiagnosticSink, ToolkitError
 from .generation import (
     CRITICALITY_LEVELS,
     DEGREE_MAX,
@@ -28,10 +36,16 @@ from .generation import (
     rank,
     render_degree,
 )
-from .naming import display_name
+from .naming import display_name, is_identifier
+from .ontology import CATEGORY_BY_NAME
 from .perception import STAGE_BY_NAME
 from .pipeline import Catalog
-from .relationships import RelationshipInstance, _categories_from_doc, _form_from_doc
+from .relationships import (
+    _FORM_BY_LABEL,
+    RelationshipInstance,
+    _categories_from_doc,
+    _form_from_doc,
+)
 from .testcases import TestCase
 
 __all__ = [
@@ -197,8 +211,9 @@ def _condition_from_doc(raw: dict, where: str,
         priority=None if assessment is None else assessment.priority)
 
 
-def catalog_from_doc(doc: dict, *, source: str = "<document>") -> Catalog:
-    check_schema(doc, CATALOG_SCHEMA, source=source)
+def _catalog_from_doc_located(doc: dict, source: str) -> Catalog:
+    """The catalog ``doc`` holds, read field by field: a field that does not
+    fit records a located diagnostic."""
     sink = DiagnosticSink(file=source)
     conditions: list[TriggeringCondition] = []
     seen: set[str] = set()
@@ -223,6 +238,112 @@ def catalog_from_doc(doc: dict, *, source: str = "<document>") -> Catalog:
     return Catalog(vehicle=vehicle, threshold=threshold, bundle_limit=bundle_limit,
                    conditions=tuple(conditions), positives=tuple(positives),
                    warnings=tuple(warnings))
+
+
+class _Misfit(Exception):
+    """A value the checked readers leave to the located ones. A misfit is any
+    value not laid out as the writers lay it out, even one a located reader
+    accepts or reads differently (an absent optional list, ``1`` for a flag)."""
+
+
+# A missing key, a value of the wrong type and a bad rating are misfits too.
+_MISFITS = (_Misfit, KeyError, TypeError, ToolkitError)
+_HEADER = itemgetter("vehicle", "threshold", "bundle_limit", "conditions",
+                     "positives", "warnings")
+_CONDITION = itemgetter("id", "sensor", "property_owner", "description", "sources",
+                        "properties", "stage", "degree", "distance_augmented",
+                        "variant", "templated", "relationships", "effects")
+_RELATION = itemgetter("form", "focal", "partner", "perturbs")
+_POSITIVE = itemgetter("sensor", "concept", "properties", "stage")
+_DEGREES = range(DEGREE_MIN, DEGREE_MAX + 1)
+
+
+def _fits(ok) -> None:
+    if not ok:
+        raise _Misfit
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(map(str.__instancecheck__, value))
+
+
+def _optional_text(value) -> str:
+    """A text field that defaults to ``""``; ``str.strip`` rejects non-text."""
+    _fits(value is None or str.strip(value))
+    return value or ""
+
+
+def _relation_checked(raw: dict) -> RelationshipInstance:
+    label, focal, partner, perturbs = _RELATION(raw)
+    _fits(str.strip(focal) and str.strip(partner) and isinstance(perturbs, list))
+    return RelationshipInstance(_FORM_BY_LABEL[label], focal, partner,
+                                frozenset(map(CATEGORY_BY_NAME.__getitem__, perturbs)),
+                                _optional_text(raw.get("source")))
+
+
+def _cell_checked(raw: dict, concept: str, properties: tuple[str, ...], stage,
+                  contexts: dict) -> EffectEntry:
+    """``contexts`` memoises each context by its items, for one document."""
+    quality, degree, context = raw["stage_property"], raw["degree"], raw.get("context")
+    _fits(quality in stage.quality_properties and type(degree) is int
+          and degree in _DEGREES and (context is None or isinstance(context, dict)))
+    if context is not None:
+        key = tuple(context.items())
+        if key not in contexts:
+            sink = DiagnosticSink()
+            contexts[key] = context_from_doc(context, "", sink)
+            _fits(not sink.items)
+        context = contexts[key]
+    return EffectEntry(concept, properties, stage.name, quality, degree,
+                       _optional_text(raw.get("principle")),
+                       _optional_text(raw.get("worst_case")), context)
+
+
+def _condition_checked(raw: dict, contexts: dict) -> TriggeringCondition:
+    (cid, sensor, owner, description, sources, properties, stage, degree, distance,
+     variant, templated, relations, cells) = _CONDITION(raw)
+    stage = STAGE_BY_NAME[stage]
+    _fits(all(map(str.strip, (cid, sensor, owner, description)))
+          and sources and _strings(sources) and properties and _strings(properties)
+          and type(degree) is int and degree in _DEGREES and type(distance) is bool
+          and type(templated) is bool and is_identifier(variant)
+          and isinstance(relations, list) and isinstance(cells, list))
+    properties, rating = tuple(properties), raw.get("assessment")
+    assessment = None if rating is None else \
+        AssessmentClass(rating["exposure"], rating["criticality"])
+    return TriggeringCondition(
+        cid, sensor, tuple(sources), tuple(map(_relation_checked, relations)), owner,
+        properties, stage.name,
+        tuple(_cell_checked(cell, owner, properties, stage, contexts) for cell in cells),
+        degree, description, distance, variant, templated, assessment,
+        None if assessment is None else assessment.priority)
+
+
+def _catalog_checked(doc: dict) -> Catalog | None:
+    """The catalog ``doc`` holds, or None for a misfit."""
+    contexts: dict = {}
+    try:
+        vehicle, threshold, bundle_limit, conditions, positives, warnings = _HEADER(doc)
+        _fits(isinstance(conditions, list) and isinstance(positives, list)
+              and type(threshold) is int and 1 <= threshold <= 3
+              and type(bundle_limit) is int and bundle_limit >= 0 and _strings(warnings))
+        conditions = tuple(_condition_checked(raw, contexts) for raw in conditions)
+        _fits(len({condition.id for condition in conditions}) == len(conditions))
+        cells = []
+        for raw in positives:
+            sensor, concept, properties, stage = _POSITIVE(raw)
+            _fits(str.strip(sensor) and str.strip(concept) and _strings(properties))
+            cells.append((sensor, _cell_checked(raw, concept, tuple(properties),
+                                                STAGE_BY_NAME[stage], contexts)))
+        return Catalog(_optional_text(vehicle), threshold, bundle_limit, conditions,
+                       tuple(cells), tuple(warnings))
+    except _MISFITS:
+        return None
+
+
+def catalog_from_doc(doc: dict, *, source: str = "<document>") -> Catalog:
+    check_schema(doc, CATALOG_SCHEMA, source=source)
+    return _catalog_checked(doc) or _catalog_from_doc_located(doc, source)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +493,13 @@ _CASE_FIELDS = ("id", "condition", "event", "sensor", "situation", "trigger",
                 "behavior", "fail_criterion", "pass_criterion")
 
 
-def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, ...]:
-    check_schema(doc, CASES_SCHEMA, source=source)
+_CASE_TEXTS = itemgetter(*_CASE_FIELDS)
+_ODD = itemgetter("odd")
+
+
+def _cases_from_doc_located(doc: dict, source: str) -> tuple[TestCase, ...]:
+    """The cases ``doc`` holds, read field by field as the catalog's located
+    reader reads."""
     sink = DiagnosticSink(file=source)
     cases: list[TestCase] = []
     seen: set[str] = set()
@@ -384,6 +510,27 @@ def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, 
             cases.append(TestCase(*fields, odd=tuple(odd)))
     sink.raise_if_errors()
     return tuple(cases)
+
+
+def _cases_checked(doc: dict) -> tuple[TestCase, ...] | None:
+    """The cases ``doc`` holds, or None for a misfit (see :class:`_Misfit`)."""
+    try:
+        raw = doc["cases"]
+        texts, odds = list(map(_CASE_TEXTS, raw)), list(map(_ODD, raw))
+        _fits(isinstance(raw, list) and all(map(str.strip, chain.from_iterable(texts)))
+              and len({fields[0] for fields in texts}) == len(texts)
+              and all(map(list.__instancecheck__, odds))
+              and all(map(str.__instancecheck__, chain.from_iterable(odds))))
+    except _MISFITS:
+        return None
+    # each case's texts plus the 1-tuple (tuple(odd),)
+    return tuple(map(TestCase._make, map(add, texts, zip(map(tuple, odds)))))
+
+
+def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, ...]:
+    check_schema(doc, CASES_SCHEMA, source=source)
+    cases = _cases_checked(doc)
+    return _cases_from_doc_located(doc, source) if cases is None else cases
 
 
 def cases_to_markdown(cases: Sequence[TestCase]) -> str:

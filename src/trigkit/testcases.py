@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema, read_text
@@ -93,9 +93,11 @@ class ComposePolicy:
         return None
 
 
-@dataclass(frozen=True)
-class TestCase:
-    """One executable pairing of a triggering condition with an event."""
+class TestCase(NamedTuple):
+    """One executable pairing of a triggering condition with an event.
+
+    A tuple, so it equals any tuple of the same values; ``cases_to_doc``
+    writes it field by field."""
 
     id: str
     condition_id: str

@@ -381,6 +381,21 @@ class TestMalformedDocuments:
         proc = run_cli("report", "--catalog", str(path), cwd=tmp_path)
         self.assert_diagnosed(proc, path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda cases: cases[0].update(trigger=" "),
+        lambda cases: cases[0].update(odd=[1]),
+        lambda cases: cases.append(dict(cases[0])),
+    ], ids=["blank-trigger", "odd-not-strings", "duplicate-id"])
+    def test_report_rejects_malformed_cases(self, chain, tmp_path, mutate):
+        out = chain["cwd"] / "out"
+        doc = json.loads((out / "test_cases.json").read_text(encoding="utf-8"))
+        mutate(doc["cases"])
+        path = tmp_path / "test_cases.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("report", "--catalog", str(out / "catalog.json"),
+                       "--cases", str(path), cwd=tmp_path)
+        self.assert_diagnosed(proc, path)
+
     @staticmethod
     def config_with(tmp_path, field, doc):
         """A copy of the bundled config whose ``field`` input is ``doc``."""
@@ -510,3 +525,15 @@ class TestUnreadableFiles:
         assert [text for text in proc.stderr.splitlines()
                 if text.startswith("error")] == [line.format(bad)]
         assert "Traceback" not in proc.stderr
+
+
+def test_end_to_end_demo(tmp_path):
+    """The walkthrough in ``demos/`` runs from a fresh directory and writes
+    its cases and report."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "end_to_end.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    for name in ("test_cases.json", "report.md"):
+        assert (tmp_path / "demo_out" / name).stat().st_size > 0

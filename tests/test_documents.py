@@ -13,6 +13,11 @@ what it reports. The fuzz also duplicates the first entry of one list of each
 list shape. After a deliberate change to the diagnostics, rewrite the file
 with ``TRIGKIT_WRITE_GOLDEN=1 python -m pytest tests/test_documents.py`` and
 review its diff.
+
+The catalog and case readers check a document first and build its records
+directly, handing anything that does not fit to their located readers. Both
+must give the same outcome on every mutation, and the check must take the
+unmutated documents.
 """
 
 import copy
@@ -25,13 +30,22 @@ import pytest
 
 from trigkit.config import config_from_doc
 from trigkit.data import data_path, reference_config
-from trigkit.docio import read_document
+from trigkit.docio import check_schema, read_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import effects_from_doc, ratings_from_doc
 from trigkit.ontology import ontology_from_doc
 from trigkit.perception import suite_from_doc
 from trigkit.relationships import matrix_from_doc
-from trigkit.render import cases_from_doc, cases_to_doc, catalog_from_doc, catalog_to_doc
+from trigkit.render import (
+    _cases_checked,
+    _cases_from_doc_located,
+    _catalog_checked,
+    _catalog_from_doc_located,
+    cases_from_doc,
+    cases_to_doc,
+    catalog_from_doc,
+    catalog_to_doc,
+)
 from trigkit.templates import templates_from_doc
 from trigkit.testcases import compose, events_from_doc, policy_from_doc
 
@@ -153,3 +167,39 @@ def test_one_field_junk_raises_only_document_errors(documents, golden, schema):
     if os.environ.get("TRIGKIT_WRITE_GOLDEN"):
         golden[schema] = outcomes
     assert outcomes == golden[schema]
+
+
+READERS = {
+    "condition-catalog@1": (_catalog_checked, _catalog_from_doc_located),
+    "test-cases@1": (_cases_checked, _cases_from_doc_located),
+}
+
+
+def _read(loader, doc):
+    """``repr`` of what ``loader`` builds from ``doc``, so that ``1`` and ``True``
+    differ, or the diagnostics it raises."""
+    try:
+        return repr(loader(doc))
+    except DocumentError as exc:
+        return [[d.severity, d.code, d.file, d.line, d.message]
+                for d in exc.diagnostics]
+
+
+@pytest.mark.parametrize("schema", sorted(READERS))
+def test_checked_and_located_readers_agree(documents, schema):
+    doc, loader = documents[schema]
+    checked, located = READERS[schema]
+    assert checked(doc) is not None
+    assert repr(checked(doc)) == repr(located(doc, "<document>"))
+    loaded = 0
+    for label, container, key, value in _mutations(doc, random.Random(schema)):
+        original = container[key]
+        container[key] = value
+        try:
+            outcome = _read(lambda d: check_schema(d, schema) or located(d, "<document>"),
+                            doc)
+            assert _read(loader, doc) == outcome, label
+            loaded += isinstance(outcome, str)
+        finally:
+            container[key] = original
+    assert loaded > len(JUNK)

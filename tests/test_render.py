@@ -19,7 +19,10 @@ from trigkit.pipeline import Catalog
 from trigkit.relationships import RelationshipBundle
 from trigkit.render import (
     CSV_HEADER,
+    _catalog_checked,
+    _catalog_from_doc_located,
     cases_from_doc,
+    cases_to_doc,
     cases_to_markdown,
     catalog_from_doc,
     catalog_to_csv,
@@ -75,6 +78,31 @@ class TestCatalogDocuments:
         again = catalog_from_doc(catalog_to_doc(assessed))
         assert again == assessed
         assert again.conditions[1].priority == 16
+
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    def test_checked_and_located_readers_agree(self, catalog, fmt):
+        """On an assessed catalog with a context-bearing positive."""
+        cell = next(e for c in catalog.conditions for e in c.effects if e.context)
+        rich = replace(_assessed(catalog),
+                       positives=catalog.positives + (("Camera", cell),))
+        doc = parse_document(dump_document(catalog_to_doc(rich), fmt=fmt), fmt=fmt)
+        checked = _catalog_checked(doc)
+        assert checked == rich
+        assert repr(checked) == repr(_catalog_from_doc_located(doc, "<document>"))
+
+    @pytest.mark.parametrize("path, value", [
+        (("distance_augmented",), 1), (("templated",), 0), (("variant",), None),
+        (("assessment",), {}), (("effects", 0, "degree"), None),
+    ])
+    def test_values_the_located_reader_reads_differently_fall_back(
+            self, catalog, path, value):
+        doc = catalog_to_doc(catalog)
+        node = doc["conditions"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert _catalog_checked(doc) is None
+        catalog_from_doc(doc)
 
     def test_duplicate_condition_ids_rejected(self, catalog):
         doc = catalog_to_doc(catalog)
@@ -288,3 +316,36 @@ class TestReports:
         assert "## Executed results" in text
         assert "pass: 0, marginal: 0, fail: 1" in text
         assert cases[0].id in text
+
+
+# ---------------------------------------------------------------------------
+# Documents hold plain values only
+# ---------------------------------------------------------------------------
+
+PLAIN = {dict, list, str, int, float, bool, type(None)}
+
+
+def _values(node):
+    """Every key and value below ``node``."""
+    yield node
+    if type(node) is dict:
+        for key, value in node.items():
+            yield key
+            yield from _values(value)
+    elif type(node) is list:
+        for value in node:
+            yield from _values(value)
+
+
+def test_no_record_reaches_the_json_writer(catalog, events, suite, policy, ontology,
+                                           effects, camera):
+    """A record that is a tuple would be written silently as a list."""
+    assessed = _assessed(catalog)
+    cases, warnings = compose(assessed.conditions, events, suite, policy)
+    results = [{"test_case": cases[0].id, "outcome": "fail"}]
+    matrix = build_matrix(RelationshipBundle(source="Pedestrian"), camera, effects,
+                          ontology)
+    docs = [catalog_to_doc(assessed), cases_to_doc(cases, warnings),
+            report_to_doc(assessed, cases, results), matrix_to_doc(matrix),
+            matrix_to_doc(_tiny_matrix())]
+    assert {type(value) for doc in docs for value in _values(doc)} <= PLAIN
