@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import errors as E
@@ -192,15 +193,6 @@ def _bundle_from_args(args, inputs: ProjectInputs, config: ProjectConfig):
         config.bundle_limit, len(relations)))
 
 
-def _system_for(args, inputs: ProjectInputs):
-    spec = inputs.suite.get(args.sensor)
-    if spec is None:
-        raise ToolkitError(E.UNKNOWN_SENSOR,
-                           f"suite for {inputs.suite.vehicle!r} has no sensor "
-                           f"{args.sensor!r}")
-    return spec
-
-
 def _default_catalog_path(args, config: ProjectConfig) -> Path:
     explicit = getattr(args, "catalog", None)
     if explicit:
@@ -257,7 +249,7 @@ def _cmd_validate(args, config: ProjectConfig) -> int:
 
 def _cmd_stages(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config, documents=("ontology", "system", "matrix"))
-    spec = _system_for(args, inputs)
+    spec = inputs.suite.get(args.sensor)
     source, bundle = _bundle_from_args(args, inputs, config)
     stages = affected_stages(source, bundle.relations, spec, inputs.ontology)
     for stage in sorted(stages, key=lambda s: STAGE_ORDER[s]):
@@ -267,7 +259,7 @@ def _cmd_stages(args, config: ProjectConfig) -> int:
 
 def _cmd_matrix(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config, documents=("ontology", "system", "matrix", "effects"))
-    spec = _system_for(args, inputs)
+    spec = inputs.suite.get(args.sensor)
     source, bundle = _bundle_from_args(args, inputs, config)
     gen_matrix = build_matrix(bundle, spec, inputs.effects, inputs.ontology)
     if args.format == "json":
@@ -335,9 +327,7 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
     conditions = tuple(
         assess_condition(c, ratings[c.id]) if c.id in ratings else c
         for c in catalog.conditions)
-    catalog = Catalog(vehicle=catalog.vehicle, threshold=catalog.threshold,
-                      bundle_limit=catalog.bundle_limit, conditions=conditions,
-                      positives=catalog.positives, warnings=catalog.warnings)
+    catalog = replace(catalog, conditions=conditions)
 
     directory = _output_dir(args, config)
     out_path = directory / "catalog_assessed.json"

@@ -127,11 +127,11 @@ class DiagnosticSink:
     file: str | None = None
     items: list[Diagnostic] = field(default_factory=list)
 
-    def error(self, code: str, message: str, *, line: int | None = None) -> None:
-        self.items.append(Diagnostic("error", code, message, self.file, line))
+    def error(self, code: str, message: str) -> None:
+        self.items.append(Diagnostic("error", code, message, self.file))
 
-    def warning(self, code: str, message: str, *, line: int | None = None) -> None:
-        self.items.append(Diagnostic("warning", code, message, self.file, line))
+    def warning(self, code: str, message: str) -> None:
+        self.items.append(Diagnostic("warning", code, message, self.file))
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -202,19 +202,6 @@ class DiagnosticSink:
             self.error(MISSING_FIELD, f"{_field(where, key)} is required")
         else:
             return default
-        return None
-
-    def texts(self, raw: dict, keys: tuple[str, ...], where: str = "") -> list[str] | None:
-        """The required non-blank strings at ``keys``, in order; None when any
-        is missing or wrong. One call per record keeps wide records cheap."""
-        values = [raw.get(key) for key in keys]
-        try:
-            if all(map(str.strip, values)):
-                return values
-        except TypeError:  # a value that is not a string
-            pass
-        for key in keys:
-            self.text(raw, key, where)
         return None
 
     def identifier(self, raw: dict, key: str, where: str = "",

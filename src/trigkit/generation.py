@@ -21,7 +21,7 @@ rating sink to the bottom flagged "unrated".
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -232,27 +232,25 @@ class EffectKnowledgeBase:
     """
 
     rules: tuple[EffectRule, ...] = ()
-    by_row: dict[RowKey, tuple[tuple[str, str, tuple[EffectRule, ...]], ...]] = field(
-        init=False, repr=False, compare=False)
-    group_rules: dict[str, tuple[EffectRule, ...]] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def by_row(self) -> dict[RowKey, tuple[tuple[str, str, tuple[EffectRule, ...]], ...]]:
         ranked: dict[RowKey, dict[tuple[str, str], list[EffectRule]]] = {}
         for rule in sorted(self.rules, key=lambda r: (r.degree, -_context_specificity(r))):
             ranked.setdefault((rule.concept, rule.properties), {}) \
                 .setdefault((rule.stage, rule.stage_property), []).append(rule)
-        object.__setattr__(self, "by_row", {
-            row: tuple((stage, quality, tuple(rules))
-                       for (stage, quality), rules
-                       in sorted(columns.items(), key=lambda item: _column_order(*item[0])))
-            for row, columns in ranked.items()})
+        return {row: tuple((stage, quality, tuple(rules))
+                           for (stage, quality), rules
+                           in sorted(columns.items(), key=lambda item: _column_order(*item[0])))
+                for row, columns in ranked.items()}
+
+    @cached_property
+    def group_rules(self) -> dict[str, tuple[EffectRule, ...]]:
         group_rules: dict[str, list[EffectRule]] = {}
         for rule in self.rules:
             if len(rule.properties) > 1:
                 group_rules.setdefault(rule.concept, []).append(rule)
-        object.__setattr__(self, "group_rules", {concept: tuple(rules)
-                                                 for concept, rules in group_rules.items()})
+        return {concept: tuple(rules) for concept, rules in group_rules.items()}
 
 
 def _column_order(stage: str, quality: str) -> tuple[int, int]:
@@ -452,7 +450,11 @@ class TriggeringCondition:
     variant: str = "default"
     templated: bool = True
     assessment: AssessmentClass | None = None
-    priority: int | None = None
+
+    @property
+    def priority(self) -> int | None:
+        """The assessment's priority; None while unrated."""
+        return None if self.assessment is None else self.assessment.priority
 
     @property
     def property_key(self) -> str:
@@ -575,7 +577,7 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
 def assess(condition: TriggeringCondition,
            rating: AssessmentClass) -> TriggeringCondition:
     """Attach an exposure/criticality rating; priority is their index product."""
-    return replace(condition, assessment=rating, priority=rating.priority)
+    return replace(condition, assessment=rating)
 
 
 def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]:

@@ -14,7 +14,7 @@ rejected as a concept name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -117,10 +117,10 @@ class SourceConcept:
 class SourceOntology:
     schema_version: str = ONTOLOGY_SCHEMA
     concepts: tuple[SourceConcept, ...] = ()
-    _by_name: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {c.name: c for c in self.concepts})
+    @cached_property
+    def _by_name(self) -> dict[str, SourceConcept]:
+        return {c.name: c for c in self.concepts}
 
     def get(self, name: str) -> SourceConcept | None:
         return self._by_name.get(name)

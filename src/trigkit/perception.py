@@ -42,7 +42,6 @@ from .ontology import (
     SourceConcept,
     SourceOntology,
 )
-from .relationships import RelationshipKind
 
 __all__ = [
     "SensorClass",
@@ -139,43 +138,42 @@ class SensorSuite:
     vehicle: str
     sensors: tuple[PerceptionSystemSpec, ...]
 
-    def get(self, sensor: str) -> PerceptionSystemSpec | None:
+    def get(self, sensor: str) -> PerceptionSystemSpec:
+        """The sensor named ``sensor``; ``UnknownSensor`` when there is none."""
         for spec in self.sensors:
             if spec.sensor == sensor:
                 return spec
-        return None
+        raise ToolkitError(E.UNKNOWN_SENSOR,
+                           f"suite for {self.vehicle!r} has no sensor {sensor!r}")
 
 
 # ---------------------------------------------------------------------------
 # Stage mapping (rules R1-R5)
 # ---------------------------------------------------------------------------
 
-def _r1_stages(sensor_class: SensorClass) -> frozenset[str]:
-    return frozenset({"SignalReflection"} if sensor_class is SensorClass.ACTIVE
-                     else {"LightReceiving"})
-
-
-def _r3_stages(sensor_class: SensorClass) -> frozenset[str]:
-    return frozenset({"SignalPropagation"} if sensor_class is SensorClass.ACTIVE
-                     else {"LightReceiving"})
-
-
-def _r4_stages(sensor_class: SensorClass) -> frozenset[str]:
-    return frozenset({"SignalTransmission", "SignalReceiving"}
-                     if sensor_class is SensorClass.ACTIVE else {"LightReceiving"})
+#: The stages rules R1, R3 and R4 reach on each sensor class.
+_RULE_STAGES: dict[SensorClass, dict[str, frozenset[str]]] = {
+    SensorClass.ACTIVE: {"R1": frozenset({"SignalReflection"}),
+                         "R3": frozenset({"SignalPropagation"}),
+                         "R4": frozenset({"SignalTransmission", "SignalReceiving"})},
+    SensorClass.PASSIVE: dict.fromkeys(("R1", "R3", "R4"), frozenset({"LightReceiving"})),
+}
+#: The forms by which a source covers or obstructs the sensor itself (R4).
+_R4_FORMS = frozenset({"SurfaceTreatment.Cover", "SpatialPosition.Occlusion"})
 
 
 def source_stages(source: SourceConcept,
                   system: PerceptionSystemSpec) -> frozenset[str]:
     """Declared stages of ``system`` that ``source`` reaches on its own (R1-R3)."""
+    rules = _RULE_STAGES[system.sensor_class]
     result: set[str] = set()
     if source.kind in (ConceptKind.INTERACTIVE, ConceptKind.DISTURBING) \
             and source.has_category(PropertyCategory.REFLECTION_AREA):
-        result |= _r1_stages(system.sensor_class)  # R1
+        result |= rules["R1"]
     if source.kind is ConceptKind.INTERACTIVE:
         result |= _RECOGNITION_STAGES  # R2
     if source.kind is ConceptKind.MODIFICATION:
-        result |= _r3_stages(system.sensor_class)  # R3
+        result |= rules["R3"]
     return frozenset(result.intersection(system.stages))
 
 
@@ -185,12 +183,8 @@ def relation_stages(source: SourceConcept, rel,
     """Declared stages of ``system`` that the one relation ``rel`` lets
     ``source`` reach (R4, R5); R4 and R5 act on each relation alone."""
     if rel.focal == SENSOR_TARGET and rel.partner == source.name:
-        covering = (rel.form.kind is RelationshipKind.SURFACE_TREATMENT
-                    and rel.form.subkind == "Cover")
-        obstructing = (rel.form.kind is RelationshipKind.SPATIAL_POSITION
-                       and rel.form.subkind == "Occlusion")
-        if covering or obstructing:
-            return _r4_stages(system.sensor_class).intersection(system.stages)  # R4
+        if rel.form.label in _R4_FORMS:
+            return _RULE_STAGES[system.sensor_class]["R4"].intersection(system.stages)
     elif source.kind is not ConceptKind.INTERACTIVE:
         focal = ontology.get(rel.focal)
         if focal is not None and focal.kind is ConceptKind.INTERACTIVE:

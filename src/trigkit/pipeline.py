@@ -75,7 +75,6 @@ from .generation import (
 from .ontology import SENSOR_TARGET, SourceConcept, SourceOntology, legal_categories
 from .perception import (
     STAGE_ORDER,
-    PerceptionSystemSpec,
     SensorSuite,
     affected_stages,
     relation_stages,
@@ -177,16 +176,8 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
     ``sensors`` restricts the pass to a subset of the suite, each name taken
     once in first-given order; unknown names raise ``UnknownSensor``.
     """
-    specs: list[PerceptionSystemSpec] = []
-    if sensors is None:
-        specs = list(suite.sensors)
-    else:
-        for name in dict.fromkeys(sensors):
-            spec = suite.get(name)
-            if spec is None:
-                raise ToolkitError(E.UNKNOWN_SENSOR,
-                                   f"suite for {suite.vehicle!r} has no sensor {name!r}")
-            specs.append(spec)
+    specs = suite.sensors if sensors is None \
+        else [suite.get(name) for name in dict.fromkeys(sensors)]
 
     conditions: list[TriggeringCondition] = []
     # per sensor: its beneficial cells and its warnings

@@ -102,13 +102,14 @@ def parse_relation_form(label: str) -> RelationForm:
         return _FORM_BY_LABEL[label]
     except (KeyError, TypeError):  # not a canonical label, or unhashable
         pass
-    kind_part, _, sub_part = label.partition(".") if isinstance(label, str) else ("", "", "")
+    # not a legal form: the parts only choose the error RelationForm raises
+    kind_part, dot, sub_part = label.partition(".") if isinstance(label, str) else ("", "", "")
     try:
         kind = RelationshipKind(kind_part)
     except ValueError:
         raise ToolkitError(E.UNKNOWN_RELATIONSHIP,
                            f"unknown relationship {label!r}") from None
-    return RelationForm(kind, sub_part or None)
+    return RelationForm(kind, sub_part if dot else None)
 
 
 #: Every legal form, in canonical order.
@@ -452,18 +453,16 @@ def cross_validate_matrix(matrix: CompatibilityMatrix, ontology: SourceOntology,
                     and ontology.get(pattern.name) is None:
                 sink.error(E.UNKNOWN_CONCEPT,
                            f"matrix {side} pattern {pattern.name!r} does not resolve")
-        if entry.focal.name == SENSOR_TARGET:
+        if entry.focal.name == SENSOR_TARGET \
+                or not any(f.kind in feature_kinds for f in entry.forms):
             continue
-        if any(f.kind in feature_kinds for f in entry.forms):
-            if entry.focal.kind is not None and entry.focal.kind is not ConceptKind.INTERACTIVE:
-                sink.error(E.INVALID_VALUE,
-                           f"matrix entry ({entry.focal.label}, {entry.partner.label}) "
-                           "grants a feature-perturbing relationship to a "
-                           "non-interactive focal kind")
-            elif entry.focal.name is not None:
-                concept = ontology.get(entry.focal.name)
-                if concept is not None and concept.kind is not ConceptKind.INTERACTIVE:
-                    sink.error(E.INVALID_VALUE,
-                               f"matrix entry ({entry.focal.label}, {entry.partner.label}) "
-                               "grants a feature-perturbing relationship to a "
-                               "non-interactive focal concept")
+        if entry.focal.kind is not None:
+            kind, noun = entry.focal.kind, "kind"
+        else:
+            concept = ontology.get(entry.focal.name)
+            kind, noun = concept and concept.kind, "concept"
+        if kind is not None and kind is not ConceptKind.INTERACTIVE:
+            sink.error(E.INVALID_VALUE,
+                       f"matrix entry ({entry.focal.label}, {entry.partner.label}) "
+                       "grants a feature-perturbing relationship to a "
+                       f"non-interactive focal {noun}")

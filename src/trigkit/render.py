@@ -173,8 +173,8 @@ def _effect_from_doc(raw: dict, where: str, sink: DiagnosticSink, concept: str |
 
 def _condition_from_doc(raw: dict, where: str,
                         sink: DiagnosticSink) -> TriggeringCondition | None:
-    fields = sink.texts(raw, ("id", "sensor", "property_owner", "description"), where)
-    owner = None if fields is None else fields[2]
+    cid, sensor, owner, description = [
+        sink.text(raw, key, where) for key in ("id", "sensor", "property_owner", "description")]
     sources = sink.collection(raw, "sources", where, strings=True, required=True)
     properties = tuple(sink.collection(raw, "properties", where, strings=True,
                                        required=True))
@@ -197,18 +197,16 @@ def _condition_from_doc(raw: dict, where: str,
         if exposure is None or criticality is None:
             return None
         assessment = AssessmentClass(exposure=exposure, criticality=criticality)
-    if None in (fields, stage, degree, distance, variant, templated,
-                *relationships, *effects) or not sources or not properties:
+    if None in (cid, sensor, owner, description, stage, degree, distance, variant,
+                templated, *relationships, *effects) or not sources or not properties:
         return None
-    cid, sensor, owner, description = fields
     return TriggeringCondition(
         id=cid, sensor=sensor, sources=tuple(sources),
         relationships=tuple(relationships), property_owner=owner,
         properties=properties, stage=stage.name, effects=tuple(effects),
         description=description,
         degree=degree, distance_augmented=distance, variant=variant,
-        templated=templated, assessment=assessment,
-        priority=None if assessment is None else assessment.priority)
+        templated=templated, assessment=assessment)
 
 
 def _catalog_from_doc_located(doc: dict, source: str) -> Catalog:
@@ -315,8 +313,7 @@ def _condition_checked(raw: dict, contexts: dict) -> TriggeringCondition:
         cid, sensor, tuple(sources), tuple(map(_relation_checked, relations)), owner,
         properties, stage.name,
         tuple(_cell_checked(cell, owner, properties, stage, contexts) for cell in cells),
-        degree, description, distance, variant, templated, assessment,
-        None if assessment is None else assessment.priority)
+        degree, description, distance, variant, templated, assessment)
 
 
 def _catalog_checked(doc: dict) -> Catalog | None:
@@ -471,21 +468,13 @@ def matrix_to_markdown(matrix: GenerationMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 def cases_to_doc(cases: Sequence[TestCase], warnings: Sequence[str] = ()) -> dict:
-    raw_cases = []
-    for case in cases:
-        raw_cases.append({
-            "id": case.id,
-            "condition": case.condition_id,
-            "event": case.event_id,
-            "sensor": case.sensor,
-            "situation": case.situation,
-            "trigger": case.trigger,
-            "behavior": case.behavior,
-            "fail_criterion": case.fail_criterion,
-            "pass_criterion": case.pass_criterion,
-            "odd": list(case.odd),
-        })
-    return {"schema": CASES_SCHEMA, "cases": raw_cases, "warnings": list(warnings)}
+    """Each case's fields in ``TestCase`` order, under ``_CASE_FIELDS`` and ``odd``."""
+    return {"schema": CASES_SCHEMA,
+            "cases": [{"id": i, "condition": c, "event": e, "sensor": s, "situation": si,
+                       "trigger": t, "behavior": b, "fail_criterion": f,
+                       "pass_criterion": p, "odd": list(odd)}
+                      for i, c, e, s, si, t, b, f, p, odd in cases],
+            "warnings": list(warnings)}
 
 
 # TestCase fields in order, as the document names them
@@ -504,9 +493,9 @@ def _cases_from_doc_located(doc: dict, source: str) -> tuple[TestCase, ...]:
     cases: list[TestCase] = []
     seen: set[str] = set()
     for where, raw in sink.records(doc, "cases"):
-        fields = sink.texts(raw, _CASE_FIELDS, where)
+        fields = [sink.text(raw, key, where) for key in _CASE_FIELDS]
         odd = sink.collection(raw, "odd", where, strings=True)
-        if fields is not None and sink.first(seen, fields[0], where, "case id"):
+        if None not in fields and sink.first(seen, fields[0], where, "case id"):
             cases.append(TestCase(*fields, odd=tuple(odd)))
     sink.raise_if_errors()
     return tuple(cases)

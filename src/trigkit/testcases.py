@@ -163,10 +163,6 @@ def compose(conditions: Iterable[TriggeringCondition],
     warnings: list[str] = []
     for condition in conditions:
         spec = suite.get(condition.sensor)
-        if spec is None:
-            raise ToolkitError(E.UNKNOWN_SENSOR,
-                               f"suite for {suite.vehicle!r} has no sensor "
-                               f"{condition.sensor!r}")
         if any(rel.targets_sensor() for rel in condition.relationships):
             eligible = list(events)
         else:
@@ -277,10 +273,10 @@ def events_from_doc(doc: dict, *, source: str = "<document>") -> tuple[Hazardous
             continue
         if not sink.first(ids, event_id, where, "event id"):
             continue
-        texts = sink.texts(raw, _EVENT_TEXT_FIELDS, where)
+        texts = [sink.text(raw, key, where) for key in _EVENT_TEXT_FIELDS]
         target = sink.identifier(raw, "target", where)
         note = sink.text(raw, "source", where, "")
-        if None in (texts, target, note):
+        if None in (*texts, target, note):
             continue
         events.append(HazardousEvent(event_id, *texts, target=target, source=note))
     sink.raise_if_errors()

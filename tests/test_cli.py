@@ -194,6 +194,13 @@ class TestMatrix:
         assert proc.returncode == 1
         assert "malformed relation signature part" in proc.stderr
 
+    def test_unknown_sensor_exits_1_with_one_error_line(self, tmp_path):
+        proc = run_cli("matrix", "--source", "Rain", "--sensor", "Radar", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error")] \
+            == ["error: UnknownSensor: suite for 'RoadSweeper' has no sensor 'Radar'"]
+        assert "Traceback" not in proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # The generate -> assess -> compose -> report chain

@@ -285,6 +285,12 @@ class TestSuiteLoading:
         assert camera.sensor_class is SensorClass.PASSIVE
         assert camera.targets() == ("Pedestrian",)
 
+    def test_unknown_sensor_is_an_error(self):
+        with pytest.raises(ToolkitError) as excinfo:
+            _load_suite(SUITE).get("Radar")
+        assert excinfo.value.code == "UnknownSensor"
+        assert excinfo.value.args[0] == "suite for 'Sweeper' has no sensor 'Radar'"
+
     def test_shared_odd_is_the_default(self):
         suite = _load_suite(SUITE)
         assert suite.get("Camera").odd == ("Daytime", "Light rain")

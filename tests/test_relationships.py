@@ -36,14 +36,14 @@ class _Label(str):
 def _parse_by_partition(label):
     """``Kind`` or ``Kind.Subkind`` split at the first dot, the reference
     rule for labels that are not a legal form's own label."""
-    kind_part, _, sub_part = label.partition(".") if isinstance(label, str) \
+    kind_part, dot, sub_part = label.partition(".") if isinstance(label, str) \
         else ("", "", "")
     try:
         kind = RelationshipKind(kind_part)
     except ValueError:
         raise ToolkitError("UnknownRelationship",
                            f"unknown relationship {label!r}") from None
-    return RelationForm(kind, sub_part or None)
+    return RelationForm(kind, sub_part if dot else None)
 
 
 def _outcome(parse, label):
@@ -472,6 +472,19 @@ entries:
             _load_matrix(text)
         assert excinfo.value.code == "UnknownKind"
 
+    def test_trailing_dot_label_rejected_with_its_location(self):
+        text = """
+schema: compatibility-matrix@1
+entries:
+  - focal: Pedestrian
+    partner: Cone
+    relationships: ["Possess."]
+"""
+        with pytest.raises(DocumentError) as excinfo:
+            _load_matrix(text)
+        assert [(d.code, d.message) for d in excinfo.value.diagnostics] == [
+            ("UnknownRelationship", "entries[0]: Possess does not take a subkind")]
+
     def test_round_trip(self, compat):
         for fmt in ("yaml", "json"):
             text = dump_document(matrix_to_doc(compat), fmt=fmt)
@@ -501,3 +514,21 @@ entries:
         sink = DiagnosticSink()
         cross_validate_matrix(_load_matrix(text), ONTOLOGY, sink)
         assert any("non-interactive focal kind" in d.message for d in sink.errors)
+
+    def test_feature_forms_need_interactive_focal_concept(self):
+        text = """
+schema: compatibility-matrix@1
+entries:
+  - focal: Leaf
+    partner: Cone
+    relationships: [CognitiveFeature]
+  - focal: Nowhere
+    partner: Cone
+    relationships: [CognitiveFeature]
+"""
+        sink = DiagnosticSink()
+        cross_validate_matrix(_load_matrix(text), ONTOLOGY, sink)
+        assert [d.message for d in sink.errors] == [
+            "matrix entry (Leaf, Cone) grants a feature-perturbing relationship "
+            "to a non-interactive focal concept",
+            "matrix focal pattern 'Nowhere' does not resolve"]

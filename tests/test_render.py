@@ -18,6 +18,7 @@ from trigkit.generation import (
 from trigkit.pipeline import Catalog
 from trigkit.relationships import RelationshipBundle
 from trigkit.render import (
+    _CASE_FIELDS,
     CSV_HEADER,
     _catalog_checked,
     _catalog_from_doc_located,
@@ -227,6 +228,15 @@ class TestCaseViews:
         assert text.startswith(f"# Test cases ({len(cases)})")
         for case in cases:
             assert case.id in text
+
+    def test_written_keys_are_the_case_fields_in_order(self, catalog, events, suite,
+                                                       policy):
+        cases, warnings = compose(catalog.conditions, events, suite, policy)
+        raw_cases = cases_to_doc(cases, warnings)["cases"]
+        assert len(raw_cases) == len(cases) > 0
+        for raw, case in zip(raw_cases, cases):
+            assert tuple(raw) == _CASE_FIELDS + ("odd",)
+            assert list(raw.values()) == [*case[:-1], list(case.odd)]
 
     def test_cases_list_field_type_checked(self):
         with pytest.raises(ToolkitError, match="'cases' must be a list"):
