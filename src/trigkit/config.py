@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import errors as E
 from .docio import check_schema, dump_document, read_document
-from .errors import DiagnosticSink, ToolkitError
+from .errors import DiagnosticSink, DocumentError, ToolkitError
 from .generation import EffectKnowledgeBase, cross_validate_effects, effects_from_doc
 from .ontology import SourceOntology, ontology_from_doc
 from .perception import SensorSuite, cross_validate_suite, suite_from_doc
@@ -118,7 +118,7 @@ def read_config(path: str | Path) -> ProjectConfig:
 def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
                     path: Path | None = None) -> ProjectConfig:
     if not doc:
-        raise ToolkitError(E.EMPTY_CONFIG, "project config is empty", file=source)
+        raise DocumentError.at(E.EMPTY_CONFIG, "project config is empty", source)
     check_schema(doc, CONFIG_SCHEMA, source=source)
     sink = DiagnosticSink(file=source)
 

@@ -28,7 +28,6 @@ from .errors import (
     SYNTAX_ERROR,
     UNSUPPORTED_SCHEMA_VERSION,
     WRONG_SCHEMA,
-    Diagnostic,
     DocumentError,
 )
 
@@ -45,19 +44,14 @@ __all__ = [
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _rejected(code: str, message: str, source: str, line: int | None = None):
-    """The error of a document rejected with one located diagnostic."""
-    return DocumentError([Diagnostic("error", code, message, source, line)])
-
-
 def detect_format(path: str | Path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".yaml", ".yml"):
         return "yaml"
     if suffix == ".json":
         return "json"
-    raise _rejected(SYNTAX_ERROR, f"cannot infer document format from suffix {suffix!r}",
-                    str(path))
+    raise DocumentError.at(SYNTAX_ERROR, f"cannot infer document format from suffix "
+                           f"{suffix!r}", str(path))
 
 
 def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") -> dict:
@@ -72,20 +66,20 @@ def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") 
                 line, col = mark.line + 1, mark.column + 1
             problem = getattr(exc, "problem", None) or str(exc)
             msg = problem if col is None else f"{problem} (column {col})"
-            raise _rejected(SYNTAX_ERROR, msg, source, line) from exc
+            raise DocumentError.at(SYNTAX_ERROR, msg, source, line) from exc
     elif fmt == "json":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise _rejected(SYNTAX_ERROR, f"{exc.msg} (column {exc.colno})", source,
-                            exc.lineno) from exc
+            raise DocumentError.at(SYNTAX_ERROR, f"{exc.msg} (column {exc.colno})", source,
+                                   exc.lineno) from exc
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise _rejected(WRONG_SCHEMA,
-                        f"top level must be a mapping, got {type(doc).__name__}", source)
+        raise DocumentError.at(WRONG_SCHEMA, f"top level must be a mapping, got "
+                               f"{type(doc).__name__}", source)
     return doc
 
 
@@ -97,8 +91,8 @@ def read_text(path: str | Path) -> str:
     except UnicodeDecodeError as exc:  # ``exc.object`` holds the whole file
         data, start = exc.object, exc.start
         column = start - data.rfind(b"\n", 0, start)
-        raise _rejected(SYNTAX_ERROR, f"not UTF-8 text: {exc.reason} (column {column})",
-                        str(path), data.count(b"\n", 0, start) + 1) from None
+        raise DocumentError.at(SYNTAX_ERROR, f"not UTF-8 text: {exc.reason} (column {column})",
+                               str(path), data.count(b"\n", 0, start) + 1) from None
 
 
 def read_document(path: str | Path) -> dict:
@@ -110,17 +104,16 @@ def check_schema(doc: dict, expected: str, *, source: str = "<document>") -> Non
     """Validate the ``schema`` marker against ``expected`` (``family@version``)."""
     declared = doc.get("schema")
     if not isinstance(declared, str):
-        raise _rejected(WRONG_SCHEMA, f"missing 'schema' marker; expected {expected!r}",
-                        source)
+        raise DocumentError.at(WRONG_SCHEMA,
+                               f"missing 'schema' marker; expected {expected!r}", source)
     if declared == expected:
         return
     family = expected.split("@", 1)[0]
     if declared.split("@", 1)[0] == family:
-        raise _rejected(UNSUPPORTED_SCHEMA_VERSION,
-                        f"schema {declared!r} is not supported; this build reads {expected!r}",
-                        source)
-    raise _rejected(WRONG_SCHEMA, f"expected schema {expected!r}, found {declared!r}",
-                    source)
+        raise DocumentError.at(UNSUPPORTED_SCHEMA_VERSION, f"schema {declared!r} is not "
+                               f"supported; this build reads {expected!r}", source)
+    raise DocumentError.at(WRONG_SCHEMA,
+                           f"expected schema {expected!r}, found {declared!r}", source)
 
 
 # ---------------------------------------------------------------------------

@@ -88,33 +88,36 @@ def format_diagnostic(diag: Diagnostic) -> str:
 class ToolkitError(Exception):
     """Base error. ``code`` is stable and machine readable."""
 
-    def __init__(self, code: str, message: str, *, file: str | None = None,
-                 line: int | None = None):
+    def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.file = file
-        self.line = line
 
     def __str__(self) -> str:
-        loc = ""
-        if self.file:
-            loc = self.file if self.line is None else f"{self.file}:{self.line}"
-            loc = f" [{loc}]"
-        return f"{self.code}: {super().__str__()}{loc}"
+        return f"{self.code}: {super().__str__()}"
 
 
 class DocumentError(ToolkitError):
     """A document failed to parse or validate.
 
-    Carries every diagnostic collected before the loader gave up; ``code`` is
-    the code of the first error-severity diagnostic.
+    Carries every diagnostic collected before the loader gave up; ``code``,
+    ``file`` and ``line`` are those of the first error-severity diagnostic,
+    and ``str()`` is that diagnostic as :func:`format_diagnostic` renders it.
     """
 
     def __init__(self, diagnostics: list[Diagnostic]):
         errors = [d for d in diagnostics if d.severity == "error"]
-        first = errors[0] if errors else diagnostics[0]
-        super().__init__(first.code, first.message, file=first.file, line=first.line)
+        self._first = first = errors[0] if errors else diagnostics[0]
+        super().__init__(first.code, first.message)
+        self.file, self.line = first.file, first.line
         self.diagnostics = list(diagnostics)
+
+    @classmethod
+    def at(cls, code: str, message: str, file: str, line: int | None = None) -> DocumentError:
+        """The error of a document rejected with one located diagnostic."""
+        return cls([Diagnostic("error", code, message, file, line)])
+
+    def __str__(self) -> str:
+        return format_diagnostic(self._first)
 
 
 _REQUIRED = object()  # the default of a reader's required field

@@ -74,6 +74,7 @@ __all__ = [
     "context_to_doc",
     "context_from_doc",
     "ratings_from_doc",
+    "rating_from_doc",
 ]
 
 EFFECTS_SCHEMA = "effect-knowledge@1"
@@ -125,20 +126,11 @@ class RelationContext:
     def matches(self, rel: RelationshipInstance, ontology: SourceOntology) -> bool:
         if self.form is not None and rel.form != self.form:
             return False
-        if self.focal is not None:
-            kind = None
-            concept = ontology.get(rel.focal)
-            if concept is not None:
-                kind = concept.kind
-            if not self.focal.matches(rel.focal, kind):
-                return False
-        if self.partner is not None:
-            kind = None
-            concept = ontology.get(rel.partner)
-            if concept is not None:
-                kind = concept.kind
-            if not self.partner.matches(rel.partner, kind):
-                return False
+        for pattern, name in ((self.focal, rel.focal), (self.partner, rel.partner)):
+            if pattern is not None:
+                concept = ontology.get(name)
+                if not pattern.matches(name, None if concept is None else concept.kind):
+                    return False
         return True
 
     def satisfied_by(self, bundle: RelationshipBundle, ontology: SourceOntology) -> bool:
@@ -329,13 +321,9 @@ def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
     rows: dict[RowKey, None] = {(source.name, (p,)): None
                                 for p in source.property_names()}
     for rel in bundle.relations:
-        if rel.targets_sensor():
-            continue
-        partner = ontology.get(rel.partner)
-        if partner is None:
-            continue
-        for prop in partner.property_names():
-            if partner.categories_of(prop) & rel.perturbed:
+        partner = None if rel.targets_sensor() else ontology.get(rel.partner)
+        if partner is not None:
+            for prop in partner.properties_in(rel.perturbed):
                 rows[(partner.name, (prop,))] = None
     singles = {(concept, props[0]) for concept, props in rows}
     for concept in dict.fromkeys(concept for concept, _props in rows):
@@ -529,8 +517,8 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
         group = sorted(group, key=lambda c: (c.degree, c.stage_property))
         worst = group[0].degree
         concept_name, props = row
-        variants = templates.lookup(relation_signature, concept_name,
-                                    "/".join(props), stage)
+        property_key = "/".join(props)
+        variants = templates.lookup(relation_signature, concept_name, property_key, stage)
         templated = variants is not None
         if variants is None:
             variants = ((templates.GENERIC_TAG,
@@ -539,34 +527,20 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
                 warnings.append(
                     f"{E.MISSING_TEMPLATE}: no description template for "
                     f"({relation_signature or 'no relations'}, {concept_name}, "
-                    f"{'/'.join(props)}, {stage}); generic wording used")
-        sensing = STAGE_BY_NAME[stage].phase is StagePhase.SENSING
+                    f"{property_key}, {stage}); generic wording used")
+        distances = (False, True) if STAGE_BY_NAME[stage].phase is StagePhase.SENSING \
+            else (False,)
+        effects = tuple(group)
         for tag, text in variants:
-            base = TriggeringCondition(
-                id=condition_id(system.sensor, bundle.source, relation_signature,
-                                concept_name, "/".join(props), stage, tag, False),
-                sensor=system.sensor,
-                sources=sources,
-                relationships=bundle.relations,
-                property_owner=concept_name,
-                properties=props,
-                stage=stage,
-                effects=tuple(group),
-                degree=worst,
-                description=text,
-                distance_augmented=False,
-                variant=tag,
-                templated=templated,
-            )
-            out.append(base)
-            if sensing:
-                out.append(replace(
-                    base,
+            for distance in distances:
+                out.append(TriggeringCondition(
                     id=condition_id(system.sensor, bundle.source, relation_signature,
-                                    concept_name, "/".join(props), stage, tag, True),
-                    description=text + templates.distance_suffix,
-                    distance_augmented=True,
-                ))
+                                    concept_name, property_key, stage, tag, distance),
+                    sensor=system.sensor, sources=sources, relationships=bundle.relations,
+                    property_owner=concept_name, properties=props, stage=stage,
+                    effects=effects, degree=worst,
+                    description=text + templates.distance_suffix if distance else text,
+                    distance_augmented=distance, variant=tag, templated=templated))
     return out
 
 
@@ -644,10 +618,8 @@ def effects_from_doc(doc: dict, *, source: str = "<document>") -> EffectKnowledg
                  for key in ("principle", "worst_case", "source")]
         if None in (concept, props, stage, degree, *texts):
             continue
-        quality = raw.get("stage_property")
-        if quality not in stage.quality_properties:
-            sink.error(E.UNKNOWN_STAGE_PROPERTY,
-                       f"{where}: {quality!r} is not a quality property of {stage.name}")
+        quality = _stage_property(raw, stage, where, sink)
+        if quality is None:
             continue
         if degree == 0:
             sink.error(E.INVALID_VALUE,
@@ -675,6 +647,16 @@ def _property_key(raw: dict, where: str, sink: DiagnosticSink) -> tuple[str, ...
         sink.error(E.INVALID_IDENTIFIER, f"{where}: property key {key!r} is invalid")
         return None
     return props
+
+
+def _stage_property(raw: dict, stage, where: str, sink: DiagnosticSink) -> str | None:
+    """The ``stage_property`` field: a quality property of the stage ``stage``."""
+    quality = raw.get("stage_property")
+    if quality in stage.quality_properties:
+        return quality
+    sink.error(E.UNKNOWN_STAGE_PROPERTY,
+               f"{where}: {quality!r} is not a quality property of {stage.name}")
+    return None
 
 
 def effects_to_doc(kb: EffectKnowledgeBase) -> dict:
@@ -726,12 +708,16 @@ def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, Asse
     ids: set[str] = set()
     for where, raw in sink.records(doc, "ratings"):
         cid = sink.text(raw, "condition", where)
-        exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
-                               code=E.UNKNOWN_RATING)
-        criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
-                                  code=E.UNKNOWN_RATING)
-        if None not in (cid, exposure, criticality) \
-                and sink.first(ids, cid, where, "rating for"):
-            out[cid] = AssessmentClass(exposure=exposure, criticality=criticality)
+        rating = rating_from_doc(raw, where, sink)
+        if None not in (cid, rating) and sink.first(ids, cid, where, "rating for"):
+            out[cid] = rating
     sink.raise_if_errors()
     return out
+
+
+def rating_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> AssessmentClass | None:
+    """The exposure/criticality pair in ``raw``."""
+    exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where, code=E.UNKNOWN_RATING)
+    criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
+                              code=E.UNKNOWN_RATING)
+    return None if None in (exposure, criticality) else AssessmentClass(exposure, criticality)

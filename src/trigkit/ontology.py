@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import AbstractSet
 
 from . import errors as E
 from .docio import check_schema
@@ -109,13 +110,17 @@ class SourceConcept:
     def categories_of(self, property_name: str) -> frozenset[PropertyCategory]:
         return self._categories.get(property_name, frozenset())
 
+    def properties_in(self, categories: AbstractSet[PropertyCategory]) -> tuple[str, ...]:
+        """The properties with a category in ``categories``, in first-declared
+        order: the rows a relation perturbing ``categories`` adds."""
+        return tuple(name for name, held in self._categories.items() if held & categories)
+
     def has_category(self, category: PropertyCategory) -> bool:
         return any(p.category is category for p in self.properties)
 
 
 @dataclass(frozen=True)
 class SourceOntology:
-    schema_version: str = ONTOLOGY_SCHEMA
     concepts: tuple[SourceConcept, ...] = ()
 
     @cached_property
@@ -177,7 +182,7 @@ def ontology_from_doc(doc: dict, *, source: str = "<document>") -> SourceOntolog
 
     sink.raise_if_errors()
     concepts.sort(key=lambda c: c.name)
-    return SourceOntology(schema_version=ONTOLOGY_SCHEMA, concepts=tuple(concepts))
+    return SourceOntology(concepts=tuple(concepts))
 
 
 def _concept_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> SourceConcept | None:

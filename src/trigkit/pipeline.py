@@ -315,9 +315,7 @@ class _Candidate:
         """The partner's properties whose rows the relation adds to a matrix."""
         if self._props is None:
             partner = self._ontology.get(self.partner)
-            self._props = () if partner is None else tuple(
-                p for p in partner.property_names()
-                if partner.categories_of(p) & self.rel.perturbed)
+            self._props = () if partner is None else partner.properties_in(self.rel.perturbed)
         return self._props
 
     def groups(self, concept: str) -> AbstractSet[tuple]:

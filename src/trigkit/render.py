@@ -23,17 +23,17 @@ from . import errors as E
 from .docio import check_schema
 from .errors import DiagnosticSink, ToolkitError
 from .generation import (
-    CRITICALITY_LEVELS,
     DEGREE_MAX,
     DEGREE_MIN,
-    EXPOSURE_LEVELS,
     AssessmentClass,
     EffectEntry,
     GenerationMatrix,
     TriggeringCondition,
+    _stage_property,
     context_from_doc,
     context_to_doc,
     rank,
+    rating_from_doc,
     render_degree,
 )
 from .naming import display_name, is_identifier
@@ -159,12 +159,8 @@ def _effect_from_doc(raw: dict, where: str, sink: DiagnosticSink, concept: str |
     principle = sink.text(raw, "principle", where, "")
     worst_case = sink.text(raw, "worst_case", where, "")
     context = context_from_doc(raw.get("context"), where, sink)
-    quality = raw.get("stage_property")
-    if stage is not None and quality not in stage.quality_properties:
-        sink.error(E.UNKNOWN_STAGE_PROPERTY,
-                   f"{where}: {quality!r} is not a quality property of {stage.name}")
-        return None
-    if None in (concept, stage, degree, principle, worst_case):
+    quality = None if stage is None else _stage_property(raw, stage, where, sink)
+    if None in (concept, quality, degree, principle, worst_case):
         return None
     return EffectEntry(concept=concept, properties=properties, stage=stage.name,
                        stage_property=quality, degree=degree, principle=principle,
@@ -188,17 +184,10 @@ def _condition_from_doc(raw: dict, where: str,
     effects = [_effect_from_doc(cell, cwhere, sink, owner, properties, stage)
                for cwhere, cell in sink.records(raw, "effects", where)]
     rating = sink.collection(raw, "assessment", where, mapping=True)
-    assessment = None
-    if rating:
-        exposure = sink.choice(rating, "exposure", EXPOSURE_LEVELS,
-                               f"{where}.assessment", code=E.UNKNOWN_RATING)
-        criticality = sink.choice(rating, "criticality", CRITICALITY_LEVELS,
-                                  f"{where}.assessment", code=E.UNKNOWN_RATING)
-        if exposure is None or criticality is None:
-            return None
-        assessment = AssessmentClass(exposure=exposure, criticality=criticality)
+    assessment = rating_from_doc(rating, f"{where}.assessment", sink) if rating else None
     if None in (cid, sensor, owner, description, stage, degree, distance, variant,
-                templated, *relationships, *effects) or not sources or not properties:
+                templated, *relationships, *effects) or not sources or not properties \
+            or rating and assessment is None:
         return None
     return TriggeringCondition(
         id=cid, sensor=sensor, sources=tuple(sources),

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from . import errors as E
 from .docio import check_schema
 from .errors import DiagnosticSink
-from .naming import display_name, display_property_key, is_identifier
+from .generation import _property_key
+from .naming import display_name, display_property_key
 from .ontology import SENSOR_TARGET, SourceOntology
 from .perception import STAGE_BY_NAME, STAGE_ORDER
 from .relationships import RelationshipBundle
@@ -96,19 +97,15 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
     for where, raw in sink.records(doc, "templates"):
         signature = sink.text(raw, "relationships", where, "")
         concept = sink.identifier(raw, "concept", where)
-        prop_field = sink.text(raw, "property", where)
+        props = _property_key(raw, where, sink)
         stage = sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE)
         raw_variants = sink.records(raw, "variants", where, required=True)
-        if None in (signature, concept, prop_field, stage) or not raw_variants:
+        if None in (signature, concept, props, stage) or not raw_variants:
             continue
         try:
             split_signature(signature)
         except E.ToolkitError as exc:
             sink.error(exc.code, f"{where}: {exc.args[0]}")
-            continue
-        if not all(is_identifier(p) for p in prop_field.split("/")):
-            sink.error(E.INVALID_IDENTIFIER,
-                       f"{where}: property key {prop_field!r} is invalid")
             continue
         variants: list[tuple[str, str]] = []
         tags: set[str] = set()
@@ -119,6 +116,7 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
                 variants.append((tag, text))
         if len(variants) < len(raw_variants):
             continue
+        prop_field = "/".join(props)
         key: TemplateKey = (signature, concept, prop_field, stage.name)
         if key in entries:
             sink.error(E.DUPLICATE_NAME,

@@ -19,12 +19,13 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema, read_text
-from .errors import DiagnosticSink, ToolkitError
+from .errors import DiagnosticSink, DocumentError, ToolkitError
 from .generation import TriggeringCondition
 from .naming import is_identifier
 from .ontology import SourceOntology
@@ -80,17 +81,16 @@ class ComposePolicy:
     class_map: tuple[tuple[str, str], ...] = ()
     negations: tuple[tuple[str, str], ...] = ()  # (event id, pass criterion)
 
+    @cached_property
+    def _lookups(self) -> tuple[dict[str, str], dict[str, str]]:
+        """``class_map`` and ``negations`` as dicts; the first pair for a key wins."""
+        return dict(reversed(self.class_map)), dict(reversed(self.negations))
+
     def mapped(self, concept: str) -> str:
-        for name, target in self.class_map:
-            if name == concept:
-                return target
-        return concept
+        return self._lookups[0].get(concept, concept)
 
     def negation_of(self, event_id: str) -> str | None:
-        for known_id, pass_text in self.negations:
-            if known_id == event_id:
-                return pass_text
-        return None
+        return self._lookups[1].get(event_id)
 
 
 class TestCase(NamedTuple):
@@ -133,15 +133,6 @@ def test_case_id(condition_id: str, event_id: str) -> str:
     return "t" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def _first_wins(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
-    """``pairs`` as a mapping in which the first pair for a key wins, as the
-    scans of :class:`ComposePolicy` do."""
-    table: dict[str, str] = {}
-    for key, value in pairs:
-        table.setdefault(key, value)
-    return table
-
-
 def compose(conditions: Iterable[TriggeringCondition],
             events: Sequence[HazardousEvent], suite: SensorSuite,
             policy: ComposePolicy) -> tuple[list[TestCase], list[str]]:
@@ -154,36 +145,37 @@ def compose(conditions: Iterable[TriggeringCondition],
     Each event's class and pass criterion, and each sensor's classes, are
     looked up once per call rather than once per condition.
     """
-    class_map = _first_wins(policy.class_map)
-    negations = _first_wins(policy.negations)
-    event_classes = [(event, class_map.get(event.target, event.target))
-                     for event in events]
+    mapped = policy.mapped
+    resolved = []  # (event, its class, its pass criterion, the warning a generic one needs)
+    for event in events:
+        pass_criterion, warning = policy.negation_of(event.id), None
+        if pass_criterion is None:
+            pass_criterion = f"The vehicle avoids: {event.unintended_behavior}"
+            warning = (f"{E.MISSING_TEMPLATE}: no pass-criterion negation "
+                       f"for event {event.id}; generic wording used")
+        resolved.append((event, mapped(event.target), pass_criterion, warning))
     sensor_classes: dict[str, set[str]] = {}
     cases: list[TestCase] = []
     warnings: list[str] = []
     for condition in conditions:
         spec = suite.get(condition.sensor)
         if any(rel.targets_sensor() for rel in condition.relationships):
-            eligible = list(events)
+            eligible = resolved
         else:
             targets = sensor_classes.get(condition.sensor)
             if targets is None:
-                targets = sensor_classes[condition.sensor] = {
-                    class_map.get(t, t) for t in spec.targets()}
-            focal = class_map.get(condition.sources[0], condition.sources[0])
+                targets = sensor_classes[condition.sensor] = set(map(mapped, spec.targets()))
+            focal = mapped(condition.sources[0])
             if focal in targets:
                 targets = {focal}
-            eligible = [event for event, cls in event_classes if cls in targets]
+            eligible = [entry for entry in resolved if entry[1] in targets]
         if not eligible:
             warnings.append(f"{E.NO_COMPATIBLE_EVENT}: condition {condition.id} "
                             f"({condition.description}) matches no hazardous event")
             continue
-        for event in eligible:
-            pass_criterion = negations.get(event.id)
-            if pass_criterion is None:
-                pass_criterion = f"The vehicle avoids: {event.unintended_behavior}"
-                warnings.append(f"{E.MISSING_TEMPLATE}: no pass-criterion negation "
-                                f"for event {event.id}; generic wording used")
+        for event, _class, pass_criterion, warning in eligible:
+            if warning is not None:
+                warnings.append(warning)
             cases.append(TestCase(
                 id=test_case_id(condition.id, event.id),
                 condition_id=condition.id,
@@ -241,14 +233,11 @@ class ResultsLedger:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ToolkitError(E.SYNTAX_ERROR,
-                                   f"unreadable results line: {exc.msg}",
-                                   file=str(self.path), line=lineno) from None
+                raise DocumentError.at(E.SYNTAX_ERROR, f"unreadable results line: {exc.msg}",
+                                       str(self.path), lineno) from None
             if not isinstance(record, dict):
-                raise ToolkitError(E.INVALID_VALUE,
-                                   f"results line must be a JSON object, "
-                                   f"got {type(record).__name__}",
-                                   file=str(self.path), line=lineno)
+                raise DocumentError.at(E.INVALID_VALUE, f"results line must be a JSON object, "
+                                       f"got {type(record).__name__}", str(self.path), lineno)
             records.append(record)
         return records
 

@@ -491,6 +491,21 @@ def _ledger(path):
     return path, "error SyntaxError {}:2: not UTF-8 text: invalid start byte (column 11)"
 
 
+def _ledger_not_json(path):
+    path.write_text('{"outcome": "pass"}\nnot json\n', encoding="utf-8")
+    return path, "error SyntaxError {}:2: unreadable results line: Expecting value"
+
+
+def _ledger_not_object(path):
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    return path, "error InvalidValue {}:1: results line must be a JSON object, got list"
+
+
+def _empty(path):
+    path.write_text("", encoding="utf-8")
+    return path, "error EmptyConfig {}: project config is empty"
+
+
 def _file(path):
     path.write_text("", encoding="utf-8")
     return path, "error: {}: File exists"
@@ -502,6 +517,7 @@ def _file(path):
 UNREADABLE = {
     "config-directory": (2, _directory, ["--config", "BAD", "validate"]),
     "config-non-utf8": (2, _non_utf8, ["--config", "BAD", "validate"]),
+    "config-empty": (2, _empty, ["--config", "BAD", "validate"]),
     "input-directory": (1, _directory, ["--config", "PROJECT", "validate"]),
     "input-non-utf8": (1, _non_utf8, ["--config", "PROJECT", "validate"]),
     "ratings-directory": (1, _directory,
@@ -511,6 +527,10 @@ UNREADABLE = {
     "cases-non-utf8": (1, _non_utf8, ["report", "--cases", "BAD", "--catalog", "CATALOG"]),
     "results-non-utf8": (1, _ledger,
                          ["report", "--results", "BAD", "--catalog", "CATALOG"]),
+    "results-not-json": (1, _ledger_not_json,
+                         ["report", "--results", "BAD", "--catalog", "CATALOG"]),
+    "results-not-object": (1, _ledger_not_object,
+                           ["report", "--results", "BAD", "--catalog", "CATALOG"]),
     "output-dir-file": (1, _file, ["generate", "--output-dir", "BAD"]),
 }
 

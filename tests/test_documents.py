@@ -31,7 +31,7 @@ import pytest
 from trigkit.config import config_from_doc
 from trigkit.data import data_path, reference_config
 from trigkit.docio import check_schema, read_document
-from trigkit.errors import DocumentError, ToolkitError
+from trigkit.errors import DocumentError
 from trigkit.generation import effects_from_doc, ratings_from_doc
 from trigkit.ontology import ontology_from_doc
 from trigkit.perception import suite_from_doc
@@ -129,10 +129,6 @@ def _outcome(loader, doc):
     except DocumentError as exc:
         return [[d.severity, d.code, d.file, d.line, d.message]
                 for d in exc.diagnostics]
-    except ToolkitError as exc:
-        if exc.code != "EmptyConfig":
-            raise
-        return [["error", exc.code, exc.file, exc.line, exc.args[0]]]
     return "ok"
 
 

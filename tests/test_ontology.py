@@ -213,6 +213,21 @@ def test_concept_accessors():
     assert concept.categories_of("Color") == frozenset({PropertyCategory.REFLECTIVITY})
 
 
+def test_properties_in_names_each_property_once_in_declared_order():
+    # Density is held under two categories; a relation perturbing either,
+    # or both, adds its row once
+    concept = SourceConcept(
+        name="Rain", kind=ConceptKind.MODIFICATION,
+        properties=(SourceProperty("Density", PropertyCategory.REFLECTIVITY),
+                    SourceProperty("DropSize", PropertyCategory.TRANSMITTANCE),
+                    SourceProperty("Density", PropertyCategory.TRANSMITTANCE)))
+    reflect, transmit = PropertyCategory.REFLECTIVITY, PropertyCategory.TRANSMITTANCE
+    assert concept.properties_in(frozenset({reflect})) == ("Density",)
+    assert concept.properties_in(frozenset({transmit})) == ("Density", "DropSize")
+    assert concept.properties_in(frozenset({reflect, transmit})) == ("Density", "DropSize")
+    assert concept.properties_in(frozenset({PropertyCategory.DATA_GENERATION})) == ()
+
+
 def test_serialization_round_trip():
     ontology = _load(MINIMAL)
     for fmt in ("yaml", "json"):

@@ -173,6 +173,23 @@ templates:
             _load_templates(text)
         assert excinfo.value.code == "InvalidValue"
 
+    def test_repeated_property_in_key_rejected(self):
+        # no matrix row repeats a property, so such a key could never match
+        text = """
+schema: condition-templates@1
+templates:
+  - concept: Leaf
+    property: Color/Color
+    stage: LightReceiving
+    variants:
+      - {tag: default, text: x}
+"""
+        with pytest.raises(DocumentError) as excinfo:
+            _load_templates(text)
+        [diag] = excinfo.value.diagnostics
+        assert (diag.code, diag.message) == (
+            "InvalidIdentifier", "templates[0]: property key 'Color/Color' is invalid")
+
     def test_empty_distance_suffix_rejected(self):
         text = DOC.replace('", combined with a distant target"', '""')
         with pytest.raises(DocumentError, match="distance_suffix"):
