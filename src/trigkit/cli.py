@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import errors as E
@@ -35,7 +34,7 @@ from .config import (
     write_manifest,
 )
 from .docio import dump_document, read_document
-from .errors import DocumentError, ToolkitError, format_diagnostic
+from .errors import Diagnostic, DocumentError, ToolkitError, format_diagnostic
 from .generation import assess as assess_condition
 from .generation import build_matrix, ratings_from_doc
 from .ontology import SENSOR_TARGET, lookup_concept
@@ -146,18 +145,18 @@ def main(argv: list[str] | None = None) -> int:
         config = read_config(resolve_config_path(args.config))
         status = 1
         return handler(args, config)
-    except FileNotFoundError as exc:
-        what = "config file" if status == 2 else "file"
-        print(f"error: {E.MISSING_INPUT}: {what} not found: {exc.filename}",
-              file=sys.stderr)
     except DocumentError as exc:
         for diag in exc.diagnostics:
             print(format_diagnostic(diag), file=sys.stderr)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        what = "config file" if status == 2 else "file"
+        print(format_diagnostic(Diagnostic("error", E.MISSING_INPUT, f"{what} not found",
+                                           exc.filename)), file=sys.stderr)
     except OSError as exc:  # a directory where a file belongs, and the like
-        where = f"{exc.filename}: " if exc.filename else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        print(format_diagnostic(Diagnostic("error", E.UNUSABLE_PATH, exc.strerror or str(exc),
+                                           exc.filename)), file=sys.stderr)
     return status
 
 
@@ -327,7 +326,7 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
     conditions = tuple(
         assess_condition(c, ratings[c.id]) if c.id in ratings else c
         for c in catalog.conditions)
-    catalog = replace(catalog, conditions=conditions)
+    catalog = catalog._replace(conditions=conditions)
 
     directory = _output_dir(args, config)
     out_path = directory / "catalog_assessed.json"

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import errors as E
 from .docio import check_schema, dump_document, read_document
@@ -72,8 +72,7 @@ _READERS = {
 }
 
 
-@dataclass(frozen=True)
-class ProjectConfig:
+class ProjectConfig(NamedTuple):
     """Resolved input paths plus generation parameters."""
 
     path: Path  # the config file itself
@@ -146,8 +145,7 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
 # Input loading and cross-validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectInputs:
+class ProjectInputs(NamedTuple):
     """The documents one command read; those it did not read are None."""
 
     ontology: SourceOntology

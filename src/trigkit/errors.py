@@ -6,8 +6,8 @@ report several problems at once attach a list of :class:`Diagnostic` records.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 from .naming import is_identifier
 
@@ -61,10 +61,10 @@ UNKNOWN_CONDITION = "UnknownCondition"
 # CLI / configuration
 EMPTY_CONFIG = "EmptyConfig"
 MISSING_INPUT = "MissingInput"
+UNUSABLE_PATH = "UnusablePath"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding, pinned to a source location when known."""
 
     severity: str  # "error" or "warning"
@@ -123,12 +123,12 @@ class DocumentError(ToolkitError):
 _REQUIRED = object()  # the default of a reader's required field
 
 
-@dataclass
 class DiagnosticSink:
     """Accumulates findings while a loader walks a document."""
 
-    file: str | None = None
-    items: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, file: str | None = None):
+        self.file = file
+        self.items: list[Diagnostic] = []
 
     def error(self, code: str, message: str) -> None:
         self.items.append(Diagnostic("error", code, message, self.file))

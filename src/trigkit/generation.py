@@ -21,10 +21,9 @@ rating sink to the bottom flagged "unrated".
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema
@@ -115,8 +114,7 @@ def render_degree(degree: int, *, style: str = "figure") -> str:
 # Effect knowledge base
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationContext:
+class RelationContext(NamedTuple):
     """Restricts a rule to bundles holding a matching relation."""
 
     form: RelationForm | None = None
@@ -185,8 +183,7 @@ CellKey = tuple[str, tuple[str, ...], str, str]  # (concept, properties, stage, 
 RowKey = tuple[str, tuple[str, ...]]  # (concept, property names)
 
 
-@dataclass(frozen=True)
-class EffectRule:
+class EffectRule(NamedTuple):
     """One authored worst-case grading in the knowledge base."""
 
     concept: str
@@ -212,8 +209,11 @@ class EffectRule:
                 self.stage_property, self.context.label() if self.context else "")
 
 
-@dataclass(frozen=True)
-class EffectKnowledgeBase:
+class _KnowledgeFields(NamedTuple):
+    rules: tuple[EffectRule, ...] = ()
+
+
+class EffectKnowledgeBase(_KnowledgeFields):
     """Authored rules, compiled once into the indexes :func:`build_matrix` reads.
 
     ``by_row`` maps each (concept, properties) row to its graded columns in
@@ -222,8 +222,6 @@ class EffectKnowledgeBase:
     context a bundle satisfies (or that has none) fills the cell.
     ``group_rules`` maps a concept to its joint-property rules.
     """
-
-    rules: tuple[EffectRule, ...] = ()
 
     @cached_property
     def by_row(self) -> dict[RowKey, tuple[tuple[str, str, tuple[EffectRule, ...]], ...]]:
@@ -250,8 +248,7 @@ def _column_order(stage: str, quality: str) -> tuple[int, int]:
     return STAGE_ORDER[stage], STAGE_BY_NAME[stage].quality_properties.index(quality)
 
 
-@dataclass(frozen=True)
-class EffectEntry:
+class EffectEntry(NamedTuple):
     """One matrix cell: a property row's graded influence on a stage quality."""
 
     concept: str
@@ -268,8 +265,7 @@ class EffectEntry:
         return "/".join(self.properties)
 
 
-@dataclass(frozen=True)
-class GenerationMatrix:
+class GenerationMatrix(NamedTuple):
     """Property-by-stage-quality grid for one bundle on one sensor."""
 
     sensor: str
@@ -278,24 +274,19 @@ class GenerationMatrix:
     columns: tuple[tuple[str, str], ...]  # (stage, quality property)
     graded: tuple[EffectEntry, ...]  # cells a rule fills, row-major
 
-    @cached_property
+    @property
     def cells(self) -> tuple[EffectEntry, ...]:
-        """Dense row-major view, ``len(rows) * len(columns)`` long; a cell no
-        rule fills is an entry of degree 0."""
-        filled = {(c.concept, c.properties, c.stage, c.stage_property): c
-                  for c in self.graded}
-        dense: list[EffectEntry] = []
-        for concept, props in self.rows:
-            for stage, quality in self.columns:
-                cell = filled.get((concept, props, stage, quality))
-                dense.append(cell if cell is not None
-                             else EffectEntry(concept, props, stage, quality, 0))
-        return tuple(dense)
+        """Dense row-major view, ``len(rows) * len(columns)`` long, built on
+        each read; a cell no rule fills is an entry of degree 0."""
+        filled = {cell[:4]: cell for cell in self.graded}  # cell key -> cell
+        keys = [(*row, *column) for row in self.rows for column in self.columns]
+        return tuple(filled.get(key) or EffectEntry(*key, 0) for key in keys)
 
     def cell(self, row: RowKey, column: tuple[str, str]) -> EffectEntry:
-        i = self.rows.index(row)
-        j = self.columns.index(column)
-        return self.cells[i * len(self.columns) + j]
+        """The cell at ``row`` and ``column``; ValueError for either off the grid."""
+        self.rows.index(row), self.columns.index(column)
+        key = (*row, *column)
+        return next((cell for cell in self.graded if cell[:4] == key), EffectEntry(*key, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +383,22 @@ def positive_cells(matrix: GenerationMatrix) -> list[EffectEntry]:
 # Triggering conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssessmentClass:
+class _RatingFields(NamedTuple):
     exposure: str  # E1..E4
     criticality: str  # C1..C4
 
-    def __post_init__(self):
-        if self.exposure not in EXPOSURE_LEVELS:
-            raise ToolkitError(E.INVALID_VALUE, f"unknown exposure {self.exposure!r}")
-        if self.criticality not in CRITICALITY_LEVELS:
-            raise ToolkitError(E.INVALID_VALUE, f"unknown criticality {self.criticality!r}")
+
+class AssessmentClass(_RatingFields):
+    __slots__ = ()
+
+    def __new__(cls, exposure: str, criticality: str):
+        if exposure not in EXPOSURE_LEVELS:
+            raise ToolkitError(E.INVALID_VALUE, f"unknown exposure {exposure!r}")
+        if criticality not in CRITICALITY_LEVELS:
+            raise ToolkitError(E.INVALID_VALUE, f"unknown criticality {criticality!r}")
+        return super().__new__(cls, exposure, criticality)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through here
 
     @property
     def exposure_index(self) -> int:
@@ -420,8 +417,7 @@ EXPOSURE_LEVELS = ("E1", "E2", "E3", "E4")
 CRITICALITY_LEVELS = ("C1", "C2", "C3", "C4")
 
 
-@dataclass(frozen=True)
-class TriggeringCondition:
+class TriggeringCondition(NamedTuple):
     """One synthesized worst-case condition for a catalog."""
 
     id: str
@@ -551,7 +547,7 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
 def assess(condition: TriggeringCondition,
            rating: AssessmentClass) -> TriggeringCondition:
     """Attach an exposure/criticality rating; priority is their index product."""
-    return replace(condition, assessment=rating)
+    return condition._replace(assessment=rating)
 
 
 def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]:

@@ -14,10 +14,9 @@ rejected as a concept name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from . import errors as E
 from .docio import check_schema
@@ -81,21 +80,21 @@ def legal_categories(kind: ConceptKind) -> frozenset[PropertyCategory]:
     return ENTITY_CATEGORIES
 
 
-@dataclass(frozen=True)
-class SourceProperty:
+class SourceProperty(NamedTuple):
     name: str
     category: PropertyCategory
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SourceConcept:
+class _ConceptFields(NamedTuple):
     name: str
     kind: ConceptKind
     parent: str | None = None
     properties: tuple[SourceProperty, ...] = ()
     instances: tuple[str, ...] = ()
 
+
+class SourceConcept(_ConceptFields):
     @cached_property
     def _categories(self) -> dict[str, frozenset[PropertyCategory]]:
         """Property name -> its categories, in first-declared order."""
@@ -119,10 +118,11 @@ class SourceConcept:
         return any(p.category is category for p in self.properties)
 
 
-@dataclass(frozen=True)
-class SourceOntology:
+class _OntologyFields(NamedTuple):
     concepts: tuple[SourceConcept, ...] = ()
 
+
+class SourceOntology(_OntologyFields):
     @cached_property
     def _by_name(self) -> dict[str, SourceConcept]:
         return {c.name: c for c in self.concepts}

@@ -28,9 +28,8 @@ Results are always intersected with the stages the system declares.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import errors as E
 from .docio import check_schema
@@ -73,8 +72,7 @@ class StagePhase(str, Enum):
     RECOGNITION = "Recognition"
 
 
-@dataclass(frozen=True)
-class PerceptionStage:
+class PerceptionStage(NamedTuple):
     name: str
     phase: StagePhase
     sensor_classes: frozenset[SensorClass]
@@ -116,8 +114,7 @@ def stages_for_class(sensor_class: SensorClass) -> tuple[PerceptionStage, ...]:
 # Declared perception systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerceptionSystemSpec:
+class PerceptionSystemSpec(NamedTuple):
     """One sensor of the vehicle: class, declared stages, intended targets."""
 
     sensor: str
@@ -133,8 +130,7 @@ class PerceptionSystemSpec:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
-class SensorSuite:
+class SensorSuite(NamedTuple):
     vehicle: str
     sensors: tuple[PerceptionSystemSpec, ...]
 

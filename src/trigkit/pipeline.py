@@ -55,9 +55,8 @@ byte-identical catalogs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from . import errors as E
 from .errors import ToolkitError
@@ -97,8 +96,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """All conditions generated for a sensor suite, canonically ordered."""
 
     vehicle: str

@@ -15,10 +15,9 @@ focal concept and union those categories.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema
@@ -73,21 +72,26 @@ _SUBKINDS: dict[RelationshipKind, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class RelationForm:
-    """A kind plus subkind, e.g. ``SpatialPosition.Occlusion``."""
-
+class _FormFields(NamedTuple):
     kind: RelationshipKind
     subkind: str | None = None
 
-    def __post_init__(self):
-        subkinds = _SUBKINDS[self.kind]
-        if subkinds and self.subkind not in subkinds:
+
+class RelationForm(_FormFields):
+    """A kind plus subkind, e.g. ``SpatialPosition.Occlusion``; forms order as
+    their (kind, subkind) tuples."""
+
+    def __new__(cls, kind: RelationshipKind, subkind: str | None = None):
+        subkinds = _SUBKINDS[kind]
+        if subkinds and subkind not in subkinds:
             raise ToolkitError(E.UNKNOWN_RELATIONSHIP,
-                               f"{self.kind.value} requires a subkind from {subkinds}")
-        if not subkinds and self.subkind is not None:
+                               f"{kind.value} requires a subkind from {subkinds}")
+        if not subkinds and subkind is not None:
             raise ToolkitError(E.UNKNOWN_RELATIONSHIP,
-                               f"{self.kind.value} does not take a subkind")
+                               f"{kind.value} does not take a subkind")
+        return super().__new__(cls, kind, subkind)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through here
 
     @cached_property
     def label(self) -> str:
@@ -144,17 +148,23 @@ _RENDER_VERBS: dict[tuple[RelationshipKind, str | None], str] = {
 # Compatibility matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixPattern:
-    """Either a concept name, a concept kind, or the reserved sensor target."""
-
+class _PatternFields(NamedTuple):
     name: str | None = None
     kind: ConceptKind | None = None
 
-    def __post_init__(self):
-        if (self.name is None) == (self.kind is None):
+
+class MatrixPattern(_PatternFields):
+    """Either a concept name, a concept kind, or the reserved sensor target."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str | None = None, kind: ConceptKind | None = None):
+        if (name is None) == (kind is None):
             raise ToolkitError(E.INVALID_VALUE,
                                "pattern must set exactly one of name/kind")
+        return super().__new__(cls, name, kind)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through here
 
     @property
     def label(self) -> str:
@@ -166,8 +176,7 @@ class MatrixPattern:
         return kind is not None and self.kind is kind
 
 
-@dataclass(frozen=True)
-class MatrixEntry:
+class MatrixEntry(NamedTuple):
     focal: MatrixPattern
     partner: MatrixPattern
     forms: tuple[RelationForm, ...]
@@ -182,11 +191,12 @@ class MatrixEntry:
         return None
 
 
-@dataclass(frozen=True)
-class CompatibilityMatrix:
-    """Total over queried pairs: pairs without an entry map to the empty set."""
-
+class _MatrixFields(NamedTuple):
     entries: tuple[MatrixEntry, ...] = ()
+
+
+class CompatibilityMatrix(_MatrixFields):
+    """Total over queried pairs: pairs without an entry map to the empty set."""
 
     def resolve(self, focal_name: str, focal_kind: ConceptKind | None,
                 partner_name: str, partner_kind: ConceptKind | None) -> MatrixEntry | None:
@@ -219,8 +229,7 @@ class CompatibilityMatrix:
 # Instances and bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationshipInstance:
+class RelationshipInstance(NamedTuple):
     """A form applied to a concrete (focal, partner) pair.
 
     ``perturbed`` lists the focal-side property categories the relation can
@@ -294,8 +303,7 @@ def instantiate_sensor_relationship(form: RelationForm, source: SourceConcept,
     return _instance_from_entry(form, SENSOR_TARGET, source.name, entry)
 
 
-@dataclass(frozen=True)
-class RelationshipBundle:
+class RelationshipBundle(NamedTuple):
     """The relations considered together for one analyzed source concept.
 
     Regular relations share the source as their focal; sensor-targeting

@@ -398,9 +398,8 @@ def catalog_to_markdown(catalog: Catalog) -> str:
 
 def _matrix_rows(matrix: GenerationMatrix) -> list[tuple[tuple, tuple[EffectEntry, ...]]]:
     """Each row of ``matrix`` with its cells, in column order."""
-    width = len(matrix.columns)
-    return [(row, matrix.cells[i * width:(i + 1) * width])
-            for i, row in enumerate(matrix.rows)]
+    width, cells = len(matrix.columns), matrix.cells  # ``cells`` is built on each read
+    return [(row, cells[i * width:(i + 1) * width]) for i, row in enumerate(matrix.rows)]
 
 
 def matrix_to_doc(matrix: GenerationMatrix) -> dict:

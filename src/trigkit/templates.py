@@ -9,7 +9,7 @@ mechanical wording and reports a warning rather than dropping the condition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import errors as E
 from .docio import check_schema
@@ -58,14 +58,14 @@ def split_signature(signature: str) -> list[tuple[str, str, str]]:
     return parts
 
 
-@dataclass
-class TemplateSet:
-    """Tagged wording variants keyed by signature, concept, property, stage."""
+class TemplateSet(NamedTuple):
+    """Tagged wording variants keyed by signature, concept, property, stage.
+    ``entries`` is never changed once the set is built."""
 
     GENERIC_TAG = "generic"
 
     distance_suffix: str = DEFAULT_DISTANCE_SUFFIX
-    entries: dict[TemplateKey, tuple[tuple[str, str], ...]] = field(default_factory=dict)
+    entries: dict[TemplateKey, tuple[tuple[str, str], ...]] = {}
 
     def lookup(self, signature: str, concept: str, property_key: str,
                stage: str) -> tuple[tuple[str, str], ...] | None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -55,8 +54,7 @@ POLICY_SCHEMA = "compose-policy@1"
 _EVENT_ID = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
-@dataclass(frozen=True)
-class HazardousEvent:
+class HazardousEvent(NamedTuple):
     """A vehicle-level hazard scenario a perception fault can provoke."""
 
     id: str
@@ -68,8 +66,12 @@ class HazardousEvent:
     source: str = ""
 
 
-@dataclass(frozen=True)
-class ComposePolicy:
+class _PolicyFields(NamedTuple):
+    class_map: tuple[tuple[str, str], ...] = ()
+    negations: tuple[tuple[str, str], ...] = ()  # (event id, pass criterion)
+
+
+class ComposePolicy(_PolicyFields):
     """Data-driven knobs for pairing conditions with events.
 
     ``class_map`` folds perceived concepts onto the classes events are keyed
@@ -77,9 +79,6 @@ class ComposePolicy:
     ``negations`` maps an event id onto the wording of the pass criterion
     asserting its unintended behavior did not happen.
     """
-
-    class_map: tuple[tuple[str, str], ...] = ()
-    negations: tuple[tuple[str, str], ...] = ()  # (event id, pass criterion)
 
     @cached_property
     def _lookups(self) -> tuple[dict[str, str], dict[str, str]]:

@@ -12,7 +12,6 @@ import io
 import json
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -610,7 +609,7 @@ def test_c5_assessment_order(catalog):
                 failures.append(f"criticality monotonicity at {e}->C{i}")
 
     template = catalog.conditions[0]
-    rated = [assess(replace(template, id=f"c{i:012d}"), AssessmentClass(e, c))
+    rated = [assess(template._replace(id=f"c{i:012d}"), AssessmentClass(e, c))
              for i, (e, c) in enumerate(pairs)]
     ranked = rank(rated)
     keys = [(r.priority, r.assessment.criticality_index,

@@ -98,7 +98,7 @@ class TestTopLevel:
         proc = run_cli("--config", "missing.yaml", "validate",
                        cwd=tmp_path, config=None)
         assert proc.returncode == 2
-        assert "config file not found" in proc.stderr
+        assert proc.stderr == "error MissingInput missing.yaml: config file not found\n"
 
     def test_empty_config_rejected(self, tmp_path):
         empty = tmp_path / "empty.yaml"
@@ -310,6 +310,13 @@ class TestChainErrors:
         assert proc.returncode == 1
         assert "unknown condition ids" in proc.stderr
 
+    def test_ratings_file_not_found(self, chain, tmp_path):
+        proc = run_cli("assess", "--ratings", "missing.json",
+                       "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
+                       cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error MissingInput missing.json: file not found\n"
+
     def test_report_with_missing_cases_file(self, chain):
         proc = run_cli("report", "--cases", "missing.json", cwd=chain["cwd"])
         assert proc.returncode == 1
@@ -472,7 +479,7 @@ def _non_utf8(path):
 
 def _directory(path):
     path.mkdir()
-    return path, "error: {}: Is a directory"
+    return path, "error UnusablePath {}: Is a directory"
 
 
 def _config_naming(tmp_path, effects):
@@ -508,7 +515,7 @@ def _empty(path):
 
 def _file(path):
     path.write_text("", encoding="utf-8")
-    return path, "error: {}: File exists"
+    return path, "error UnusablePath {}: File exists"
 
 
 #: case -> (exit code, how the bad path is made, the command that reads it).

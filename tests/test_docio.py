@@ -3,6 +3,7 @@
 import json
 from enum import Enum, IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 import yaml
@@ -18,7 +19,7 @@ from trigkit.docio import (
     parse_document,
     read_document,
 )
-from trigkit.errors import DocumentError
+from trigkit.errors import Diagnostic, DocumentError
 
 
 class TestParseDocument:
@@ -265,6 +266,24 @@ def test_json_dump_rejects_what_the_stdlib_rejects(bad):
     with pytest.raises(TypeError) as got:
         _writer(bad)
     assert str(got.value) == str(expected.value)
+
+
+class _Pair(NamedTuple):
+    left: int
+    right: str
+
+
+@pytest.mark.parametrize("record", [_Pair(1, "a"), Diagnostic("error", "Code", "text")],
+                         ids=["namedtuple", "trigkit-record"])
+def test_json_dump_refuses_a_record(record):
+    """The stdlib writes a tuple subclass as a list; a record that reaches
+    the writer is a mistake, so it is refused, wherever it sits."""
+    for document in (record, {"records": [record]}):
+        with pytest.raises(TypeError, match=f"Object of type {type(record).__name__} "
+                                            "is not JSON serializable"):
+            dump_document(document, fmt="json")
+    assert dump_document({"plain": tuple(record)}, fmt="json") \
+        == _stdlib({"plain": list(record)})
 
 
 def test_json_dump_of_deep_nesting():

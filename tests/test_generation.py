@@ -466,6 +466,19 @@ class TestAssessment:
         with pytest.raises(ToolkitError, match="unknown criticality"):
             AssessmentClass(exposure="E1", criticality="C0")
 
+    def test_replace_and_make_check_as_the_constructor_does(self):
+        rating = AssessmentClass("E1", "C1")
+        raised = rating._replace(criticality="C4")
+        assert type(raised) is AssessmentClass and raised.priority == 4
+        for build, message in [(lambda: rating._replace(exposure="E9"), "unknown exposure 'E9'"),
+                               (lambda: rating._replace(criticality="C5"),
+                                "unknown criticality 'C5'"),
+                               (lambda: AssessmentClass._make(["E0", "C0"]),
+                                "unknown exposure 'E0'")]:
+            with pytest.raises(ToolkitError) as excinfo:
+                build()
+            assert (excinfo.value.code, excinfo.value.args[0]) == ("InvalidValue", message)
+
     def test_rank_descends_by_priority(self):
         low = assess(_condition("a"), AssessmentClass("E1", "C1"))
         mid = assess(_condition("b"), AssessmentClass("E2", "C3"))

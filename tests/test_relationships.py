@@ -169,6 +169,23 @@ class TestForms:
         assert repr(form) == repr(twin)
         assert RELATION_FORMS[1] < form  # Occlusion before Overlay
 
+    def test_replace_and_make_check_as_the_constructor_does(self):
+        form = RelationForm(RelationshipKind.SPATIAL_POSITION, "Overlay")
+        occlusion = form._replace(subkind="Occlusion")
+        assert type(occlusion) is RelationForm and occlusion == RELATION_FORMS[1]
+        assert occlusion.label == "SpatialPosition.Occlusion"
+        for build, message in [
+                (lambda: form._replace(subkind="Cover"),
+                 "SpatialPosition requires a subkind from ('Overlay', 'Occlusion')"),
+                (lambda: form._replace(kind=RelationshipKind.POSSESS),
+                 "Possess does not take a subkind"),
+                (lambda: RelationForm._make([RelationshipKind.POSSESS, "Firmly"]),
+                 "Possess does not take a subkind")]:
+            with pytest.raises(ToolkitError) as excinfo:
+                build()
+            assert (excinfo.value.code, excinfo.value.args[0]) == \
+                ("UnknownRelationship", message)
+
     def test_default_perturbed_categories(self):
         assert DEFAULT_PERTURBED[RelationshipKind.SPATIAL_POSITION] == {
             PropertyCategory.REFLECTION_AREA, PropertyCategory.FEATURE_VARIABILITY}
@@ -197,6 +214,17 @@ class TestMatrixPattern:
             MatrixPattern()
         with pytest.raises(ToolkitError, match="exactly one"):
             MatrixPattern(name="X", kind=ConceptKind.DISTURBING)
+
+    def test_replace_and_make_check_as_the_constructor_does(self):
+        pattern = MatrixPattern(name="Rain")
+        assert pattern._replace(name="Leaf") == MatrixPattern(name="Leaf")
+        for build in (lambda: pattern._replace(kind=ConceptKind.MODIFICATION),
+                      lambda: pattern._replace(name=None),
+                      lambda: MatrixPattern._make([None, None])):
+            with pytest.raises(ToolkitError) as excinfo:
+                build()
+            assert (excinfo.value.code, excinfo.value.args[0]) == \
+                ("InvalidValue", "pattern must set exactly one of name/kind")
 
     def test_labels(self):
         assert MatrixPattern(name="Rain").label == "Rain"

@@ -2,10 +2,12 @@
 
 import csv
 import io
-from dataclasses import replace
 
 import pytest
 
+from trigkit import cli
+from trigkit.config import build_manifest
+from trigkit.data import reference_config
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
@@ -42,7 +44,7 @@ def _assessed(catalog):
     """The fixture catalog with its first two conditions rated."""
     rated = (assess(catalog.conditions[0], AssessmentClass("E2", "C3")),
              assess(catalog.conditions[1], AssessmentClass("E4", "C4")))
-    return replace(catalog, conditions=rated + catalog.conditions[2:])
+    return catalog._replace(conditions=rated + catalog.conditions[2:])
 
 
 def _tiny_matrix():
@@ -84,8 +86,8 @@ class TestCatalogDocuments:
     def test_checked_and_located_readers_agree(self, catalog, fmt):
         """On an assessed catalog with a context-bearing positive."""
         cell = next(e for c in catalog.conditions for e in c.effects if e.context)
-        rich = replace(_assessed(catalog),
-                       positives=catalog.positives + (("Camera", cell),))
+        rich = _assessed(catalog)._replace(
+            positives=catalog.positives + (("Camera", cell),))
         doc = parse_document(dump_document(catalog_to_doc(rich), fmt=fmt), fmt=fmt)
         checked = _catalog_checked(doc)
         assert checked == rich
@@ -180,8 +182,8 @@ class TestCatalogTables:
         assert "unrated" in assessed
 
     def test_markdown_escapes_pipes(self, catalog):
-        spiked = replace(catalog.conditions[0], description="a|b")
-        doctored = replace(catalog, conditions=(spiked,) + catalog.conditions[1:])
+        spiked = catalog.conditions[0]._replace(description="a|b")
+        doctored = catalog._replace(conditions=(spiked,) + catalog.conditions[1:])
         assert "a\\|b" in catalog_to_markdown(doctored)
 
 
@@ -348,14 +350,24 @@ def _values(node):
 
 
 def test_no_record_reaches_the_json_writer(catalog, events, suite, policy, ontology,
-                                           effects, camera):
-    """A record that is a tuple would be written silently as a list."""
+                                           effects, camera, tmp_path, monkeypatch):
+    """A record that is a tuple would be written silently as a list. The
+    manifests of ``generate`` and ``compose`` are built from the project
+    config, itself a record, and from what the commands read."""
     assessed = _assessed(catalog)
     cases, warnings = compose(assessed.conditions, events, suite, policy)
     results = [{"test_case": cases[0].id, "outcome": "fail"}]
     matrix = build_matrix(RelationshipBundle(source="Pedestrian"), camera, effects,
                           ontology)
+    manifests = []
+    monkeypatch.setattr(cli, "build_manifest",
+                        lambda *args: manifests.append(build_manifest(*args))
+                        or manifests[-1])
+    for command in ("generate", "compose"):
+        assert cli.main(["--config", str(reference_config()), command,
+                         "--output-dir", str(tmp_path)]) == 0
+    assert [manifest["command"] for manifest in manifests] == ["generate", "compose"]
     docs = [catalog_to_doc(assessed), cases_to_doc(cases, warnings),
             report_to_doc(assessed, cases, results), matrix_to_doc(matrix),
-            matrix_to_doc(_tiny_matrix())]
+            matrix_to_doc(_tiny_matrix()), *manifests]
     assert {type(value) for doc in docs for value in _values(doc)} <= PLAIN
