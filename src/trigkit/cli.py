@@ -205,8 +205,8 @@ def _default_catalog_path(args, config: ProjectConfig) -> Path:
 
 def _read_catalog_file(path: Path) -> Catalog:
     if not path.exists():
-        raise ToolkitError(E.MISSING_INPUT,
-                           f"catalog {path} does not exist; run 'generate' first")
+        raise DocumentError.at(E.MISSING_INPUT, "file not found; run 'generate' first",
+                               str(path))
     return catalog_from_doc(read_document(path), source=str(path))
 
 
@@ -320,9 +320,8 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
     known = {condition.id for condition in catalog.conditions}
     missing = sorted(set(ratings) - known)
     if missing:
-        raise ToolkitError(E.UNKNOWN_CONDITION,
-                           f"ratings reference unknown condition ids: "
-                           f"{', '.join(missing)}")
+        raise DocumentError.at(E.UNKNOWN_CONDITION, f"ratings reference unknown "
+                               f"condition ids: {', '.join(missing)}", str(ratings_path))
     conditions = tuple(
         assess_condition(c, ratings[c.id]) if c.id in ratings else c
         for c in catalog.conditions)
@@ -378,17 +377,9 @@ def _cmd_report(args, config: ProjectConfig) -> int:
     cases = ()
     cases_path = Path(args.cases) if args.cases \
         else Path(config.output_dir) / "test_cases.json"
-    if cases_path.exists():
+    if args.cases or cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
-    elif args.cases:
-        raise ToolkitError(E.MISSING_INPUT,
-                           f"cases {cases_path} does not exist; run 'compose' first")
-    results = []
-    if args.results:
-        if not Path(args.results).exists():
-            raise ToolkitError(E.MISSING_INPUT,
-                               f"results ledger {args.results} does not exist")
-        results = ResultsLedger(args.results).read()
+    results = ResultsLedger(args.results).read() if args.results else []
 
     if args.format == "json":
         text = dump_document(report_to_doc(catalog, cases, results), fmt="json")

@@ -158,14 +158,6 @@ class ProjectInputs(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _read_required(path: Path | None, label: str):
-    if path is None:
-        raise ToolkitError(E.MISSING_INPUT, f"config names no {label} input")
-    if not path.exists():
-        raise ToolkitError(E.MISSING_INPUT, f"{label} input {path} does not exist")
-    return read_document(path)
-
-
 def load_inputs(config: ProjectConfig, *,
                 documents: tuple[str, ...] | None = None) -> ProjectInputs:
     """Load and cross-validate the input documents a command uses.
@@ -184,7 +176,10 @@ def load_inputs(config: ProjectConfig, *,
     loaded = {}
     for name in documents:
         path = getattr(config, name)
-        loaded[name] = _READERS[name][1](_read_required(path, name), source=str(path))
+        if path is None:
+            raise DocumentError.at(E.MISSING_INPUT, f"config names no {name} input",
+                                   str(config.path))
+        loaded[name] = _READERS[name][1](read_document(path), source=str(path))
 
     sink = DiagnosticSink(file=str(config.path))
     for name, document in loaded.items():

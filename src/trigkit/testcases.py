@@ -222,8 +222,6 @@ class ResultsLedger:
             handle.write(line + "\n")
 
     def read(self) -> list[dict]:
-        if not self.path.exists():
-            return []
         records = []
         for lineno, line in enumerate(read_text(self.path).split("\n"), start=1):
             line = line.strip()

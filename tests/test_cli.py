@@ -317,28 +317,11 @@ class TestChainErrors:
         assert proc.returncode == 1
         assert proc.stderr == "error MissingInput missing.json: file not found\n"
 
-    def test_report_with_missing_cases_file(self, chain):
-        proc = run_cli("report", "--cases", "missing.json", cwd=chain["cwd"])
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "MissingInput" in proc.stderr
-        assert "missing.json" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
     def test_report_without_cases_file_reads_none(self, tmp_path, chain):
         proc = run_cli("report", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
                        cwd=tmp_path)
         assert proc.returncode == 0
         assert "0 composed test cases" in proc.stdout
-
-    def test_report_with_missing_results_file(self, chain):
-        proc = run_cli("report", "--results", "missing.jsonl", "--format", "json",
-                       cwd=chain["cwd"])
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "MissingInput" in proc.stderr
-        assert "missing.jsonl" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
     def test_sensor_restriction(self, tmp_path):
         proc = run_cli("generate", "--sensor", "Camera", cwd=tmp_path)
@@ -482,15 +465,21 @@ def _directory(path):
     return path, "error UnusablePath {}: Is a directory"
 
 
-def _config_naming(tmp_path, effects):
-    """A copy of the bundled config whose effects input is ``effects``."""
+def _project(tmp_path, edit):
+    """A copy of the bundled config at ``tmp_path/project.yaml``, its inputs
+    named by absolute path, after ``edit(doc)``."""
     config = read_document(reference_config())
     config["inputs"] = {name: str(data_path(file))
                         for name, file in config["inputs"].items()}
-    config["inputs"]["effects"] = str(effects)
+    edit(config)
     path = tmp_path / "project.yaml"
     path.write_text(dump_document(config), encoding="utf-8")
     return path
+
+
+def _config_naming(tmp_path, effects):
+    """A copy of the bundled config whose effects input is ``effects``."""
+    return _project(tmp_path, lambda doc: doc["inputs"].update(effects=str(effects)))
 
 
 def _ledger(path):
@@ -559,6 +548,60 @@ class TestUnreadableFiles:
         assert [text for text in proc.stderr.splitlines()
                 if text.startswith("error")] == [line.format(bad)]
         assert "Traceback" not in proc.stderr
+
+
+def _unknown_ratings(tmp_path):
+    (tmp_path / "ratings.json").write_text(json.dumps(
+        {"schema": "condition-ratings@1",
+         "ratings": [{"condition": "c000000000000", "exposure": "E1", "criticality": "C1"}]}),
+        encoding="utf-8")
+
+
+#: case -> (command, the one stderr line, how the case is set up in the cwd).
+#: In the command, CATALOG is a generated catalog; in the line, TMP is the cwd.
+#: A set-up that writes ``project.yaml`` runs the command with that config.
+MISSING = {
+    "assess-catalog": (["assess", "--ratings", "ratings.json", "--catalog", "nope.json"],
+                       "error MissingInput nope.json: file not found; run 'generate' first",
+                       None),
+    "compose-before-generate": (
+        ["compose"],
+        "error MissingInput out/catalog.json: file not found; run 'generate' first", None),
+    "report-cases": (["report", "--cases", "missing.json", "--catalog", "CATALOG"],
+                     "error MissingInput missing.json: file not found", None),
+    "report-results": (["report", "--results", "missing.jsonl", "--catalog", "CATALOG"],
+                       "error MissingInput missing.jsonl: file not found", None),
+    "config-input": (["validate"], "error MissingInput TMP/nofx.yaml: file not found",
+                     lambda tmp: _config_naming(tmp, tmp / "nofx.yaml")),
+    "config-no-events": (
+        ["compose", "--catalog", "CATALOG"],
+        "error MissingInput project.yaml: config names no events input",
+        lambda tmp: _project(tmp, lambda doc: doc["inputs"].pop("events"))),
+    "assess-unknown-ids": (
+        ["assess", "--ratings", "ratings.json", "--catalog", "CATALOG"],
+        "error UnknownCondition ratings.json: ratings reference unknown condition ids: "
+        "c000000000000", _unknown_ratings),
+}
+
+
+class TestMissingFiles:
+    """A file a command reads that is missing, or that names what is not
+    there, ends in one located error line and exit code 1."""
+
+    @pytest.mark.parametrize("case", sorted(MISSING))
+    def test_one_located_line(self, chain, tmp_path, case):
+        command, line, setup = MISSING[case]
+        tmp_path = tmp_path.resolve()
+        config = reference_config()
+        if setup is not None:
+            setup(tmp_path)
+            if (tmp_path / "project.yaml").exists():
+                config = Path("project.yaml")
+        catalog = str(chain["cwd"] / "out" / "catalog.json")
+        proc = run_cli(*[catalog if arg == "CATALOG" else arg for arg in command],
+                       cwd=tmp_path, config=config)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == line.replace("TMP", str(tmp_path)) + "\n"
 
 
 def test_end_to_end_demo(tmp_path):

@@ -135,9 +135,9 @@ class TestLoadInputs:
     def test_missing_file_reported(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         config = config_from_doc(doc, base_dir=tmp_path)
-        with pytest.raises(ToolkitError, match="ontology input .* does not exist") as excinfo:
+        with pytest.raises(FileNotFoundError) as excinfo:
             load_inputs(config)
-        assert excinfo.value.code == "MissingInput"
+        assert excinfo.value.filename == str(config.ontology)
 
     def test_unconfigured_events_requested(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL_DOC))

@@ -339,9 +339,10 @@ class TestOutcomes:
 
 
 class TestResultsLedger:
-    def test_missing_file_reads_empty(self, tmp_path):
+    def test_missing_file_is_not_found(self, tmp_path):
         ledger = ResultsLedger(tmp_path / "results.jsonl")
-        assert ledger.read() == []
+        with pytest.raises(FileNotFoundError):
+            ledger.read()
 
     def test_append_and_read_back(self, tmp_path):
         ledger = ResultsLedger(tmp_path / "results.jsonl")
