@@ -129,7 +129,7 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
         paths[name] = None if value is None else (base_dir / value).resolve()
 
     parameters = sink.collection(doc, "parameters", mapping=True)
-    threshold = sink.choice(parameters, "threshold", (1, 2, 3), "parameters", 2)
+    threshold = sink.int_in(parameters, "threshold", 1, 3, "parameters", 2)
     bundle_limit = sink.int_in(parameters, "bundle_limit", 0, None, "parameters", 2)
     expected_total = sink.int_in(parameters, "expected_total", 0, None, "parameters", None)
     output_dir = sink.text(doc, "output_dir", "", "out", noun="path string")

@@ -148,14 +148,24 @@ class DiagnosticSink:
         if self.errors:
             raise DocumentError(self.items)
 
-    def first(self, seen: set, key, where: str, noun: str) -> bool:
+    def first(self, seen: set, key, where: str, noun: str, label=repr) -> bool:
         """Whether ``key`` is new to ``seen``, which it is then added to; a
-        repeat records ``DuplicateName`` as ``where: duplicate noun 'key'``."""
+        repeat records ``DuplicateName`` as ``where: duplicate noun 'key'``,
+        naming ``key`` by ``label(key)``."""
         if key in seen:
-            self.error(DUPLICATE_NAME, f"{where}: duplicate {noun} {key!r}")
+            self.error(DUPLICATE_NAME, f"{where}: duplicate {noun} {label(key)}")
             return False
         seen.add(key)
         return True
+
+    def distinct(self, entries, where: str, noun: str, label=repr) -> None:
+        """Record each entry of ``entries`` that repeats an earlier one, as
+        :meth:`first` does. None entries, already reported, are skipped."""
+        if len(entries) > 1:
+            seen: set = set()
+            for entry in entries:
+                if entry is not None:
+                    self.first(seen, entry, where, noun, label)
 
     # Typed field readers. Each reads ``raw[key]`` from a parsed mapping and
     # never raises: a value that does not fit records a located error and

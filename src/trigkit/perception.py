@@ -222,6 +222,7 @@ def suite_from_doc(doc: dict, *, source: str = "<document>") -> SensorSuite:
     sink = DiagnosticSink(file=source)
     vehicle = sink.text(doc, "vehicle")
     shared_odd = tuple(sink.collection(doc, "odd", strings=True))
+    sink.distinct(shared_odd, "odd", "entry")
 
     sensors: list[PerceptionSystemSpec] = []
     names: set[str] = set()
@@ -264,9 +265,12 @@ def _sensor_from_doc(raw: dict, where: str, shared_odd: tuple[str, ...],
         task = sink.text(rf, "task", fwhere)
         if target is not None and task is not None:
             functionality.append((target, task))
+    sink.distinct(functionality, where, "functionality")
 
-    odd = sink.collection(raw, "odd", where, strings=True) if raw.get("odd") is not None \
-        else shared_odd
+    odd = shared_odd
+    if raw.get("odd") is not None:
+        odd = sink.collection(raw, "odd", where, strings=True)
+        sink.distinct(odd, where, "odd entry")
 
     functionality.sort()
     return PerceptionSystemSpec(sensor=name, sensor_class=sensor_class,

@@ -380,6 +380,7 @@ def _categories_from_doc(raw: dict, key: str, where: str,
                          sink: DiagnosticSink) -> list[PropertyCategory] | None:
     """The list of property-category names at ``raw[key]``."""
     names = sink.collection(raw, key, where, strings=True)
+    sink.distinct(names, where, "category")
     unknown = [name for name in names if name not in CATEGORY_BY_NAME]
     for name in unknown:
         sink.error(E.UNKNOWN_CATEGORY, f"{where}: unknown category {name!r}")

@@ -45,6 +45,7 @@ from .relationships import (
     RelationshipInstance,
     _categories_from_doc,
     _form_from_doc,
+    bundle_signature,
 )
 from .testcases import TestCase
 
@@ -98,6 +99,18 @@ def _relationship_from_doc(raw: dict, where: str,
         return None
     return RelationshipInstance(form=form, focal=focal, partner=partner,
                                 perturbed=frozenset(perturbed), source=source)
+
+
+def _relation_label(rel: RelationshipInstance) -> str:
+    return repr(bundle_signature((rel,)))
+
+
+def _cell_label(cell: EffectEntry) -> str:
+    return f"'{cell.concept}/{'/'.join(cell.properties)}' on {cell.stage}.{cell.stage_property}"
+
+
+def _positive_label(positive: tuple[str, EffectEntry]) -> str:
+    return f"{positive[0]} {_cell_label(positive[1])}"
 
 
 def _effect_to_doc(cell: EffectEntry) -> dict:
@@ -183,6 +196,10 @@ def _condition_from_doc(raw: dict, where: str,
                      for rwhere, rel in sink.records(raw, "relationships", where)]
     effects = [_effect_from_doc(cell, cwhere, sink, owner, properties, stage)
                for cwhere, cell in sink.records(raw, "effects", where)]
+    sink.distinct(sources, where, "source")
+    sink.distinct(properties, where, "property")
+    sink.distinct(relationships, where, "relationship", _relation_label)
+    sink.distinct(effects, where, "effect", _cell_label)
     rating = sink.collection(raw, "assessment", where, mapping=True)
     assessment = rating_from_doc(rating, f"{where}.assessment", sink) if rating else None
     if None in (cid, sensor, owner, description, stage, degree, distance, variant,
@@ -209,13 +226,16 @@ def _catalog_from_doc_located(doc: dict, source: str) -> Catalog:
         if condition is not None and sink.first(seen, condition.id, where, "condition id"):
             conditions.append(condition)
     positives: list[tuple[str, EffectEntry]] = []
+    seen_positives: set[tuple[str, EffectEntry]] = set()
     for where, raw in sink.records(doc, "positives"):
-        sensor = sink.text(raw, "sensor", where)
+        sensor, concept = sink.text(raw, "sensor", where), sink.text(raw, "concept", where)
+        properties = tuple(sink.collection(raw, "properties", where, strings=True))
+        sink.distinct(properties, where, "property")
         cell = _effect_from_doc(
-            raw, where, sink, sink.text(raw, "concept", where),
-            tuple(sink.collection(raw, "properties", where, strings=True)),
+            raw, where, sink, concept, properties,
             sink.choice(raw, "stage", STAGE_BY_NAME, where, code=E.UNKNOWN_STAGE))
-        if sensor is not None and cell is not None:
+        if sensor is not None and cell is not None and sink.first(
+                seen_positives, (sensor, cell), where, "positive", _positive_label):
             positives.append((sensor, cell))
     vehicle = sink.text(doc, "vehicle", "", "")
     threshold = sink.int_in(doc, "threshold", 1, 3, "", 2)
@@ -254,6 +274,11 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
+def _distinct(values) -> bool:
+    """Whether no entry of ``values`` repeats; a list shorter than 2 builds no set."""
+    return len(values) < 2 or len(set(values)) == len(values)
+
+
 def _optional_text(value) -> str:
     """A text field that defaults to ``""``; ``str.strip`` rejects non-text."""
     _fits(value is None or str.strip(value))
@@ -263,8 +288,9 @@ def _optional_text(value) -> str:
 def _relation_checked(raw: dict) -> RelationshipInstance:
     label, focal, partner, perturbs = _RELATION(raw)
     _fits(str.strip(focal) and str.strip(partner) and isinstance(perturbs, list))
-    return RelationshipInstance(_FORM_BY_LABEL[label], focal, partner,
-                                frozenset(map(CATEGORY_BY_NAME.__getitem__, perturbs)),
+    perturbed = frozenset(map(CATEGORY_BY_NAME.__getitem__, perturbs))
+    _fits(len(perturbed) == len(perturbs))
+    return RelationshipInstance(_FORM_BY_LABEL[label], focal, partner, perturbed,
                                 _optional_text(raw.get("source")))
 
 
@@ -298,10 +324,12 @@ def _condition_checked(raw: dict, contexts: dict) -> TriggeringCondition:
     properties, rating = tuple(properties), raw.get("assessment")
     assessment = None if rating is None else \
         AssessmentClass(rating["exposure"], rating["criticality"])
+    relations = tuple(map(_relation_checked, relations))
+    cells = tuple(_cell_checked(cell, owner, properties, stage, contexts) for cell in cells)
+    _fits(_distinct(sources) and _distinct(properties) and _distinct(relations)
+          and _distinct(cells))
     return TriggeringCondition(
-        cid, sensor, tuple(sources), tuple(map(_relation_checked, relations)), owner,
-        properties, stage.name,
-        tuple(_cell_checked(cell, owner, properties, stage, contexts) for cell in cells),
+        cid, sensor, tuple(sources), relations, owner, properties, stage.name, cells,
         degree, description, distance, variant, templated, assessment)
 
 
@@ -318,9 +346,11 @@ def _catalog_checked(doc: dict) -> Catalog | None:
         cells = []
         for raw in positives:
             sensor, concept, properties, stage = _POSITIVE(raw)
-            _fits(str.strip(sensor) and str.strip(concept) and _strings(properties))
+            _fits(str.strip(sensor) and str.strip(concept) and _strings(properties)
+                  and _distinct(properties))
             cells.append((sensor, _cell_checked(raw, concept, tuple(properties),
                                                 STAGE_BY_NAME[stage], contexts)))
+        _fits(_distinct(cells))
         return Catalog(_optional_text(vehicle), threshold, bundle_limit, conditions,
                        tuple(cells), tuple(warnings))
     except _MISFITS:
@@ -485,6 +515,7 @@ def _cases_from_doc_located(doc: dict, source: str) -> tuple[TestCase, ...]:
         odd = sink.collection(raw, "odd", where, strings=True)
         if None not in fields and sink.first(seen, fields[0], where, "case id"):
             cases.append(TestCase(*fields, odd=tuple(odd)))
+    sink.collection(doc, "warnings", strings=True)
     sink.raise_if_errors()
     return tuple(cases)
 
@@ -494,7 +525,8 @@ def _cases_checked(doc: dict) -> tuple[TestCase, ...] | None:
     try:
         raw = doc["cases"]
         texts, odds = list(map(_CASE_TEXTS, raw)), list(map(_ODD, raw))
-        _fits(isinstance(raw, list) and all(map(str.strip, chain.from_iterable(texts)))
+        _fits(isinstance(raw, list) and _strings(doc["warnings"])
+              and all(map(str.strip, chain.from_iterable(texts)))
               and len({fields[0] for fields in texts}) == len(texts)
               and all(map(list.__instancecheck__, odds))
               and all(map(str.__instancecheck__, chain.from_iterable(odds))))

@@ -100,6 +100,13 @@ class TestTopLevel:
         assert proc.returncode == 2
         assert proc.stderr == "error MissingInput missing.yaml: config file not found\n"
 
+    def test_threshold_true_rejected(self, tmp_path):
+        _project(tmp_path, lambda doc: doc["parameters"].update(threshold=True))
+        proc = run_cli("validate", cwd=tmp_path, config=Path("project.yaml"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error InvalidValue project.yaml: parameters.threshold " \
+                              "must be an integer in [1, 3], got True\n"
+
     def test_empty_config_rejected(self, tmp_path):
         empty = tmp_path / "empty.yaml"
         empty.write_text("", encoding="utf-8")
@@ -559,7 +566,7 @@ def _unknown_ratings(tmp_path):
 
 #: case -> (command, the one stderr line, how the case is set up in the cwd).
 #: In the command, CATALOG is a generated catalog; in the line, TMP is the cwd.
-#: A set-up that writes ``project.yaml`` runs the command with that config.
+#: A set-up that returns a config path runs the command with that config.
 MISSING = {
     "assess-catalog": (["assess", "--ratings", "ratings.json", "--catalog", "nope.json"],
                        "error MissingInput nope.json: file not found; run 'generate' first",
@@ -592,11 +599,8 @@ class TestMissingFiles:
     def test_one_located_line(self, chain, tmp_path, case):
         command, line, setup = MISSING[case]
         tmp_path = tmp_path.resolve()
-        config = reference_config()
-        if setup is not None:
-            setup(tmp_path)
-            if (tmp_path / "project.yaml").exists():
-                config = Path("project.yaml")
+        written = setup(tmp_path) if setup else None
+        config = Path(written.name) if written else reference_config()
         catalog = str(chain["cwd"] / "out" / "catalog.json")
         proc = run_cli(*[catalog if arg == "CATALOG" else arg for arg in command],
                        cwd=tmp_path, config=config)

@@ -81,11 +81,11 @@ class TestConfigDocuments:
         with pytest.raises(ToolkitError, match="'inputs' must be a mapping"):
             config_from_doc(doc, base_dir=tmp_path)
 
-    @pytest.mark.parametrize("threshold", [0, 4, "high"])
+    @pytest.mark.parametrize("threshold", [0, 4, "high", True, 1.0])
     def test_threshold_out_of_range(self, tmp_path, threshold):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["parameters"] = {"threshold": threshold}
-        with pytest.raises(ToolkitError, match="threshold must be 1, 2 or 3"):
+        with pytest.raises(ToolkitError, match=r"threshold must be an integer in \[1, 3\]"):
             config_from_doc(doc, base_dir=tmp_path)
 
     @pytest.mark.parametrize("limit", [-1, True, "many"])
