@@ -150,8 +150,8 @@ class DiagnosticSink:
 
     def first(self, seen: set, key, where: str, noun: str, label=repr) -> bool:
         """Whether ``key`` is new to ``seen``, which it is then added to; a
-        repeat records ``DuplicateName`` as ``where: duplicate noun 'key'``,
-        naming ``key`` by ``label(key)``."""
+        repeat records ``DuplicateName`` as ``where: duplicate noun label(key)``,
+        which reads ``'key'`` by default."""
         if key in seen:
             self.error(DUPLICATE_NAME, f"{where}: duplicate {noun} {label(key)}")
             return False
