@@ -37,15 +37,10 @@ from .docio import dump_document, read_document
 from .errors import Diagnostic, DocumentError, ToolkitError, format_diagnostic
 from .generation import assess as assess_condition
 from .generation import build_matrix, ratings_from_doc
-from .ontology import SENSOR_TARGET, lookup_concept
+from .ontology import lookup_concept
 from .perception import STAGE_ORDER, affected_stages
-from .pipeline import Catalog, generate_catalog
-from .relationships import (
-    compose_bundle,
-    instantiate_relationship,
-    instantiate_sensor_relationship,
-    parse_relation_form,
-)
+from .pipeline import Catalog, candidate_relations, generate_catalog
+from .relationships import compose_bundle
 from .render import (
     catalog_from_doc,
     catalog_to_csv,
@@ -175,21 +170,21 @@ def _output_dir(args, config: ProjectConfig) -> Path:
     return directory
 
 
-def _bundle_from_args(args, inputs: ProjectInputs, config: ProjectConfig):
+def _bundle_from_args(args, inputs: ProjectInputs):
+    """``--source`` and the bundle of its candidate relations that
+    ``--relations`` names; any other relation is ``IncompatiblePair``."""
     source = lookup_concept(inputs.ontology, args.source)
+    candidates = {rel.sort_key(): rel for rel in
+                  candidate_relations(source, inputs.matrix, inputs.ontology)}
     relations = []
-    for form_label, focal, partner in split_signature(args.relations):
-        form = parse_relation_form(form_label)
-        if focal == SENSOR_TARGET:
-            rel = instantiate_sensor_relationship(
-                form, lookup_concept(inputs.ontology, partner), inputs.matrix)
-        else:
-            rel = instantiate_relationship(
-                form, lookup_concept(inputs.ontology, focal),
-                lookup_concept(inputs.ontology, partner), inputs.matrix)
-        relations.append(rel)
-    return source, compose_bundle(source, relations, limit=max(
-        config.bundle_limit, len(relations)))
+    for part in split_signature(args.relations):
+        if part not in candidates:
+            form_label, focal, partner = part
+            raise ToolkitError(E.INCOMPATIBLE_PAIR,
+                               f"{form_label}({focal},{partner}) is not a candidate "
+                               f"relation of {source.name!r}")
+        relations.append(candidates[part])
+    return source, compose_bundle(source, relations, limit=len(relations))
 
 
 def _default_catalog_path(args, config: ProjectConfig) -> Path:
@@ -249,7 +244,7 @@ def _cmd_validate(args, config: ProjectConfig) -> int:
 def _cmd_stages(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config, documents=("ontology", "system", "matrix"))
     spec = inputs.suite.get(args.sensor)
-    source, bundle = _bundle_from_args(args, inputs, config)
+    source, bundle = _bundle_from_args(args, inputs)
     stages = affected_stages(source, bundle.relations, spec, inputs.ontology)
     for stage in sorted(stages, key=lambda s: STAGE_ORDER[s]):
         print(stage)
@@ -259,7 +254,7 @@ def _cmd_stages(args, config: ProjectConfig) -> int:
 def _cmd_matrix(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config, documents=("ontology", "system", "matrix", "effects"))
     spec = inputs.suite.get(args.sensor)
-    source, bundle = _bundle_from_args(args, inputs, config)
+    source, bundle = _bundle_from_args(args, inputs)
     gen_matrix = build_matrix(bundle, spec, inputs.effects, inputs.ontology)
     if args.format == "json":
         sys.stdout.write(dump_document(matrix_to_doc(gen_matrix), fmt="json"))

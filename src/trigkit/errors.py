@@ -50,7 +50,6 @@ UNKNOWN_RELATIONSHIP = "UnknownRelationship"
 INCOMPATIBLE_PAIR = "IncompatiblePair"
 MIXED_FOCAL = "MixedFocal"
 BUNDLE_TOO_LARGE = "BundleTooLarge"
-SELF_RELATION = "SelfRelation"
 # Generation and assessment
 UNKNOWN_RATING = "UnknownRating"
 MISSING_TEMPLATE = "MissingTemplate"

@@ -120,7 +120,7 @@ def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
     covering partner. Canonically ordered.
 
     Each pair is resolved once. A form whose perturbed categories ``source``
-    cannot hold is skipped (``instantiate_relationship`` would reject it)."""
+    cannot hold is skipped, and so is ``source`` paired with itself."""
     candidates: list[RelationshipInstance] = []
     entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
     if entry is not None:

@@ -31,7 +31,6 @@ from .ontology import (
     PropertyCategory,
     SourceConcept,
     SourceOntology,
-    legal_categories,
 )
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "bundle_signature",
     "MATRIX_SCHEMA",
     "parse_relation_form",
-    "instantiate_relationship",
-    "instantiate_sensor_relationship",
     "compose_bundle",
     "matrix_from_doc",
     "matrix_to_doc",
@@ -263,44 +260,6 @@ def _instance_from_entry(form: RelationForm, focal: str, partner: str,
         perturbed = DEFAULT_PERTURBED[form.kind]
     return RelationshipInstance(form=form, focal=focal, partner=partner,
                                 perturbed=perturbed, source=entry.source)
-
-
-def instantiate_relationship(form: RelationForm, focal: SourceConcept,
-                             partner: SourceConcept,
-                             matrix: CompatibilityMatrix) -> RelationshipInstance:
-    """Create a validated relationship instance between two concepts.
-
-    Raises ``IncompatiblePair`` when the matrix does not permit the form for
-    the pair and ``SelfRelation`` when focal equals partner for anything but
-    possession.
-    """
-    entry = matrix.resolve(focal.name, focal.kind, partner.name, partner.kind)
-    if entry is None or form not in entry.forms:
-        raise ToolkitError(E.INCOMPATIBLE_PAIR,
-                           f"{form.label} is not permitted between {focal.name!r} "
-                           f"and {partner.name!r}")
-    if focal.name == partner.name and form.kind is not RelationshipKind.POSSESS:
-        raise ToolkitError(E.SELF_RELATION,
-                           f"{form.label} requires distinct focal and partner")
-    rel = _instance_from_entry(form, focal.name, partner.name, entry)
-    illegal = rel.perturbed - legal_categories(focal.kind)
-    if illegal:
-        names = ", ".join(sorted(c.value for c in illegal))
-        raise ToolkitError(E.ILLEGAL_CATEGORY_FOR_KIND,
-                           f"perturbed categories [{names}] are not legal for "
-                           f"{focal.kind.value} focal {focal.name!r}")
-    return rel
-
-
-def instantiate_sensor_relationship(form: RelationForm, source: SourceConcept,
-                                    matrix: CompatibilityMatrix) -> RelationshipInstance:
-    """Relation whose focal is the perceiving sensor and partner is ``source``."""
-    entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
-    if entry is None or form not in entry.forms:
-        raise ToolkitError(E.INCOMPATIBLE_PAIR,
-                           f"{form.label} is not permitted between the sensor "
-                           f"and {source.name!r}")
-    return _instance_from_entry(form, SENSOR_TARGET, source.name, entry)
 
 
 class RelationshipBundle(NamedTuple):

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from trigkit import cli
 from trigkit.config import read_config, strip_timing
 from trigkit.data import data_path, reference_config
 from trigkit.docio import dump_document, read_document
+from trigkit.pipeline import candidate_relations
 
 CLI = [sys.executable, "-m", "trigkit"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -165,6 +167,26 @@ class TestStages:
                        cwd=tmp_path)
         assert proc.returncode == 1
         assert "unknown concept 'Yeti'" in proc.stderr
+
+    def test_every_candidate_relation_is_accepted(self, ontology, matrix, capsys):
+        config = str(reference_config())
+        for name in ontology.names():
+            for rel in candidate_relations(ontology.get(name), matrix, ontology):
+                signature = f"{rel.form.label}({rel.focal},{rel.partner})"
+                status = cli.main(["--config", config, "stages", "--source", name,
+                                   "--sensor", "Camera", "--relations", signature])
+                assert (status, capsys.readouterr().err) == (0, ""), signature
+
+    def test_a_relation_around_another_focal_is_one_error_line(self, capsys):
+        status = cli.main(["--config", str(reference_config()), "stages",
+                           "--source", "Pedestrian", "--sensor", "Camera",
+                           "--relations",
+                           "SpatialPosition.Occlusion(Cyclist,TemporaryStructure)"])
+        out, err = capsys.readouterr()
+        assert (status, out) == (1, "")
+        assert err == ("error: IncompatiblePair: SpatialPosition.Occlusion(Cyclist,"
+                       "TemporaryStructure) is not a candidate relation of "
+                       "'Pedestrian'\n")
 
 
 class TestMatrix:

@@ -41,8 +41,6 @@ from trigkit.relationships import (
     MatrixPattern,
     RelationshipBundle,
     compose_bundle,
-    instantiate_relationship,
-    instantiate_sensor_relationship,
     parse_relation_form,
 )
 from trigkit.templates import TemplateSet
@@ -121,14 +119,23 @@ def _bare(concept):
     return RelationshipBundle(source=concept.name)
 
 
+def _candidate(source, form, focal, partner):
+    """The candidate relation of ``source`` with that form, focal and partner."""
+    by_key = {rel.sort_key(): rel for rel in candidate_relations(source, COMPAT, ONTOLOGY)}
+    return by_key[(form.label, focal, partner)]
+
+
+PEDESTRIAN_OCCLUDED = _candidate(PEDESTRIAN, OCCLUSION, "Pedestrian", "Cone")
+LEAF_COVER = _candidate(LEAF, COVER, "Sensor", "Leaf")
+RAIN_COVER = _candidate(RAIN, COVER, "Sensor", "Rain")
+
+
 def _occluded_bundle():
-    rel = instantiate_relationship(OCCLUSION, PEDESTRIAN, CONE, COMPAT)
-    return compose_bundle(PEDESTRIAN, [rel])
+    return compose_bundle(PEDESTRIAN, [PEDESTRIAN_OCCLUDED])
 
 
 def _covered_leaf_bundle():
-    rel = instantiate_sensor_relationship(COVER, LEAF, COMPAT)
-    return compose_bundle(LEAF, [rel])
+    return compose_bundle(LEAF, [LEAF_COVER])
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +166,13 @@ class TestDegrees:
 
 class TestRelationContext:
     def test_matches_form_and_partner(self):
-        rel = instantiate_relationship(OCCLUSION, PEDESTRIAN, CONE, COMPAT)
-        assert OCCLUSION_CTX.matches(rel, ONTOLOGY)
-        assert not LEAF_COVER_CTX.matches(rel, ONTOLOGY)
+        assert OCCLUSION_CTX.matches(PEDESTRIAN_OCCLUDED, ONTOLOGY)
+        assert not LEAF_COVER_CTX.matches(PEDESTRIAN_OCCLUDED, ONTOLOGY)
 
     def test_focal_pattern(self):
         ctx = RelationContext(focal=MatrixPattern(kind=ConceptKind.INTERACTIVE))
-        rel = instantiate_relationship(OCCLUSION, PEDESTRIAN, CONE, COMPAT)
-        assert ctx.matches(rel, ONTOLOGY)
-        cover = instantiate_sensor_relationship(COVER, LEAF, COMPAT)
-        assert not ctx.matches(cover, ONTOLOGY)  # the sensor has no kind
+        assert ctx.matches(PEDESTRIAN_OCCLUDED, ONTOLOGY)
+        assert not ctx.matches(LEAF_COVER, ONTOLOGY)  # the sensor has no kind
 
     def test_satisfied_by_bundle(self):
         assert OCCLUSION_CTX.satisfied_by(_occluded_bundle(), ONTOLOGY)
@@ -179,9 +183,7 @@ class TestRelationContext:
             "SpatialPosition.Occlusion partner=kind:DisturbingEntity"
 
     def test_keys_agree_with_matches(self):
-        rels = (instantiate_relationship(OCCLUSION, PEDESTRIAN, CONE, COMPAT),
-                instantiate_sensor_relationship(COVER, LEAF, COMPAT),
-                instantiate_sensor_relationship(COVER, RAIN, COMPAT))
+        rels = (PEDESTRIAN_OCCLUDED, LEAF_COVER, RAIN_COVER)
         patterns = [None] + [MatrixPattern(name=n) for n in
                              ("Pedestrian", "Cone", "Leaf", "Rain", "Sensor")] \
             + [MatrixPattern(kind=k) for k in ConceptKind]
@@ -387,8 +389,7 @@ class TestSynthesis:
         # rain covering the sensor: the only surviving cell is the bare
         # propagation rule, which fires identically without the cover, so
         # this bundle yields nothing and the bare bundle owns the condition
-        rel = instantiate_sensor_relationship(COVER, RAIN, COMPAT)
-        covered = compose_bundle(RAIN, [rel])
+        covered = compose_bundle(RAIN, [RAIN_COVER])
         assert _synthesize(covered, LIDAR) == []
         assert len(_synthesize(_bare(RAIN), LIDAR)) == 2  # base + distance twin
 

@@ -11,6 +11,7 @@ from trigkit.ontology import (
     SourceOntology,
     SourceProperty,
 )
+from trigkit.pipeline import candidate_relations
 from trigkit.relationships import (
     DEFAULT_PERTURBED,
     RELATION_FORMS,
@@ -21,8 +22,6 @@ from trigkit.relationships import (
     RelationshipKind,
     compose_bundle,
     cross_validate_matrix,
-    instantiate_relationship,
-    instantiate_sensor_relationship,
     matrix_from_doc,
     matrix_to_doc,
     parse_relation_form,
@@ -327,11 +326,19 @@ def _scan(matrix, focal_name, focal_kind, partner_name, partner_kind):
     return best[1] if best else None
 
 
+def _candidates(focal, compat, ontology=ONTOLOGY):
+    """The candidate relations of ``focal``, by (form label, focal, partner)."""
+    return {rel.sort_key(): rel for rel in candidate_relations(focal, compat, ontology)}
+
+
 class TestInstantiate:
+    """Relation instances as ``candidate_relations`` builds them from the matrix."""
+
     def test_default_perturbed_set(self, compat):
         # Cyclist has no name-specific entry, so the kind pair grants Overlay
-        rel = instantiate_relationship(
-            parse_relation_form("SpatialPosition.Overlay"), CYCLIST, CONE, compat)
+        ontology = SourceOntology(concepts=(CONE, CYCLIST, LEAF, PEDESTRIAN, RAIN))
+        rel = _candidates(CYCLIST, compat, ontology)[
+            ("SpatialPosition.Overlay", "Cyclist", "Cone")]
         assert rel.perturbed == {PropertyCategory.REFLECTION_AREA,
                                  PropertyCategory.FEATURE_VARIABILITY}
         assert rel.focal == "Cyclist" and rel.partner == "Cone"
@@ -339,54 +346,44 @@ class TestInstantiate:
     def test_specific_entry_replaces_broader_grants(self, compat):
         # (Pedestrian, Cone) resolves to the name pair, which permits only
         # occlusion; the kind-level Overlay grant no longer applies
-        with pytest.raises(ToolkitError) as excinfo:
-            instantiate_relationship(
-                parse_relation_form("SpatialPosition.Overlay"),
-                PEDESTRIAN, CONE, compat)
-        assert excinfo.value.code == "IncompatiblePair"
+        keys = {key for key in _candidates(PEDESTRIAN, compat) if key[2] == "Cone"}
+        assert keys == {("SpatialPosition.Occlusion", "Pedestrian", "Cone")}
 
     def test_entry_override_narrows_perturbed(self, compat):
-        rel = instantiate_relationship(
-            parse_relation_form("SpatialPosition.Occlusion"), PEDESTRIAN, CONE, compat)
+        rel = _candidates(PEDESTRIAN, compat)[
+            ("SpatialPosition.Occlusion", "Pedestrian", "Cone")]
         assert rel.perturbed == {PropertyCategory.REFLECTION_AREA}
 
     def test_incompatible_pair(self, compat):
-        with pytest.raises(ToolkitError) as excinfo:
-            instantiate_relationship(parse_relation_form("Possess"),
-                                     PEDESTRIAN, CONE, compat)
-        assert excinfo.value.code == "IncompatiblePair"
+        assert ("Possess", "Pedestrian", "Cone") not in _candidates(PEDESTRIAN, compat)
 
     def test_self_relation_rejected(self, compat):
-        with pytest.raises(ToolkitError) as excinfo:
-            instantiate_relationship(
-                parse_relation_form("SpatialPosition.Occlusion"),
-                PEDESTRIAN, PEDESTRIAN, compat)
-        assert excinfo.value.code == "SelfRelation"
+        # the interactive kind pair grants occlusion, but never of a concept
+        # by itself
+        ontology = SourceOntology(concepts=(CONE, CYCLIST, LEAF, PEDESTRIAN, RAIN))
+        candidates = _candidates(PEDESTRIAN, compat, ontology)
+        assert ("SpatialPosition.Occlusion", "Pedestrian", "Cyclist") in candidates
+        assert all(focal != partner for _form, focal, partner in candidates)
 
     def test_illegal_category_for_focal_kind(self):
         # granting a feature-perturbing form to a modification focal cannot work:
         # modifications own no FeatureVariability properties
         compat = CompatibilityMatrix(entries=(MatrixEntry(
             focal=MatrixPattern(name="Rain"), partner=MatrixPattern(name="Cone"),
-            forms=(parse_relation_form("CognitiveFeature"),)),))
-        with pytest.raises(ToolkitError) as excinfo:
-            instantiate_relationship(parse_relation_form("CognitiveFeature"),
-                                     RAIN, CONE, compat)
-        assert excinfo.value.code == "IllegalCategoryForKind"
+            forms=(parse_relation_form("SurfaceTreatment.Lighten"),
+                   parse_relation_form("CognitiveFeature"))),))
+        assert list(_candidates(RAIN, compat)) == [
+            ("SurfaceTreatment.Lighten", "Rain", "Cone")]
 
     def test_sensor_relationship(self, compat):
-        rel = instantiate_sensor_relationship(
-            parse_relation_form("SurfaceTreatment.Cover"), LEAF, compat)
+        rel = _candidates(LEAF, compat)[("SurfaceTreatment.Cover", "Sensor", "Leaf")]
         assert rel.focal == "Sensor"
         assert rel.partner == "Leaf"
         assert rel.targets_sensor()
         assert rel.perturbed == {PropertyCategory.REFLECTIVITY}
 
     def test_sensor_relationship_needs_an_entry(self, compat):
-        with pytest.raises(ToolkitError) as excinfo:
-            instantiate_sensor_relationship(
-                parse_relation_form("SurfaceTreatment.Cover"), CONE, compat)
-        assert excinfo.value.code == "IncompatiblePair"
+        assert not any(rel.targets_sensor() for rel in _candidates(CONE, compat).values())
 
     @pytest.mark.parametrize("form_label,verb", [
         ("SpatialPosition.Overlay", "Overlayedby"),
@@ -407,10 +404,9 @@ class TestInstantiate:
 
 
 class TestBundles:
-    def _occlusion(self, compat, partner=CONE):
-        return instantiate_relationship(
-            parse_relation_form("SpatialPosition.Occlusion"),
-            PEDESTRIAN, partner, compat)
+    def _occlusion(self, compat):
+        return _candidates(PEDESTRIAN, compat)[
+            ("SpatialPosition.Occlusion", "Pedestrian", "Cone")]
 
     def test_empty_bundle(self, compat):
         bundle = compose_bundle(PEDESTRIAN, [])
@@ -425,8 +421,8 @@ class TestBundles:
 
     def test_canonical_ordering_is_independent_of_input_order(self, compat):
         occ = self._occlusion(compat)
-        cognitive = instantiate_relationship(
-            parse_relation_form("CognitiveFeature"), PEDESTRIAN, LEAF, compat)
+        cognitive = _candidates(PEDESTRIAN, compat)[
+            ("CognitiveFeature", "Pedestrian", "Leaf")]
         forward = compose_bundle(PEDESTRIAN, [occ, cognitive])
         backward = compose_bundle(PEDESTRIAN, [cognitive, occ])
         assert forward == backward
@@ -440,10 +436,10 @@ class TestBundles:
 
     def test_bundle_too_large(self, compat):
         occ = self._occlusion(compat)
-        cognitive = instantiate_relationship(
-            parse_relation_form("CognitiveFeature"), PEDESTRIAN, LEAF, compat)
-        cover = instantiate_relationship(
-            parse_relation_form("SurfaceTreatment.Cover"), PEDESTRIAN, RAIN, compat)
+        cognitive = _candidates(PEDESTRIAN, compat)[
+            ("CognitiveFeature", "Pedestrian", "Leaf")]
+        cover = _candidates(PEDESTRIAN, compat)[
+            ("SurfaceTreatment.Cover", "Pedestrian", "Rain")]
         with pytest.raises(ToolkitError) as excinfo:
             compose_bundle(PEDESTRIAN, [occ, cognitive, cover], limit=2)
         assert excinfo.value.code == "BundleTooLarge"
@@ -455,8 +451,7 @@ class TestBundles:
         assert excinfo.value.code == "MixedFocal"
 
     def test_sensor_relation_partner_must_be_the_focal(self, compat):
-        cover = instantiate_sensor_relationship(
-            parse_relation_form("SurfaceTreatment.Cover"), LEAF, compat)
+        cover = _candidates(LEAF, compat)[("SurfaceTreatment.Cover", "Sensor", "Leaf")]
         bundle = compose_bundle(LEAF, [cover])
         assert bundle.signature() == "SurfaceTreatment.Cover(Sensor,Leaf)"
         with pytest.raises(ToolkitError) as excinfo:
