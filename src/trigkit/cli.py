@@ -345,8 +345,11 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
     inputs = load_inputs(config, documents=_COMPOSE_INPUTS)
     catalog_path = _default_catalog_path(args, config)
     catalog = _read_catalog_file(catalog_path)
-    cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite,
-                              inputs.policy)
+    try:
+        cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite,
+                                  inputs.policy)
+    except ToolkitError as exc:  # compose raises only for a sensor the catalog names
+        raise DocumentError.at(exc.code, exc.args[0], str(catalog_path)) from None
     _print_warnings(warnings)
 
     directory = _output_dir(args, config)

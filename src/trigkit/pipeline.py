@@ -154,8 +154,9 @@ def enumerate_bundles(source: SourceConcept,
     canonical relations is then already a canonical bundle. For canonical
     candidates, as ``candidate_relations`` returns them, bundle i holds
     combination i of ``candidates``."""
-    if limit < 0:
-        raise ToolkitError(E.INVALID_VALUE, f"bundle limit must be >= 0, got {limit}")
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise ToolkitError(E.INVALID_VALUE,
+                           f"bundle limit must be an integer >= 0, got {limit!r}")
     relations = compose_bundle(source, candidates, limit=len(candidates)).relations
     bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
     for size in range(1, limit + 1):

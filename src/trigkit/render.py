@@ -513,6 +513,7 @@ def _cases_from_doc_located(doc: dict, source: str) -> tuple[TestCase, ...]:
     for where, raw in sink.records(doc, "cases"):
         fields = [sink.text(raw, key, where) for key in _CASE_FIELDS]
         odd = sink.collection(raw, "odd", where, strings=True)
+        sink.distinct(odd, where, "odd entry")
         if None not in fields and sink.first(seen, fields[0], where, "case id"):
             cases.append(TestCase(*fields, odd=tuple(odd)))
     sink.collection(doc, "warnings", strings=True)
@@ -530,10 +531,13 @@ def _cases_checked(doc: dict) -> tuple[TestCase, ...] | None:
               and len({fields[0] for fields in texts}) == len(texts)
               and all(map(list.__instancecheck__, odds))
               and all(map(str.__instancecheck__, chain.from_iterable(odds))))
+        odds = list(map(tuple, odds))
+        shared = set(odds)  # each distinct list once: cases on one sensor share it
+        _fits(list(map(len, map(set, shared))) == list(map(len, shared)))
     except _MISFITS:
         return None
-    # each case's texts plus the 1-tuple (tuple(odd),)
-    return tuple(map(TestCase._make, map(add, texts, zip(map(tuple, odds)))))
+    # each case's texts plus the 1-tuple (odd,)
+    return tuple(map(TestCase._make, map(add, texts, zip(odds))))
 
 
 def cases_from_doc(doc: dict, *, source: str = "<document>") -> tuple[TestCase, ...]:

@@ -346,6 +346,16 @@ class TestChainErrors:
         assert proc.returncode == 1
         assert proc.stderr == "error MissingInput missing.json: file not found\n"
 
+    def test_compose_locates_an_unknown_sensor_at_the_catalog(self, chain, tmp_path):
+        catalog = json.loads((chain["cwd"] / "out" / "catalog.json")
+                             .read_text(encoding="utf-8"))
+        catalog["conditions"][0]["sensor"] = "Radar"
+        (tmp_path / "bad.json").write_text(json.dumps(catalog), encoding="utf-8")
+        proc = run_cli("compose", "--catalog", "bad.json", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error UnknownSensor bad.json: suite for 'RoadSweeper' " \
+                              "has no sensor 'Radar'\n"
+
     def test_report_without_cases_file_reads_none(self, tmp_path, chain):
         proc = run_cli("report", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
                        cwd=tmp_path)

@@ -331,7 +331,7 @@ class TestFilters:
 
     def test_threshold_out_of_range(self):
         matrix = build_matrix(_bare(RAIN), LIDAR, KB, ONTOLOGY)
-        with pytest.raises(ToolkitError, match="threshold must be 1, 2 or 3"):
+        with pytest.raises(ToolkitError, match=r"threshold must be an integer in \[1, 3\]"):
             worst_case_filter(matrix, threshold=0)
 
 

@@ -82,7 +82,7 @@ class TestEnumerateBundles:
 
     def test_negative_limit_rejected(self, ontology, matrix):
         rain = ontology.get("Rain")
-        with pytest.raises(ToolkitError, match="bundle limit must be >= 0"):
+        with pytest.raises(ToolkitError, match="bundle limit must be an integer >= 0"):
             enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
                               limit=-1)
 
@@ -210,6 +210,17 @@ class TestGenerateCatalog:
                              inputs.effects, inputs.templates,
                              sensors=("Radar",))
         assert excinfo.value.code == "UnknownSensor"
+
+    @pytest.mark.parametrize("parameters", [
+        {"threshold": 2.0}, {"threshold": True}, {"threshold": 0},
+        {"bundle_limit": 2.0}, {"bundle_limit": True}, {"bundle_limit": -1},
+    ])
+    def test_parameters_are_read_as_the_readers_read_them(self, inputs, parameters):
+        # booleans and floats are not integers, as in the config and catalog readers
+        with pytest.raises(ToolkitError) as excinfo:
+            generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
+                             inputs.effects, inputs.templates, **parameters)
+        assert excinfo.value.code == "InvalidValue"
 
     def test_distance_twins_follow_their_base(self, catalog):
         for i, condition in enumerate(catalog.conditions):

@@ -285,6 +285,16 @@ class TestCaseViews:
         with pytest.raises(ToolkitError, match="duplicate case id 't0'"):
             cases_from_doc(doc)
 
+    def test_repeated_odd_entry_rejected(self):
+        case = {"id": "t0", "condition": "c0", "event": "HE-1",
+                "sensor": "Camera", "situation": "s", "trigger": "t",
+                "behavior": "b", "fail_criterion": "f", "pass_criterion": "p",
+                "odd": ["Night", "Rain", "Night"]}
+        with pytest.raises(DocumentError) as excinfo:
+            cases_from_doc({"schema": "test-cases@1", "cases": [case], "warnings": []})
+        assert [d.message for d in excinfo.value.diagnostics] == [
+            "cases[0]: duplicate odd entry 'Night'"]
+
 
 # ---------------------------------------------------------------------------
 # Reports
