@@ -368,8 +368,7 @@ def worst_case_filter(matrix: GenerationMatrix, threshold: int = 2) -> list[Effe
     Only negative degrees qualify; positive cells are diagnostics (see
     :func:`positive_cells`).
     """
-    if not isinstance(threshold, int) or isinstance(threshold, bool) \
-            or not 1 <= threshold <= 3:
+    if type(threshold) is not int or not 1 <= threshold <= 3:  # not a bool or float
         raise ToolkitError(E.INVALID_VALUE,
                            f"threshold must be an integer in [1, 3], got {threshold!r}")
     return [cell for cell in matrix.graded if cell.degree <= -threshold]

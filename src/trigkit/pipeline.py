@@ -154,7 +154,7 @@ def enumerate_bundles(source: SourceConcept,
     canonical relations is then already a canonical bundle. For canonical
     candidates, as ``candidate_relations`` returns them, bundle i holds
     combination i of ``candidates``."""
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+    if type(limit) is not int or limit < 0:  # not a bool or float
         raise ToolkitError(E.INVALID_VALUE,
                            f"bundle limit must be an integer >= 0, got {limit!r}")
     relations = compose_bundle(source, candidates, limit=len(candidates)).relations
