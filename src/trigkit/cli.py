@@ -18,6 +18,7 @@ Exit codes: 0 on success, 1 when input data fails validation or processing,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -61,6 +62,7 @@ from .testcases import ResultsLedger, compose
 __all__ = ["main", "entrypoint"]
 
 
+@functools.cache  # built on the first call, not at import
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigkit",
@@ -184,7 +186,7 @@ def _bundle_from_args(args, inputs: ProjectInputs):
                                f"{form_label}({focal},{partner}) is not a candidate "
                                f"relation of {source.name!r}")
         relations.append(candidates[part])
-    return source, compose_bundle(source, relations, limit=len(relations))
+    return source, compose_bundle(source, relations)
 
 
 def _default_catalog_path(args, config: ProjectConfig) -> Path:
@@ -384,6 +386,7 @@ def _cmd_report(args, config: ProjectConfig) -> int:
     else:
         text = render_report(catalog, cases, results)
     if args.output:
+        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"report -> {args.output}")
     else:

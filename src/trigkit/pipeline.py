@@ -157,7 +157,7 @@ def enumerate_bundles(source: SourceConcept,
     if type(limit) is not int or limit < 0:  # not a bool or float
         raise ToolkitError(E.INVALID_VALUE,
                            f"bundle limit must be an integer >= 0, got {limit!r}")
-    relations = compose_bundle(source, candidates, limit=len(candidates)).relations
+    relations = compose_bundle(source, candidates).relations
     bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
     for size in range(1, limit + 1):
         bundles += [RelationshipBundle(source.name, chosen)

@@ -281,13 +281,12 @@ def bundle_signature(relations: Sequence[RelationshipInstance]) -> str:
     return ";".join(f"{r.form.label}({r.focal},{r.partner})" for r in relations)
 
 
-def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstance],
-                   limit: int = 2) -> RelationshipBundle:
+def compose_bundle(focal: SourceConcept,
+                   relations: Sequence[RelationshipInstance]) -> RelationshipBundle:
     """Deduplicate, validate and canonically order relations around ``focal``.
 
     Duplicates (same form/focal/partner) collapse to one. ``MixedFocal`` is
-    raised when a regular relation names a different focal, ``BundleTooLarge``
-    when more than ``limit`` distinct relations remain.
+    raised when a regular relation names a different focal.
     """
     deduped: dict[tuple, RelationshipInstance] = {}  # sort key -> first relation
     for rel in relations:
@@ -301,9 +300,6 @@ def compose_bundle(focal: SourceConcept, relations: Sequence[RelationshipInstanc
                                f"relation focal {rel.focal!r} does not match bundle "
                                f"focal {focal.name!r}")
         deduped.setdefault(rel.sort_key(), rel)
-    if len(deduped) > limit:
-        raise ToolkitError(E.BUNDLE_TOO_LARGE,
-                           f"bundle holds {len(deduped)} relations, limit is {limit}")
     return RelationshipBundle(source=focal.name,
                               relations=tuple(deduped[key] for key in sorted(deduped)))
 

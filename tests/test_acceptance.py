@@ -488,7 +488,7 @@ def _reference_catalog(ontology, suite, matrix, kb, templates, threshold,
             candidates = candidate_relations(source, matrix, ontology)
             bundles = [RelationshipBundle(source=name)]
             for size in range(1, bundle_limit + 1):
-                bundles.extend(compose_bundle(source, chosen, limit=bundle_limit)
+                bundles.extend(compose_bundle(source, chosen)
                                for chosen in combinations(candidates, size))
             for bundle in bundles:
                 cells = _reference_cells(bundle, spec, kb, ontology)

@@ -1,6 +1,7 @@
 """Command-line workbench, exercised through real subprocesses."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -121,6 +122,18 @@ class TestTopLevel:
         proc = run_cli("--config", str(reference_config()), "validate",
                        cwd=tmp_path, config=tmp_path / "nonsense.yaml")
         assert proc.returncode == 0
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        config = str(reference_config())
+        assert cli.main(["--config", config, "bogus"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert cli.main(["--version"]) == 0
+        assert capsys.readouterr().out == "trigkit 0.1.0\n"
+        assert cli.main(["--config", config, "validate"]) == 0
+        fresh = run_cli("--config", config, "validate", cwd=tmp_path, config=None)
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        assert capsys.readouterr() == (fresh.stdout, "")
+        assert cli._parser.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +321,13 @@ class TestChain:
         assert doc["totals"]["test_cases"] == 61
         assert doc["results"] == {"pass": 0, "marginal": 0, "fail": 1}
         assert doc["ranking"][0]["rating"] == "E4/C4"
+
+    def test_report_output_creates_its_directory(self, chain):
+        proc = run_cli("report", "--output", "nodir/deeper/report.md", cwd=chain["cwd"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "report -> nodir/deeper/report.md\n", "")
+        written = chain["cwd"] / "nodir" / "deeper" / "report.md"
+        assert written.read_text(encoding="utf-8") == chain["report_md"].stdout
 
     def test_json_outputs_are_the_stdlib_indented_text(self, chain):
         out = chain["cwd"] / "out"
@@ -638,6 +658,61 @@ class TestMissingFiles:
                        cwd=tmp_path, config=config)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == line.replace("TMP", str(tmp_path)) + "\n"
+
+
+#: The first 12 hex digits of the SHA-256 of every file ``generate``,
+#: ``compose`` and ``report`` write on the bundled project, at its
+#: ``bundle_limit`` 2 and at 3; a manifest is hashed without its timing and
+#: with each input path cut to its file name.
+DIGESTS = {
+    "out/catalog.csv": "a1e065152fac",
+    "out/catalog.json": "68a0dfdd1c5c",
+    "out/catalog.md": "a05abaaa6b57",
+    "out/generate.manifest.json": "e905d02d72a3",
+    "out/test_cases.json": "27837445d4cd",
+    "out/test_cases.md": "4233368ff312",
+    "out/compose.manifest.json": "75cc17c7d794",
+    "report.md": "926113c19048",
+    "report.json": "006ddf3c384d",
+}
+DIGESTS_AT_LIMIT_3 = dict(DIGESTS, **{
+    "out/catalog.json": "07d5cfdffde7",
+    "out/catalog.md": "9a9a883506cd",
+    "out/generate.manifest.json": "db84ff1cba1c",
+    "out/compose.manifest.json": "291b865c49a9",
+})
+
+
+def _digest(path: Path) -> str:
+    if path.name.endswith(".manifest.json"):
+        manifest = strip_timing(read_document(path))
+        for entry in manifest["inputs"]:
+            entry["path"] = Path(entry["path"]).name
+        data = dump_document(manifest, fmt="json").encode("utf-8")
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("bundle_limit,expected", [(2, DIGESTS), (3, DIGESTS_AT_LIMIT_3)])
+def test_outputs_keep_their_digests(tmp_path, monkeypatch, capsys, bundle_limit, expected):
+    """The outputs of the chain, in process, are byte for byte what they were."""
+    project = tmp_path / "project"
+    project.mkdir()
+    for document in reference_config().parent.glob("*.yaml"):
+        text = document.read_text(encoding="utf-8")
+        if document.name == "project.yaml":
+            text = text.replace("bundle_limit: 2", f"bundle_limit: {bundle_limit}")
+        (project / document.name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(project / "project.yaml")]
+    for command in (["generate"], ["compose"], ["report", "--output", "report.md"],
+                    ["report", "--format", "json", "--output", "report.json"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    written = {path.relative_to(tmp_path).as_posix(): _digest(path)
+               for path in sorted(tmp_path.rglob("*"))
+               if path.is_file() and project not in path.parents}
+    assert written == expected
 
 
 def test_end_to_end_demo(tmp_path):

@@ -1,9 +1,11 @@
 """Document parsing, schema markers and canonical dumps."""
 
+import gc
 import json
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 import yaml
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigkit.data
+from trigkit import docio
 
 from trigkit.docio import (
     check_schema,
@@ -160,6 +163,108 @@ def test_read_translates_line_ends(tmp_path):
 def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
     text = path.read_text(encoding="utf-8")
     assert parse_document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+# ---------------------------------------------------------------------------
+# The YAML reader builds what yaml.CSafeLoader builds
+# ---------------------------------------------------------------------------
+
+def _yaml_outcome(text, loader=None):
+    """``repr`` of what ``parse_document`` returns, or what it raises: a
+    ``DocumentError``'s diagnostics with the type and text of its cause."""
+    try:
+        if loader is None:
+            return repr(parse_document(text, source="doc.yaml"))
+        with mock.patch.object(docio, "_YAMLLoader", loader):
+            return repr(parse_document(text, source="doc.yaml"))
+    except DocumentError as exc:
+        return exc.diagnostics, type(exc.__cause__), str(exc.__cause__)
+    except Exception as exc:  # noqa: BLE001 - a constructor's own error, such as a bad date
+        return type(exc), str(exc)
+
+
+def _assert_read_as_csafeloader_reads(text):
+    assert _yaml_outcome(text) == _yaml_outcome(text, yaml.CSafeLoader), text
+
+
+_yaml_keys = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+              | st.sampled_from(["yes", "No", "~", "null", "0x1F", "0o17", "1_000", "1:30",
+                                 "-.inf", ".NaN", "2001-12-14", "<<", "=", "", "a: b"]))
+_yaml_scalars = (_yaml_keys | st.binary(max_size=12) | st.dates() | st.datetimes()
+                 | st.text(alphabet="0123456789-:.+_ eE#&*!|>'\"%@`", max_size=12))
+_yaml_documents = st.dictionaries(_yaml_keys, st.recursive(
+    _yaml_scalars, lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_yaml_keys, children, max_size=4), max_leaves=20), max_size=5)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_yaml_documents)
+def test_yaml_is_read_as_csafeloader_reads_it(value):
+    """Each value, dumped in block, flow and default style, with and without
+    its quotes, reads as ``yaml.CSafeLoader`` reads it, or fails as it does."""
+    for flow in (False, True, None):
+        text = yaml.dump(value, Dumper=yaml.CSafeDumper, default_flow_style=flow,
+                         allow_unicode=True)
+        for document in (text, text.replace("'", ""), text.replace('"', "")):
+            _assert_read_as_csafeloader_reads(document)
+
+
+@pytest.mark.parametrize("text", [
+    "a: &x [1]\nb: *x\n",
+    "a: &s text\nb: *s\n",
+    "base: &b {x: 1, y: 2}\nderived:\n  <<: *b\n  y: 3\n",
+    "? [1, 2]\n: v\n",
+    "? {a: 1}\n: v\n",
+    "a: !!str {a: 1}\n",
+    "a: !!map abc\n",
+    "a: !!seq abc\n",
+    "a: !foo x\n",
+    "a: !!binary aGVsbG8=\n",
+    "a: !!binary '#'\n",
+    "a: !!set {x, y}\n",
+    "a: !!omap [x: 1, y: 2]\n",
+    "a: !!pairs [x: 1, x: 2]\n",
+    "= : v\n",
+    "a: &a [*a]\n",
+    "a: 1\nb: 2\na: 3\n",
+    "",
+    "---\n...\n",
+    "a: !!int 0x1F\nb: !!float 1\nc: !!null x\nd: !!bool yes\n",
+    "a: !!int abc\n",
+    "a: 2001-13-45\n",
+    "a: !!timestamp abc\n",
+    "a: [2001-12-14t21:59:43.10-05:00, 2002-12-14]\n",
+    "a: [1_000, 0b101, 0o17, 017, 1:30, .inf, -.Inf, .nan, ~, Null, off]\n",
+], ids=["alias", "scalar-alias", "merge", "seq-key", "map-key", "str-on-map",
+        "map-on-scalar", "seq-on-scalar", "local-tag", "binary", "bad-binary", "set",
+        "omap", "pairs", "value-key", "recursive", "duplicate-keys", "empty", "empty-doc",
+        "explicit-tags", "bad-int", "bad-date", "bad-timestamp", "timestamps",
+        "yaml11-scalars"])
+def test_each_fallback_reads_as_csafeloader_reads_it(text):
+    _assert_read_as_csafeloader_reads(text)
+
+
+def test_an_alias_is_one_object():
+    doc = parse_document("a: &x [1]\nb: *x\n")
+    assert doc["a"] is doc["b"]
+
+
+def test_deep_nesting_is_read():
+    doc = parse_document("a: " + "[" * 3000 + "x" + "]" * 3000 + "\n")
+    value, depth = doc["a"], 0
+    while isinstance(value, list):
+        value, depth = value[0], depth + 1
+    assert (value, depth) == ("x", 3000)
+
+
+def test_reading_leaves_no_garbage():
+    texts = [path.read_text(encoding="utf-8") for path in
+             sorted(Path(trigkit.data.__file__).parent.glob("*.yaml"))]
+    texts += ["a: &x [1]\nb: *x\n", "base: &b {x: 1}\nderived: {<<: *b}\n"]
+    gc.collect()
+    for text in texts:
+        parse_document(text)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,7 @@ class TestCandidatesValidatedOnce:
             assert [b.relations for b in bundles] == expected
             # each bundle is what composing its relations gives
             for bundle in bundles[1:]:
-                assert bundle == compose_bundle(pedestrian, bundle.relations,
-                                                limit=limit)
+                assert bundle == compose_bundle(pedestrian, bundle.relations)
 
     def test_a_relation_around_another_focal_is_rejected(self, ontology, matrix):
         pedestrian = ontology.get("Pedestrian")

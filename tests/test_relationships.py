@@ -434,16 +434,6 @@ class TestBundles:
         bundle = compose_bundle(PEDESTRIAN, [rel, rel])
         assert len(bundle.relations) == 1
 
-    def test_bundle_too_large(self, compat):
-        occ = self._occlusion(compat)
-        cognitive = _candidates(PEDESTRIAN, compat)[
-            ("CognitiveFeature", "Pedestrian", "Leaf")]
-        cover = _candidates(PEDESTRIAN, compat)[
-            ("SurfaceTreatment.Cover", "Pedestrian", "Rain")]
-        with pytest.raises(ToolkitError) as excinfo:
-            compose_bundle(PEDESTRIAN, [occ, cognitive, cover], limit=2)
-        assert excinfo.value.code == "BundleTooLarge"
-
     def test_mixed_focal_rejected(self, compat):
         rel = self._occlusion(compat)
         with pytest.raises(ToolkitError) as excinfo:
