@@ -89,7 +89,7 @@ class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml if 
         try:
             return _build(self, node, set())
         except Exception:  # noqa: BLE001 - ``SafeConstructor`` builds it or raises
-            pass
+            pass  # out here, its error does not carry this one as its context
         return super().construct_document(node)
 
 

@@ -169,12 +169,11 @@ def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
 # The YAML reader builds what yaml.CSafeLoader builds
 # ---------------------------------------------------------------------------
 
-def _yaml_outcome(text, loader=None):
-    """``repr`` of what ``parse_document`` returns, or what it raises: a
-    ``DocumentError``'s diagnostics with the type and text of its cause."""
+def _yaml_outcome(text, loader):
+    """``repr`` of what ``parse_document`` returns with ``loader``, or what it
+    raises: a ``DocumentError``'s diagnostics with the type and text of its
+    cause."""
     try:
-        if loader is None:
-            return repr(parse_document(text, source="doc.yaml"))
         with mock.patch.object(docio, "_YAMLLoader", loader):
             return repr(parse_document(text, source="doc.yaml"))
     except DocumentError as exc:
@@ -184,7 +183,8 @@ def _yaml_outcome(text, loader=None):
 
 
 def _assert_read_as_csafeloader_reads(text):
-    assert _yaml_outcome(text) == _yaml_outcome(text, yaml.CSafeLoader), text
+    expected = _yaml_outcome(text, yaml.CSafeLoader)
+    assert _yaml_outcome(text, docio._YAMLLoader) == expected, text
 
 
 _yaml_keys = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
