@@ -18,7 +18,6 @@ Exit codes: 0 on success, 1 when input data fails validation or processing,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from pathlib import Path
@@ -62,7 +61,6 @@ from .testcases import ResultsLedger, compose
 __all__ = ["main", "entrypoint"]
 
 
-@functools.cache  # built on the first call, not at import
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigkit",

@@ -18,13 +18,14 @@ None; with an indent it runs a chain of Python generators, which takes 1.4
 to 1.8 times as long on large catalogs and case sets.
 
 YAML is composed by libyaml and built in one pass: ``_YAMLLoader`` resolves
-plain scalars through a memo keyed by their text, and ``_build`` makes the
-``str``, ``seq`` and ``map`` nodes and the ``null``, ``bool``, ``int``,
-``float``, ``binary`` and ``timestamp`` scalars. Any other document (an
-alias, a ``<<`` or ``=`` key, a non-scalar key, another tag) or any error
-goes whole to PyYAML's ``SafeConstructor``, which builds the same value or
-raises the same error as ``yaml.CSafeLoader``. The bundled documents load
-in about 60 % of the time ``yaml.CSafeLoader`` takes.
+plain scalars through a memo keyed by their text, one for each load, and
+``_build`` makes the ``str``, ``seq`` and ``map`` nodes and the ``null``,
+``bool``, ``int``, ``float``, ``binary`` and ``timestamp`` scalars. Any
+other document (an alias, a ``<<`` or ``=`` key, a non-scalar key, another
+tag) or any error goes whole to PyYAML's ``SafeConstructor``, which builds
+the same value or raises the same error as ``yaml.CSafeLoader``. A fresh
+process loads the bundled documents in about two thirds of the time
+``yaml.CSafeLoader`` takes.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ _STR = "tag:yaml.org,2002:str"
 _SCALARS = {f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor,
                                                  f"construct_yaml_{name}")
             for name in ("null", "bool", "int", "float", "binary", "timestamp")}
-_PLAIN_TAGS: dict[str, str] = {}  # plain scalar text -> its resolved tag
 
 
 def _build(loader, node, seen: set):
@@ -75,13 +75,15 @@ def _build(loader, node, seen: set):
 
 
 class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml if built
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._plain_tags: dict[str, str] = {}  # plain scalar text -> its resolved tag
+
     def resolve(self, kind, value, implicit):
         if kind is yaml.ScalarNode and implicit[0]:  # a plain scalar: its text decides
-            tag = _PLAIN_TAGS.get(value)
+            tag = self._plain_tags.get(value)
             if tag is None:
-                if len(_PLAIN_TAGS) >= 1 << 16:
-                    _PLAIN_TAGS.clear()
-                tag = _PLAIN_TAGS[value] = super().resolve(kind, value, implicit)
+                tag = self._plain_tags[value] = super().resolve(kind, value, implicit)
             return tag
         return super().resolve(kind, value, implicit)
 

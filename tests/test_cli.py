@@ -123,18 +123,6 @@ class TestTopLevel:
                        cwd=tmp_path, config=tmp_path / "nonsense.yaml")
         assert proc.returncode == 0
 
-    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
-        config = str(reference_config())
-        assert cli.main(["--config", config, "bogus"]) == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
-        assert cli.main(["--version"]) == 0
-        assert capsys.readouterr().out == "trigkit 0.1.0\n"
-        assert cli.main(["--config", config, "validate"]) == 0
-        fresh = run_cli("--config", config, "validate", cwd=tmp_path, config=None)
-        assert (fresh.returncode, fresh.stderr) == (0, "")
-        assert capsys.readouterr() == (fresh.stdout, "")
-        assert cli._parser.cache_info().currsize == 1
-
 
 # ---------------------------------------------------------------------------
 # validate / stages / matrix
@@ -566,6 +554,11 @@ def _file(path):
     return path, "error UnusablePath {}: File exists"
 
 
+def _under_file(path):
+    path.write_text("", encoding="utf-8")
+    return path / "report.md", "error UnusablePath {.parent}: File exists"
+
+
 #: case -> (exit code, how the bad path is made, the command that reads it).
 #: In the command, BAD is that path, PROJECT a config naming it as the effects
 #: input, and CATALOG a generated catalog.
@@ -587,6 +580,8 @@ UNREADABLE = {
     "results-not-object": (1, _ledger_not_object,
                            ["report", "--results", "BAD", "--catalog", "CATALOG"]),
     "output-dir-file": (1, _file, ["generate", "--output-dir", "BAD"]),
+    "report-output-under-file": (1, _under_file,
+                                 ["report", "--catalog", "CATALOG", "--output", "BAD"]),
 }
 
 

@@ -1,6 +1,5 @@
 """Start-up cost: ``import trigkit.cli`` loads neither ``dataclasses`` nor
-``inspect``, the modules that generated record classes would pull in, and
-builds no argument parser."""
+``inspect``, the modules that generated record classes would pull in."""
 
 import ast
 import os
@@ -41,31 +40,12 @@ def test_a_dataclasses_import_is_found():
     assert _dataclasses_imports(tree) == [1, 2, 5]
 
 
-def _fresh_python(code: str) -> str:
-    """The stdout of ``code`` run by a fresh interpreter on this checkout."""
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True).stdout
-
-
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    assert _fresh_python("import trigkit.cli; import sys; "
-                         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") \
-        == "[]\n"
-
-
-def test_cli_import_builds_no_parser():
-    """``main`` builds the argument parser on its first call, not at import."""
-    assert _fresh_python("import argparse\n"
-                         "built = []\n"
-                         "init = argparse.ArgumentParser.__init__\n"
-                         "def counting(self, *args, **kwargs):\n"
-                         "    built.append(kwargs.get('prog'))\n"
-                         "    init(self, *args, **kwargs)\n"
-                         "argparse.ArgumentParser.__init__ = counting\n"
-                         "import trigkit.cli\n"
-                         "print(built)\n"
-                         "trigkit.cli.main(['--version'])\n"
-                         "print(built[0])\n") == "[]\ntrigkit 0.1.0\ntrigkit\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import trigkit.cli; import sys; "
+                               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
