@@ -159,7 +159,7 @@ def enumerate_bundles(source: SourceConcept,
                            f"bundle limit must be an integer >= 0, got {limit!r}")
     relations = compose_bundle(source, candidates).relations
     bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
-    for size in range(1, limit + 1):
+    for size in range(1, min(limit, len(relations)) + 1):
         bundles += [RelationshipBundle(source.name, chosen)
                     for chosen in combinations(relations, size)]
     return bundles
@@ -207,7 +207,7 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                     added.append(adds)
             bundles = enumerate_bundles(source, [c.rel for c in relevant], bundle_limit)
             # bundle i holds combination i of ``relevant``, smallest first
-            sizes = range(1, bundle_limit + 1)
+            sizes = range(1, min(bundle_limit, len(relevant)) + 1)
             chosen = chain([()], *(combinations(relevant, size) for size in sizes))
             adding = chain([()], *(combinations(added, size) for size in sizes))
             for bundle, picked, adds in zip(bundles, chosen, adding, strict=True):

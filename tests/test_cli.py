@@ -8,21 +8,25 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from trigkit import cli
-from trigkit.config import read_config, strip_timing
+from trigkit import cli, docio
+from trigkit.config import load_inputs, read_config, strip_timing
 from trigkit.data import data_path, reference_config
 from trigkit.docio import dump_document, read_document
 from trigkit.pipeline import candidate_relations
+from trigkit.render import cases_to_doc, catalog_from_doc
+from trigkit.testcases import compose
 
 CLI = [sys.executable, "-m", "trigkit"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, cwd, config=reference_config(), env_extra=None):
+def run_cli(*args, cwd, config=reference_config(), env_extra=None, command=CLI):
     env = {k: v for k, v in os.environ.items() if k != "TRIGKIT_CONFIG"}
     # the child runs in a temporary cwd, so a relative PYTHONPATH would not
     # reach this checkout's package
@@ -32,7 +36,7 @@ def run_cli(*args, cwd, config=reference_config(), env_extra=None):
         env["TRIGKIT_CONFIG"] = str(config)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+    return subprocess.run(command + list(args), capture_output=True, text=True,
                           cwd=cwd, env=env)
 
 
@@ -655,6 +659,51 @@ class TestMissingFiles:
         assert proc.stderr == line.replace("TMP", str(tmp_path)) + "\n"
 
 
+#: scalar -> what the located error says it cannot be read as
+REFUSED_SCALARS = {
+    "2001-13-45": "'2001-13-45' as timestamp",
+    "2001-02-30": "'2001-02-30' as timestamp",
+    "2001-12-14t21:59:43.10+25:00": "'2001-12-14t21:59:43.10+25:00' as timestamp",
+    "!!int abc": "'abc' as int",
+    "!!int 0b2": "'0b2' as int",
+    "!!float abc": "'abc' as float",
+    "!!bool maybe": "'maybe' as bool",
+    "!!timestamp xyz": "'xyz' as timestamp",
+}
+
+
+@pytest.mark.parametrize("scalar", sorted(REFUSED_SCALARS))
+@pytest.mark.parametrize("where, code", [("config", 2), ("input", 1)])
+def test_a_scalar_its_tag_refuses_is_one_located_line(tmp_path, capsys, scalar, where,
+                                                      code):
+    """An impossible date, or text an explicit tag does not fit, in the
+    config or in an input, is one located line, never a traceback."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"schema: x\nnote: {scalar}\n", encoding="utf-8")
+    config = bad if where == "config" else _config_naming(tmp_path, bad)
+    assert cli.main(["--config", str(config), "validate"]) == code
+    assert capsys.readouterr() == ("", f"error SyntaxError {bad}:2: cannot read "
+                                       f"{REFUSED_SCALARS[scalar]} (column 7)\n")
+
+
+def test_a_bundle_limit_past_the_candidates_changes_only_that_field(tmp_path, capsys):
+    """No (sensor, source) of the bundled project has more than 5 usable
+    candidate relations, so limits 3, 5, 10 and 10**9 find the same
+    conditions and positives, and the largest limit is as quick."""
+    catalogs = {}
+    for limit in (3, 5, 10, 10**9):  # the largest last, so ``seconds`` is its time
+        config = _project(tmp_path, lambda doc: doc["parameters"].update(bundle_limit=limit))
+        out = tmp_path / str(limit)
+        started = time.perf_counter()
+        assert cli.main(["--config", str(config), "generate",
+                         "--output-dir", str(out)]) == 0, capsys.readouterr().err
+        seconds = time.perf_counter() - started
+        catalogs[limit] = read_document(out / "catalog.json")
+        assert catalogs[limit].pop("bundle_limit") == limit
+    assert seconds < 1.0
+    assert catalogs[10**9] == catalogs[10] == catalogs[5] == catalogs[3]
+
+
 #: The first 12 hex digits of the SHA-256 of every file ``generate``,
 #: ``compose`` and ``report`` write on the bundled project, at its
 #: ``bundle_limit`` 2 and at 3; a manifest is hashed without its timing and
@@ -708,6 +757,54 @@ def test_outputs_keep_their_digests(tmp_path, monkeypatch, capsys, bundle_limit,
                for path in sorted(tmp_path.rglob("*"))
                if path.is_file() and project not in path.parents}
     assert written == expected
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``generate`` then ``compose``, each seed in one fresh process writing
+    to ``out`` in its own cwd: the same bytes, manifests apart from timing."""
+    chain = ("import sys; from trigkit.cli import main; "
+             "sys.exit(main(['generate']) or main(['compose']))")
+    written = {}
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        proc = run_cli(cwd=cwd, env_extra={"PYTHONHASHSEED": seed},
+                       command=[sys.executable, "-c", chain])
+        assert proc.returncode == 0, proc.stderr
+        written[seed] = proc.stdout, {
+            path.name: strip_timing(read_document(path))
+            if path.name.endswith(".manifest.json") else path.read_bytes()
+            for path in sorted((cwd / "out").iterdir())}
+    assert len(written["0"][1]) == 7
+    assert written["1"] == written["0"]
+
+
+def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys):
+    """Each hazardous event copied 17 times pairs the bundled catalog's 49
+    conditions into 1,037 cases, which ``compose`` writes with ``dump_bulk``."""
+    events = read_document(data_path("hazardous_events.yaml"))
+    policy = read_document(data_path("compose_policy.yaml"))
+    events["events"] = [dict(event, id=f"{event['id']}-{copy}")
+                        for copy in range(17) for event in events["events"]]
+    policy["negations"] = {f"{event}-{copy}": text for copy in range(17)
+                           for event, text in policy["negations"].items()}
+    for name, doc in (("events", events), ("policy", policy)):
+        (tmp_path / f"{name}.yaml").write_text(dump_document(doc), encoding="utf-8")
+    config = _project(tmp_path, lambda doc: doc["inputs"].update(
+        events=str(tmp_path / "events.yaml"), policy=str(tmp_path / "policy.yaml")))
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "dump_bulk", wraps=docio.dump_bulk) as bulk:
+        for command in ("generate", "compose"):
+            assert cli.main(["--config", str(config), command, "--output-dir", str(out)]) \
+                == 0, capsys.readouterr().err
+    assert bulk.call_count == 1
+
+    inputs = load_inputs(read_config(config))
+    catalog = catalog_from_doc(read_document(out / "catalog.json"))
+    cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite, inputs.policy)
+    assert (len(cases), warnings) == (1037, [])
+    assert (out / "test_cases.json").read_text(encoding="utf-8") \
+        == dump_document(cases_to_doc(cases, warnings), fmt="json")
 
 
 def test_end_to_end_demo(tmp_path):

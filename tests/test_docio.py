@@ -18,6 +18,7 @@ from trigkit import docio
 from trigkit.docio import (
     check_schema,
     detect_format,
+    dump_bulk,
     dump_document,
     parse_document,
     read_document,
@@ -172,13 +173,17 @@ def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
 def _yaml_outcome(text, loader):
     """``repr`` of what ``parse_document`` returns with ``loader``, or what it
     raises: a ``DocumentError``'s diagnostics with the type and text of its
-    cause."""
+    cause. ``_YAMLLoader`` locates a constructor's own error, such as a bad
+    date, which the base loader raises bare; that error is compared bare."""
     try:
         with mock.patch.object(docio, "_YAMLLoader", loader):
             return repr(parse_document(text, source="doc.yaml"))
     except DocumentError as exc:
+        own = getattr(exc.__cause__, "__cause__", None)
+        if own is not None:
+            return type(own), str(own)
         return exc.diagnostics, type(exc.__cause__), str(exc.__cause__)
-    except Exception as exc:  # noqa: BLE001 - a constructor's own error, such as a bad date
+    except Exception as exc:  # noqa: BLE001 - the base loader's bare constructor error
         return type(exc), str(exc)
 
 
@@ -263,6 +268,20 @@ def test_deep_nesting_is_read():
     while isinstance(value, list):
         value, depth = value[0], depth + 1
     assert (value, depth) == ("x", 3000)
+
+
+@pytest.mark.parametrize("text", ["a: 1\nb: [xx, 2001-13-45]\n",
+                                  "a: &x [1]\nb: [*x, 2001-13-45]\n"],
+                         ids=["one-pass", "fallback"])
+def test_a_value_its_tag_refuses_is_located(text):
+    """A scalar ``SafeConstructor`` raises on, such as a date with month 13,
+    is a ``SyntaxError`` at its line and column, whichever way it is built."""
+    with pytest.raises(DocumentError) as caught:
+        parse_document(text, source="doc.yaml")
+    assert caught.value.diagnostics == [Diagnostic(
+        "error", "SyntaxError", "cannot read '2001-13-45' as timestamp (column 9)",
+        "doc.yaml", 2)]
+    assert isinstance(caught.value.__cause__.__cause__, ValueError)
 
 
 def test_reading_leaves_no_garbage():
@@ -404,3 +423,44 @@ def test_json_dump_of_deep_nesting():
     for depth in range(200):
         value = [value, {}] if depth % 2 else {str(depth): value, "t": ()}
     assert _writer(value) == _stdlib(value)
+
+
+# ---------------------------------------------------------------------------
+# The bulk writer writes what dump_document writes
+# ---------------------------------------------------------------------------
+
+_plain_texts = st.text() | st.sampled_from(_TRICKY_TEXT)
+_plain_scalars = (st.none() | st.booleans() | _plain_texts
+                  | st.integers(min_value=-2**70, max_value=2**70))
+
+
+def _plain(children, size):
+    """``children``, or a list, tuple or str-keyed dict of them."""
+    items = st.lists(children, max_size=size)
+    return (children | items | items.map(tuple)
+            | st.dictionaries(_plain_texts, children, max_size=size))
+
+
+# two fixed levels, as a recursive strategy takes three times as long to draw
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.dictionaries(_plain_texts, _plain(_plain(_plain_scalars, 4), 3), max_size=4))
+def test_bulk_dump_is_the_json_dump(doc):
+    """Lone surrogates and ints beyond 64 bits, which orjson refuses, are
+    written by ``dump_document``."""
+    assert dump_bulk(doc) == dump_document(doc, fmt="json")
+
+
+def test_bulk_dump_of_deep_nesting():
+    value = "leaf"
+    for depth in range(300):
+        value = [value, ()] if depth % 2 else {str(depth): value, "t": {}}
+    assert dump_bulk({"deep": value}) == dump_document({"deep": value}, fmt="json")
+
+
+def test_bulk_dump_refuses_a_record():
+    document = {"records": [_Pair(1, "a")]}
+    with pytest.raises(TypeError) as expected:
+        dump_document(document, fmt="json")
+    with pytest.raises(TypeError) as got:
+        dump_bulk(document)
+    assert str(got.value) == str(expected.value)

@@ -80,6 +80,12 @@ class TestEnumerateBundles:
         bundles = enumerate_bundles(pedestrian, candidates, limit=2)
         assert len(bundles) == 1 + singles + singles * (singles - 1) // 2
 
+    def test_a_limit_past_the_candidates_stops_at_them(self, ontology, matrix):
+        rain = ontology.get("Rain")
+        candidates = candidate_relations(rain, matrix, ontology)
+        assert enumerate_bundles(rain, candidates, limit=10**9) \
+            == enumerate_bundles(rain, candidates, limit=len(candidates))
+
     def test_negative_limit_rejected(self, ontology, matrix):
         rain = ontology.get("Rain")
         with pytest.raises(ToolkitError, match="bundle limit must be an integer >= 0"):

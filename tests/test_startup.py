@@ -1,5 +1,6 @@
 """Start-up cost: ``import trigkit.cli`` loads neither ``dataclasses`` nor
-``inspect``, the modules that generated record classes would pull in."""
+``inspect``, the modules that generated record classes would pull in, nor
+``orjson``, which only a large case set is written with."""
 
 import ast
 import os
@@ -45,7 +46,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
-        [sys.executable, "-c", "import trigkit.cli; import sys; "
-                               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import trigkit.cli; import sys; print(sorted("
+                               "{'dataclasses', 'inspect', 'orjson'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
