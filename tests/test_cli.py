@@ -762,14 +762,14 @@ def test_outputs_keep_their_digests(tmp_path, monkeypatch, capsys, bundle_limit,
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """``generate`` then ``compose``, each seed in one fresh process writing
     to ``out`` in its own cwd: the same bytes, manifests apart from timing."""
-    chain = ("import sys; from trigkit.cli import main; "
-             "sys.exit(main(['generate']) or main(['compose']))")
+    code = ("import sys; from trigkit.cli import main; "
+            "sys.exit(main(['generate']) or main(['compose']))")
     written = {}
     for seed in ("0", "1"):
         cwd = tmp_path / seed
         cwd.mkdir()
         proc = run_cli(cwd=cwd, env_extra={"PYTHONHASHSEED": seed},
-                       command=[sys.executable, "-c", chain])
+                       command=[sys.executable, "-c", code])
         assert proc.returncode == 0, proc.stderr
         written[seed] = proc.stdout, {
             path.name: strip_timing(read_document(path))
