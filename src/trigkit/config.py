@@ -146,7 +146,8 @@ def config_from_doc(doc: dict, *, base_dir: Path, source: str = "<document>",
 # ---------------------------------------------------------------------------
 
 class ProjectInputs(NamedTuple):
-    """The documents one command read; those it did not read are None."""
+    """The documents one command read, cross-validated against the ontology;
+    those it did not read are None. A finding raises instead of riding along."""
 
     ontology: SourceOntology
     suite: SensorSuite
@@ -155,7 +156,6 @@ class ProjectInputs(NamedTuple):
     templates: TemplateSet | None = None
     events: tuple[HazardousEvent, ...] | None = None
     policy: ComposePolicy | None = None
-    warnings: tuple[str, ...] = ()
 
 
 def load_inputs(config: ProjectConfig, *,
@@ -188,8 +188,7 @@ def load_inputs(config: ProjectConfig, *,
             cross_validate(document, loaded["ontology"], sink)
     sink.raise_if_errors()
     return ProjectInputs(**{_READERS[name][0]: document
-                            for name, document in loaded.items()},
-                         warnings=tuple(str(w) for w in sink.warnings))
+                            for name, document in loaded.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Error codes and exception types shared across the toolkit.
 
 Every failure surfaced to callers carries a stable, machine-readable code so
-scripts and the CLI can branch on it without parsing prose. Loaders that can
-report several problems at once attach a list of :class:`Diagnostic` records.
+scripts and the CLI can branch on it without parsing prose. Loaders record
+each finding in a :class:`DiagnosticSink`, a repeated entry through
+:meth:`DiagnosticSink.first`, and raise the lot as one :class:`DocumentError`.
 """
 from __future__ import annotations
 
@@ -65,14 +66,11 @@ UNUSABLE_PATH = "UnusablePath"
 class Diagnostic(NamedTuple):
     """One validation finding, pinned to a source location when known."""
 
-    severity: str  # "error" or "warning"
+    severity: str  # "error": loaders record no other kind of finding
     code: str
     message: str
     file: str | None = None
     line: int | None = None
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return format_diagnostic(self)
 
 
 def format_diagnostic(diag: Diagnostic) -> str:
@@ -98,13 +96,12 @@ class DocumentError(ToolkitError):
     """A document failed to parse or validate.
 
     Carries every diagnostic collected before the loader gave up; ``code``,
-    ``file`` and ``line`` are those of the first error-severity diagnostic,
-    and ``str()`` is that diagnostic as :func:`format_diagnostic` renders it.
+    ``file`` and ``line`` are those of the first, and ``str()`` is that
+    diagnostic as :func:`format_diagnostic` renders it.
     """
 
     def __init__(self, diagnostics: list[Diagnostic]):
-        errors = [d for d in diagnostics if d.severity == "error"]
-        self._first = first = errors[0] if errors else diagnostics[0]
+        self._first = first = diagnostics[0]
         super().__init__(first.code, first.message)
         self.file, self.line = first.file, first.line
         self.diagnostics = list(diagnostics)
@@ -122,7 +119,7 @@ _REQUIRED = object()  # the default of a reader's required field
 
 
 class DiagnosticSink:
-    """Accumulates findings while a loader walks a document."""
+    """Accumulates the errors a loader finds while it walks a document."""
 
     def __init__(self, file: str | None = None):
         self.file = file
@@ -131,19 +128,8 @@ class DiagnosticSink:
     def error(self, code: str, message: str) -> None:
         self.items.append(Diagnostic("error", code, message, self.file))
 
-    def warning(self, code: str, message: str) -> None:
-        self.items.append(Diagnostic("warning", code, message, self.file))
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.items if d.severity == "error"]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.items if d.severity == "warning"]
-
     def raise_if_errors(self) -> None:
-        if self.errors:
+        if self.items:
             raise DocumentError(self.items)
 
     def first(self, seen: set, key, where: str, noun: str, label=repr) -> bool:

@@ -488,7 +488,7 @@ def _relation_contributes(rel: RelationshipInstance, group: Sequence[EffectEntry
 def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBundle,
                           system: PerceptionSystemSpec, templates,
                           ontology: SourceOntology,
-                          warnings: list | None = None) -> list[TriggeringCondition]:
+                          warnings: list) -> list[TriggeringCondition]:
     """Turn filtered matrix cells into catalog conditions.
 
     Cells are grouped per (property row, stage); every relation in the bundle
@@ -496,8 +496,8 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
     group's cells fire identically without that relation, the group belongs
     to a smaller bundle, and it is skipped here. Each matching
     description template variant yields one condition; a missing template
-    falls back to a generic wording and reports a warning. Sensing-stage
-    conditions additionally get a distance-augmented companion.
+    falls back to a generic wording and appends a warning to ``warnings``.
+    Sensing-stage conditions additionally get a distance-augmented companion.
     """
     groups: dict[tuple[RowKey, str], list[EffectEntry]] = {}
     for cell in entries:
@@ -519,11 +519,10 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
         if variants is None:
             variants = ((templates.GENERIC_TAG,
                          templates.generic_description(bundle, concept_name, props, stage)),)
-            if warnings is not None:
-                warnings.append(
-                    f"{E.MISSING_TEMPLATE}: no description template for "
-                    f"({relation_signature or 'no relations'}, {concept_name}, "
-                    f"{property_key}, {stage}); generic wording used")
+            warnings.append(
+                f"{E.MISSING_TEMPLATE}: no description template for "
+                f"({relation_signature or 'no relations'}, {concept_name}, "
+                f"{property_key}, {stage}); generic wording used")
         distances = (False, True) if STAGE_BY_NAME[stage].phase is StagePhase.SENSING \
             else (False,)
         effects = tuple(group)

@@ -209,13 +209,9 @@ def _concept_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> SourceConc
                        f"{pwhere}: category {category.value} is not allowed for "
                        f"{kind.value} concept {name!r}")
             continue
-        key = (pname, category)
-        if key in seen_props:
-            sink.error(E.DUPLICATE_NAME,
-                       f"{pwhere}: duplicate property {pname!r} in category {category.value}")
-            continue
-        seen_props.add(key)
-        properties.append(SourceProperty(pname, category, note))
+        if sink.first(seen_props, (pname, category), pwhere, "property",
+                      lambda key: f"{key[0]!r} in category {key[1].value}"):
+            properties.append(SourceProperty(pname, category, note))
 
     instances: set[str] = set()
     for inst in sink.collection(raw, "instances", where):

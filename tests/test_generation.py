@@ -343,7 +343,7 @@ def _synthesize(bundle, system, warnings=None):
     matrix = build_matrix(bundle, system, KB, ONTOLOGY)
     cells = worst_case_filter(matrix, threshold=2)
     return synthesize_conditions(cells, bundle, system, TEMPLATES, ONTOLOGY,
-                                 warnings)
+                                 [] if warnings is None else warnings)
 
 
 class TestSynthesis:
@@ -436,7 +436,7 @@ class TestConditionRendering:
         matrix = build_matrix(_occluded_bundle(), CAMERA, KB, ONTOLOGY)
         cells = worst_case_filter(matrix, threshold=2)
         conditions = synthesize_conditions(cells, _occluded_bundle(), CAMERA,
-                                           TEMPLATES, ONTOLOGY)
+                                           TEMPLATES, ONTOLOGY, [])
         rendered = {c.sources_rendered() for c in conditions}
         assert rendered == {"Occludedby(Pedestrian, Cone)"}
 

@@ -506,7 +506,7 @@ entries:
     def test_cross_validation_flags_dangling_names(self, compat):
         sink = DiagnosticSink()
         cross_validate_matrix(compat, SourceOntology(concepts=(PEDESTRIAN,)), sink)
-        messages = " ".join(d.message for d in sink.errors)
+        messages = " ".join(d.message for d in sink.items)
         assert "'Cone'" in messages and "'Leaf'" in messages
         # the reserved sensor focal is exempt
         assert "'Sensor'" not in messages
@@ -514,7 +514,7 @@ entries:
     def test_cross_validation_accepts_the_fixture(self, compat):
         sink = DiagnosticSink()
         cross_validate_matrix(compat, ONTOLOGY, sink)
-        assert sink.errors == []
+        assert sink.items == []
 
     def test_feature_forms_need_interactive_focal(self):
         text = """
@@ -526,7 +526,7 @@ entries:
 """
         sink = DiagnosticSink()
         cross_validate_matrix(_load_matrix(text), ONTOLOGY, sink)
-        assert any("non-interactive focal kind" in d.message for d in sink.errors)
+        assert any("non-interactive focal kind" in d.message for d in sink.items)
 
     def test_feature_forms_need_interactive_focal_concept(self):
         text = """
@@ -541,7 +541,7 @@ entries:
 """
         sink = DiagnosticSink()
         cross_validate_matrix(_load_matrix(text), ONTOLOGY, sink)
-        assert [d.message for d in sink.errors] == [
+        assert [d.message for d in sink.items] == [
             "matrix entry (Leaf, Cone) grants a feature-perturbing relationship "
             "to a non-interactive focal concept",
             "matrix focal pattern 'Nowhere' does not resolve"]

@@ -213,4 +213,4 @@ templates:
 
         sink = DiagnosticSink()
         cross_validate_templates(_load_templates(DOC), SourceOntology(), sink)
-        assert any("unknown concept 'Pedestrian'" in d.message for d in sink.errors)
+        assert any("unknown concept 'Pedestrian'" in d.message for d in sink.items)
