@@ -277,7 +277,8 @@ class GenerationMatrix(NamedTuple):
     @property
     def cells(self) -> tuple[EffectEntry, ...]:
         """Dense row-major view, ``len(rows) * len(columns)`` long, built on
-        each read; a cell no rule fills is an entry of degree 0."""
+        each read; a cell no rule fills is an entry of degree 0. The program
+        renders from ``graded``; ``perfbench/layers.py`` and tests read this."""
         filled = {cell[:4]: cell for cell in self.graded}  # cell key -> cell
         keys = [(*row, *column) for row in self.rows for column in self.columns]
         return tuple(filled.get(key) or EffectEntry(*key, 0) for key in keys)

@@ -382,7 +382,12 @@ def catalog_to_csv(catalog: Catalog) -> str:
 
 
 def _md_escape(text: str) -> str:
-    return text.replace("|", "\\|")
+    """``text`` as one table cell: ``|`` escaped, and each line break
+    (``\\r\\n``, ``\\r`` or ``\\n``) written as ``<br>``."""
+    text = text.replace("|", "\\|")
+    if "\n" in text or "\r" in text:
+        text = text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+    return text
 
 
 def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -426,10 +431,12 @@ def catalog_to_markdown(catalog: Catalog) -> str:
 # Generation-matrix views
 # ---------------------------------------------------------------------------
 
-def _matrix_rows(matrix: GenerationMatrix) -> list[tuple[tuple, tuple[EffectEntry, ...]]]:
-    """Each row of ``matrix`` with its cells, in column order."""
-    width, cells = len(matrix.columns), matrix.cells  # ``cells`` is built on each read
-    return [(row, cells[i * width:(i + 1) * width]) for i, row in enumerate(matrix.rows)]
+def _matrix_rows(matrix: GenerationMatrix) -> list[tuple[tuple, list[int]]]:
+    """Each row of ``matrix`` with its degrees, in column order; a cell no
+    rule fills has degree 0."""
+    degrees = {cell[:4]: cell.degree for cell in matrix.graded}  # cell key -> degree
+    return [(row, [degrees.get((*row, *column), 0) for column in matrix.columns])
+            for row in matrix.rows]
 
 
 def matrix_to_doc(matrix: GenerationMatrix) -> dict:
@@ -442,8 +449,7 @@ def matrix_to_doc(matrix: GenerationMatrix) -> dict:
                  for concept, props in matrix.rows],
         "columns": [{"stage": stage, "stage_property": quality}
                     for stage, quality in matrix.columns],
-        "degrees": [[cell.degree for cell in cells]
-                    for _row, cells in _matrix_rows(matrix)],
+        "degrees": [degrees for _row, degrees in _matrix_rows(matrix)],
     }
 
 
@@ -463,17 +469,17 @@ def matrix_to_csv(matrix: GenerationMatrix) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["Property"] + [_column_label(s, q) for s, q in matrix.columns])
-    for row, cells in _matrix_rows(matrix):
+    for row, degrees in _matrix_rows(matrix):
         writer.writerow([_row_label(matrix, row)]
-                        + [render_degree(c.degree, style="ascii") for c in cells])
+                        + [render_degree(d, style="ascii") for d in degrees])
     return buffer.getvalue()
 
 
 def matrix_to_markdown(matrix: GenerationMatrix) -> str:
     header = ["Property"] + [_column_label(s, q) for s, q in matrix.columns]
     rows = [[_row_label(matrix, row)]
-            + [render_degree(c.degree, style="figure") for c in cells]
-            for row, cells in _matrix_rows(matrix)]
+            + [render_degree(d, style="figure") for d in degrees]
+            for row, degrees in _matrix_rows(matrix)]
     relationships = matrix.bundle.signature() or "none"
     title = (f"# Generation matrix — {display_name(matrix.bundle.source)} "
              f"on {matrix.sensor}")

@@ -18,7 +18,7 @@ from .generation import _property_key
 from .naming import display_name, display_property_key
 from .ontology import SENSOR_TARGET, SourceOntology
 from .perception import STAGE_BY_NAME, STAGE_ORDER
-from .relationships import RelationshipBundle
+from .relationships import RelationshipBundle, _form_from_doc
 
 __all__ = [
     "TEMPLATES_SCHEMA",
@@ -104,9 +104,17 @@ def templates_from_doc(doc: dict, *, source: str = "<document>") -> TemplateSet:
         if None in (signature, concept, props, stage) or not raw_variants:
             continue
         try:
-            split_signature(signature)
+            parts = split_signature(signature)
         except E.ToolkitError as exc:
             sink.error(exc.code, f"{where}: {exc.args[0]}")
+            continue
+        if None in [_form_from_doc(part[0], where, sink) for part in parts]:
+            continue
+        if any(a >= b for a, b in zip(parts, parts[1:])):  # not as signature() writes it
+            canonical = ";".join(f"{form}({focal},{partner})"
+                                 for form, focal, partner in sorted(set(parts)))
+            sink.error(E.INVALID_VALUE, f"{where}: relationships must name each relation "
+                                        f"once, in canonical order: {canonical!r}")
             continue
         variants: list[tuple[str, str]] = []
         tags: set[str] = set()

@@ -686,6 +686,32 @@ def test_a_scalar_its_tag_refuses_is_one_located_line(tmp_path, capsys, scalar, 
                                        f"{REFUSED_SCALARS[scalar]} (column 7)\n")
 
 
+_OCCLUDED = "SpatialPosition.Occlusion(Pedestrian,Leaf)"
+_COVERED = "SurfaceTreatment.Cover(Sensor,Pedestrian)"
+
+
+@pytest.mark.parametrize("signature, message", [
+    ("Orbits(Pedestrian,Leaf)", "UnknownRelationship {}: templates[0]: unknown "
+                                "relationship 'Orbits'"),
+    (f"{_COVERED};{_OCCLUDED}", "InvalidValue {}: templates[0]: relationships must name "
+                                f"each relation once, in canonical order: "
+                                f"'{_OCCLUDED};{_COVERED}'"),
+    (f"{_OCCLUDED};{_OCCLUDED}", "InvalidValue {}: templates[0]: relationships must name "
+                                 f"each relation once, in canonical order: '{_OCCLUDED}'"),
+], ids=["unknown-form", "out-of-order", "repeated"])
+def test_a_template_no_bundle_can_match_is_one_located_line(tmp_path, capsys, signature,
+                                                            message):
+    """A bundle's signature never names an unknown form, nor a relation out
+    of canonical order or twice, so such a template is refused."""
+    templates = read_document(data_path("condition_templates.yaml"))
+    templates["templates"][0]["relationships"] = signature
+    path = tmp_path / "templates.yaml"
+    path.write_text(dump_document(templates), encoding="utf-8")
+    config = _project(tmp_path, lambda doc: doc["inputs"].update(templates=str(path)))
+    assert cli.main(["--config", str(config), "validate"]) == 1
+    assert capsys.readouterr() == ("", f"error {message.format(path)}\n")
+
+
 def test_a_bundle_limit_past_the_candidates_changes_only_that_field(tmp_path, capsys):
     """No (sensor, source) of the bundled project has more than 5 usable
     candidate relations, so limits 3, 5, 10 and 10**9 find the same
@@ -805,6 +831,37 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
     assert (len(cases), warnings) == (1037, [])
     assert (out / "test_cases.json").read_text(encoding="utf-8") \
         == dump_document(cases_to_doc(cases, warnings), fmt="json")
+
+
+def test_a_line_break_in_a_template_stays_in_its_table_cell(tmp_path, monkeypatch, capsys):
+    """A template text written as a two-line YAML ``|`` block: every table
+    line of the three Markdown outputs is still one whole row."""
+    project = tmp_path / "project"
+    project.mkdir()
+    for document in reference_config().parent.glob("*.yaml"):
+        (project / document.name).write_bytes(document.read_bytes())
+    templates = project / "condition_templates.yaml"
+    one_line = "      - {tag: default, text: A strong sunlight behind the pedestrian at nightfall}\n"
+    two_lines = ("      - tag: default\n        text: |\n"
+                 "          A strong sunlight behind the pedestrian\n          at nightfall\n")
+    assert one_line in templates.read_text(encoding="utf-8")
+    templates.write_text(templates.read_text(encoding="utf-8").replace(one_line, two_lines),
+                         encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(project / "project.yaml")]
+    for command in (["generate"], ["compose"], ["report", "--output", "out/report.md"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+
+    conditions = read_document(tmp_path / "out" / "catalog.json")["conditions"]
+    cases = read_document(tmp_path / "out" / "test_cases.json")["cases"]
+    for name, rows in (("catalog.md", conditions), ("test_cases.md", cases),
+                       ("report.md", conditions)):
+        lines = (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        table = lines[start:lines.index("", start) if "" in lines[start:] else None]
+        assert all(line.startswith("| ") and line.endswith(" |") for line in table), name
+        assert len(table) == 2 + len(rows), name
+        assert sum("pedestrian<br>at nightfall<br>" in line for line in table) == 2, name
 
 
 def test_end_to_end_demo(tmp_path):

@@ -17,7 +17,7 @@ from trigkit.generation import (
     assess,
     build_matrix,
 )
-from trigkit.pipeline import Catalog
+from trigkit.pipeline import Catalog, candidate_relations, enumerate_bundles
 from trigkit.relationships import RelationshipBundle
 from trigkit.render import (
     _CASE_FIELDS,
@@ -205,9 +205,9 @@ class TestMatrixViews:
         assert "Relationships: none" in text
         assert "− − −" in text
 
-    def test_doc_grid_matches_the_cells(self, ontology, effects, camera):
-        bundle = RelationshipBundle(source="Pedestrian")
-        matrix = build_matrix(bundle, camera, effects, ontology)
+    def test_doc_fields(self, ontology, effects, camera):
+        matrix = build_matrix(RelationshipBundle(source="Pedestrian"), camera, effects,
+                              ontology)
         doc = matrix_to_doc(matrix)
         assert doc["schema"] == "generation-matrix@1"
         assert doc["sensor"] == "Camera"
@@ -215,8 +215,22 @@ class TestMatrixViews:
         assert doc["relationships"] == ""
         assert len(doc["rows"]) == len(matrix.rows)
         assert len(doc["columns"]) == len(matrix.columns)
-        flattened = [d for row in doc["degrees"] for d in row]
-        assert flattened == [c.degree for c in matrix.cells]
+
+    def test_doc_grid_matches_the_cells(self, inputs):
+        """Every (sensor, bundle) matrix of the bundled project at bundle
+        limit 2: the grid rendered from ``graded`` is the dense ``cells`` view."""
+        ontology, built = inputs.ontology, 0
+        for spec in inputs.suite.sensors:
+            for name in ontology.names():
+                source = ontology.get(name)
+                candidates = candidate_relations(source, inputs.matrix, ontology)
+                for bundle in enumerate_bundles(source, candidates, 2):
+                    matrix = build_matrix(bundle, spec, inputs.effects, ontology)
+                    degrees = [c.degree for c in matrix.cells]
+                    assert [d for row in matrix_to_doc(matrix)["degrees"] for d in row] \
+                        == degrees
+                    built += 1
+        assert built == 1758
 
 
 # ---------------------------------------------------------------------------
