@@ -30,7 +30,7 @@ import pytest
 
 from trigkit.config import config_from_doc
 from trigkit.data import data_path, reference_config
-from trigkit.docio import check_schema, read_document
+from trigkit.docio import check_schema, dump_document, parse_document, read_document
 from trigkit.errors import DocumentError
 from trigkit.generation import effects_from_doc, ratings_from_doc
 from trigkit.ontology import ontology_from_doc
@@ -163,6 +163,44 @@ def test_one_field_junk_raises_only_document_errors(documents, golden, schema):
     if os.environ.get("TRIGKIT_WRITE_GOLDEN"):
         golden[schema] = outcomes
     assert outcomes == golden[schema]
+
+
+#: Raw YAML scalar text: eight scalars that their form or explicit tag refuses,
+#: then five explicit tags that build a value.
+SCALARS = ("2001-13-45", "2001-02-30", "2001-12-14t21:59:43.10+25:00", "!!int abc",
+           "!!int 0b2", "!!float abc", "!!bool maybe", "!!timestamp xyz",
+           "!!str 7", "!!int 7", "!!float 7.5", "!!binary aGk=", "!!timestamp 2001-12-14")
+PLACEHOLDER = "TrigkitScalarPlaceholder"
+
+
+@pytest.mark.parametrize("schema", sorted(BUNDLED) + ["project-config@1"])
+def test_one_field_raw_scalar_raises_only_document_errors(documents, golden, schema):
+    """The fields the junk fuzz picks, one per shape, each written as raw
+    scalar text: the document is dumped as YAML with a placeholder in the
+    field, the text put in its place, and the result parsed and loaded."""
+    doc, loader = documents[schema]
+    crashes = []
+    outcomes = []
+    for path, container, key in _sample(list(_fields(doc)), random.Random(schema)):
+        original = container[key]
+        container[key] = PLACEHOLDER
+        try:
+            text = dump_document(doc)
+        finally:
+            container[key] = original
+        assert text.count(PLACEHOLDER) == 1
+        for scalar in SCALARS:
+            label = f"{'/'.join(map(str, path))} = {scalar}"
+            try:
+                outcomes.append([label, _outcome(lambda t: loader(parse_document(t)),
+                                                 text.replace(PLACEHOLDER, scalar))])
+            except Exception as exc:  # noqa: BLE001 - any other type is the finding
+                crashes.append((label, repr(exc)))
+    assert crashes == []
+    family = f"{schema} raw scalars"
+    if os.environ.get("TRIGKIT_WRITE_GOLDEN"):
+        golden[family] = outcomes
+    assert outcomes == golden[family]
 
 
 READERS = {
