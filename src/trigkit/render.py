@@ -382,19 +382,19 @@ def catalog_to_csv(catalog: Catalog) -> str:
 
 
 def _md_escape(text: str) -> str:
-    """``text`` as one table cell: ``|`` escaped, and each line break
-    (``\\r\\n``, ``\\r`` or ``\\n``) written as ``<br>``."""
-    text = text.replace("|", "\\|")
-    if "\n" in text or "\r" in text:
-        text = text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-    return text
+    return text.replace("|", "\\|")
 
 
 def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A Markdown table; each line break in a cell (``\\r\\n``, ``\\r`` or
+    ``\\n``) is written as ``<br>``, found once per row rather than per cell."""
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
-        lines.append("| " + " | ".join(_md_escape(str(c)) for c in row) + " |")
+        line = " | ".join(_md_escape(str(c)) for c in row)
+        if "\n" in line or "\r" in line:
+            line = line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+        lines.append("| " + line + " |")
     return "\n".join(lines) + "\n"
 
 

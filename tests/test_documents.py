@@ -4,7 +4,9 @@ A seeded fuzz replaces one field at a time with a junk value in documents of
 all eleven families: the bundled corpus and project config, a generated
 catalog, the test cases composed from it, and a ratings document. Loaders may
 accept the result or raise ``DocumentError``; any other exception would end a
-CLI run in a traceback.
+CLI run in a traceback. For the seven bundled YAML inputs and the project
+config, the same fields also take raw YAML scalar text: scalars the parser
+refuses, and explicit tags, read through ``parse_document``.
 
 Each family's outcomes (every diagnostic as severity, code, file, line and
 message, or ``ok``) must also equal those recorded in
