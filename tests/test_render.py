@@ -226,9 +226,8 @@ class TestMatrixViews:
                 candidates = candidate_relations(source, inputs.matrix, ontology)
                 for bundle in enumerate_bundles(source, candidates, 2):
                     matrix = build_matrix(bundle, spec, inputs.effects, ontology)
-                    degrees = [c.degree for c in matrix.cells]
                     assert [d for row in matrix_to_doc(matrix)["degrees"] for d in row] \
-                        == degrees
+                        == [c.degree for c in matrix.cells]
                     built += 1
         assert built == 1758
 
