@@ -205,16 +205,37 @@ def _read_catalog_file(path: Path) -> Catalog:
     return catalog_from_doc(read_document(path), source=str(path))
 
 
-def _write_outputs(command: str, directory: Path, outputs: dict[Path, str],
+def _write_outputs(command: str, directory: Path, outputs: dict[Path, str | bytes],
                    parameters: dict, inputs: list[Path], totals: dict,
                    warnings: int, started: float) -> None:
-    """Write each output file, then ``<command>.manifest.json`` in
-    ``directory`` with their digests and the seconds since ``started``."""
-    for path, text in outputs.items():
-        path.write_text(text, encoding="utf-8")
+    """Write each output file, text as UTF-8 and bytes as they are, then
+    ``<command>.manifest.json`` in ``directory`` with their digests and the
+    seconds since ``started``."""
+    for path, data in outputs.items():
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     manifest = build_manifest(command, parameters, inputs, sorted(outputs), totals,
                               warnings, time.perf_counter() - started)
     write_manifest(manifest, directory / f"{command}.manifest.json")
+
+
+#: The fewest cases ``compose`` writes with ``dump_bulk``. Importing orjson
+#: after trigkit costs 5-9 ms and 0.3-0.6 MB of peak RSS; it then saves 7-10 us
+#: a case (24-34 ms -> 3 ms on 2,990 cases, Python 3.11 on a 2-vCPU VM), so it
+#: breaks even near 850-900 cases. The bundled project's 61 cases never load it.
+_BULK_CASES = 1000
+#: The fewest conditions ``generate`` and ``assess`` write with ``dump_bulk``.
+#: In fresh children, importing orjson after trigkit took 6.8-8.2 ms (9
+#: children); it then saves 15-25 us a condition against writing the text
+#: (13.5 ms -> 0.8 ms on 524 conditions, Python 3.11 on a 2-vCPU VM), so it
+#: breaks even near 270-550 conditions. The bundled 49 never load it.
+_BULK_CONDITIONS = 400
+
+
+def _json_output(doc: dict, records: int, bulk_from: int) -> str | bytes:
+    """``doc`` as JSON: UTF-8 bytes from ``dump_bulk`` when it holds
+    ``bulk_from`` records or more, conditions or cases, else the text of
+    ``dump_document``, as the import of orjson would cost more than it saves."""
+    return dump_bulk(doc) if records >= bulk_from else dump_document(doc, fmt="json")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +286,8 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
 
     directory = _output_dir(args, config)
     outputs = {
-        directory / "catalog.json": dump_document(catalog_to_doc(catalog), fmt="json"),
+        directory / "catalog.json": _json_output(catalog_to_doc(catalog),
+                                                 len(catalog.conditions), _BULK_CONDITIONS),
         directory / "catalog.csv": catalog_to_csv(catalog),
         directory / "catalog.md": catalog_to_markdown(catalog),
     }
@@ -287,6 +309,11 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
           f"-> {directory}")
     if "delta" in totals:
         print(f"expected {totals['expected']}, delta {totals['delta']:+d}")
+    for name in ("catalog_assessed.json", "assess.manifest.json"):
+        stale = directory / name  # rated the catalog just replaced
+        if stale.exists():
+            stale.unlink()
+            print(f"deleted {stale}, written by 'assess' for the previous catalog")
     if catalog.warnings:
         count = len(catalog.warnings)
         print(f"{count} warning{'' if count == 1 else 's'} recorded in the catalog",
@@ -315,7 +342,8 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
     out_path = directory / "catalog_assessed.json"
     rated = sum(1 for c in conditions if c.assessment is not None)
     _write_outputs("assess", directory,
-                   {out_path: dump_document(catalog_to_doc(catalog), fmt="json")},
+                   {out_path: _json_output(catalog_to_doc(catalog), len(conditions),
+                                           _BULK_CONDITIONS)},
                    {"ratings": str(ratings_path)},
                    [config.path, catalog_path, ratings_path],
                    {"conditions": len(conditions), "rated": rated,
@@ -327,11 +355,6 @@ def _cmd_assess(args, config: ProjectConfig) -> int:
 
 #: The inputs ``compose`` reads, in the order its manifest lists them.
 _COMPOSE_INPUTS = ("ontology", "system", "events", "policy")
-#: The fewest cases ``compose`` writes with ``dump_bulk``. Importing orjson
-#: after trigkit costs 5-9 ms and 0.3-0.6 MB of peak RSS; it then saves 7-10 us
-#: a case (24-34 ms -> 3 ms on 2,990 cases, Python 3.11 on a 2-vCPU VM), so it
-#: breaks even near 850-900 cases. The bundled project's 61 cases never load it.
-_BULK_CASES = 1000
 
 
 def _cmd_compose(args, config: ProjectConfig) -> int:
@@ -352,10 +375,9 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
     by_event: dict[str, int] = {}
     for case in cases:
         by_event[case.event_id] = by_event.get(case.event_id, 0) + 1
-    doc = cases_to_doc(cases, warnings)
-    text = dump_bulk(doc) if len(cases) >= _BULK_CASES else dump_document(doc, fmt="json")
     _write_outputs("compose", directory,
-                   {out_path: text,
+                   {out_path: _json_output(cases_to_doc(cases, warnings), len(cases),
+                                           _BULK_CASES),
                     directory / "test_cases.md": cases_to_markdown(cases)},
                    {}, [config.path, catalog_path]
                    + [getattr(config, name) for name in _COMPOSE_INPUTS],

@@ -24,6 +24,7 @@ from .errors import DiagnosticSink, DocumentError, ToolkitError
 from .generation import EffectKnowledgeBase, cross_validate_effects, effects_from_doc
 from .ontology import SourceOntology, ontology_from_doc
 from .perception import SensorSuite, cross_validate_suite, suite_from_doc
+from .pipeline import cross_validate_template_bundles
 from .relationships import CompatibilityMatrix, cross_validate_matrix, matrix_from_doc
 from .templates import TemplateSet, cross_validate_templates, templates_from_doc
 from .testcases import (
@@ -169,7 +170,10 @@ def load_inputs(config: ProjectConfig, *,
     reads ontology, system and matrix, ``matrix`` adds effects, and
     ``compose`` reads ontology, system, events and policy.
     Structural errors in any document raise immediately; cross-document
-    dangling references are collected and raised together.
+    dangling references are collected and raised together. Then, when both
+    the templates and the matrix are read, each template must fit a bundle
+    of candidate relations (``cross_validate_template_bundles``), or the
+    templates file is refused.
     """
     if documents is None:
         documents = config.input_names()
@@ -187,6 +191,11 @@ def load_inputs(config: ProjectConfig, *,
         if cross_validate is not None:
             cross_validate(document, loaded["ontology"], sink)
     sink.raise_if_errors()
+    if "templates" in loaded and "matrix" in loaded:
+        sink = DiagnosticSink(file=str(config.templates))
+        cross_validate_template_bundles(loaded["templates"], loaded["matrix"],
+                                        loaded["ontology"], sink)
+        sink.raise_if_errors()
     return ProjectInputs(**{_READERS[name][0]: document
                             for name, document in loaded.items()})
 

@@ -15,10 +15,18 @@ JSON is written by a one-pass writer, ``_json_text``, whose text equals
 ``json.dumps`` accepts but a tuple subclass: a record is refused, not written
 as a list. The stdlib only uses its C encoder when ``indent`` is
 None; with an indent it runs a chain of Python generators, which takes 1.4
-to 1.8 times as long on large catalogs and case sets. ``dump_bulk`` writes
-the same text with ``orjson``, about ten times as fast, for a large document
-of plain JSON types; it is imported on the first such call, as it costs a
-few milliseconds to load.
+to 1.8 times as long on large catalogs and case sets. ``dump_bulk`` returns
+the same text as UTF-8 bytes, made by ``orjson`` ten to fifteen times as
+fast, for a large document of plain JSON types; the bytes go to disk as
+they are. ``orjson`` is imported on the first such call, as it takes 7-8 ms
+to load, which a catalog repays from about 270-550 conditions and a case
+set from about 850-900 cases. So ``cli`` calls it for a catalog of 400
+conditions or more and a case set of 1,000 cases or more.
+
+JSON text is parsed by the stdlib, which decodes a ``\\uD800``-``\\uDFFF``
+escape that is not half of a pair into a lone surrogate, a character no
+UTF-8 file can hold. Such an escape is refused as a located syntax error,
+so no document read can stop a later write half-way.
 
 YAML is composed by libyaml and built in one pass: ``_YAMLLoader`` resolves
 plain scalars through a memo keyed by their text, one for each load, and
@@ -35,6 +43,7 @@ process loads the bundled documents in about two thirds of the time
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 
@@ -140,6 +149,9 @@ def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") 
         except json.JSONDecodeError as exc:
             raise DocumentError.at(SYNTAX_ERROR, f"{exc.msg} (column {exc.colno})", source,
                                    exc.lineno) from exc
+        lone = _lone_surrogate(text)
+        if lone is not None:
+            raise DocumentError.at(SYNTAX_ERROR, lone[1], source, lone[0])
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
     if doc is None:
@@ -148,6 +160,46 @@ def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") 
         raise DocumentError.at(WRONG_SCHEMA, f"top level must be a mapping, got "
                                f"{type(doc).__name__}", source)
     return doc
+
+
+#: a run of backslashes, then ``uD`` and three hex digits: the text of a
+#: ``\\uD800``-``\\uDFFF`` escape when the run is odd, the last backslash
+#: being the escape's. Group 1 is the rest of the run, group 2 the digit
+#: that tells a high half (8-B) from a low one (C-F). It starts with a
+#: literal backslash, which the regex engine scans for quickly.
+_SURROGATE_ESCAPE = re.compile(r"\\(\\*)u[dD]([89a-fA-F])[0-9a-fA-F]{2}")
+
+
+def _lone_surrogate(text: str) -> tuple[int, str] | None:
+    """The line and the problem of the first surrogate escape in the JSON
+    ``text`` that is not half of a pair, or None. A text without a
+    backslash, such as every document trigkit writes, costs one scan."""
+    if "\\" not in text:
+        return None
+    lone = None
+    high = None  # (start, end) of a high half that waits for its low half
+    for match in _SURROGATE_ESCAPE.finditer(text):
+        if len(match.group(1)) % 2:
+            continue  # escaped backslashes, then text
+        start = match.end(1) - 1
+        if high is not None:
+            if start == high[1] and match.group(2) in "cdefCDEF":
+                high = None  # the low half of the pair
+                continue
+            lone = high[0]
+            break
+        if match.group(2) in "89abAB":
+            high = start, match.end()
+        else:
+            lone = start
+            break
+    else:
+        lone = None if high is None else high[0]
+    if lone is None:
+        return None
+    column = lone - text.rfind("\n", 0, lone)
+    return (text.count("\n", 0, lone) + 1,
+            f"lone surrogate escape '{text[lone:lone + 6]}' (column {column})")
 
 
 def read_text(path: str | Path) -> str:
@@ -202,19 +254,19 @@ def dump_document(doc: dict, *, fmt: str = "yaml") -> str:
     raise ValueError(f"unsupported format: {fmt!r}")
 
 
-def dump_bulk(doc: dict) -> str:
-    """``dump_document(doc, fmt="json")`` for a ``doc`` of str keys and str,
-    int, bool, None, list, tuple and dict values, written by ``orjson`` where
-    it can. It cannot write a lone surrogate, an int beyond 64 bits, nesting
-    deeper than 255 levels or a record; ``dump_document`` writes or refuses
-    those."""
+def dump_bulk(doc: dict) -> bytes:
+    """``dump_document(doc, fmt="json")`` encoded as UTF-8, for a ``doc`` of
+    str keys and str, int, bool, None, list, tuple and dict values, written
+    by ``orjson`` where it can. It cannot write a lone surrogate, an int
+    beyond 64 bits, nesting deeper than 255 levels or a record;
+    ``dump_document`` writes or refuses those, and a lone surrogate then
+    raises ``UnicodeEncodeError``, as writing that text would."""
     import orjson
 
     try:
-        return orjson.dumps(doc, option=orjson.OPT_INDENT_2
-                            | orjson.OPT_APPEND_NEWLINE).decode()
+        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     except orjson.JSONEncodeError:
-        return dump_document(doc, fmt="json")
+        return dump_document(doc, fmt="json").encode("utf-8")
 
 
 _INFINITY = float("inf")

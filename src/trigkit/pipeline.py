@@ -59,7 +59,7 @@ from itertools import chain, combinations
 from typing import AbstractSet, NamedTuple, Sequence
 
 from . import errors as E
-from .errors import ToolkitError
+from .errors import DiagnosticSink, ToolkitError
 from .generation import (
     EffectEntry,
     EffectKnowledgeBase,
@@ -86,11 +86,12 @@ from .relationships import (
     bundle_signature,
     compose_bundle,
 )
-from .templates import TemplateSet
+from .templates import TemplateSet, split_signature
 
 __all__ = [
     "Catalog",
     "candidate_relations",
+    "cross_validate_template_bundles",
     "enumerate_bundles",
     "generate_catalog",
 ]
@@ -140,6 +141,37 @@ def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
                 candidates.append(rel)
     candidates.sort(key=lambda r: r.sort_key())
     return candidates
+
+
+def cross_validate_template_bundles(templates: TemplateSet, matrix: CompatibilityMatrix,
+                                    ontology: SourceOntology, sink: DiagnosticSink) -> None:
+    """Every template must be able to match a bundle ``generate`` builds.
+
+    A template's relations share one source, the focal of a regular relation
+    or the partner of a ``Sensor`` one, and each is one of that source's
+    ``candidate_relations``; its concept is the source or the partner of one
+    of its regular relations. Either failure is ``IncompatiblePair``. The
+    templates must name known concepts (``cross_validate_templates``)."""
+    candidates: dict[str, set[tuple]] = {}  # source -> its candidates' sort keys
+    for key in templates.entries:
+        signature, concept = key[0], key[1]
+        parts = split_signature(signature)
+        if not parts:
+            continue
+        where = f"template ({signature}, {concept}, {key[2]}, {key[3]})"
+        source = parts[0][2] if parts[0][1] == SENSOR_TARGET else parts[0][1]
+        if source not in candidates:
+            found = ontology.get(source)  # None for Sensor(Sensor), which nothing grants
+            candidates[source] = set() if found is None else {
+                rel.sort_key() for rel in candidate_relations(found, matrix, ontology)}
+        for form_label, focal, partner in parts:
+            if (form_label, focal, partner) not in candidates[source]:
+                sink.error(E.INCOMPATIBLE_PAIR, f"{where}: {form_label}({focal},{partner}) "
+                                                f"is not a candidate relation of {source!r}")
+        if concept != source and not any(focal == source and partner == concept
+                                          for _form, focal, partner in parts):
+            sink.error(E.INCOMPATIBLE_PAIR, f"{where}: concept {concept!r} is neither "
+                                            f"{source!r} nor a partner of its relations")
 
 
 def enumerate_bundles(source: SourceConcept,

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import errors as E
-from .docio import check_schema, read_text
+from .docio import _lone_surrogate, check_schema, read_text
 from .errors import DiagnosticSink, DocumentError, ToolkitError
 from .generation import TriggeringCondition
 from .naming import is_identifier
@@ -223,8 +223,8 @@ class ResultsLedger:
 
     def read(self) -> list[dict]:
         records = []
-        for lineno, line in enumerate(read_text(self.path).split("\n"), start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(read_text(self.path).split("\n"), start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
@@ -232,6 +232,10 @@ class ResultsLedger:
             except json.JSONDecodeError as exc:
                 raise DocumentError.at(E.SYNTAX_ERROR, f"unreadable results line: {exc.msg}",
                                        str(self.path), lineno) from None
+            lone = _lone_surrogate(raw)
+            if lone is not None:
+                raise DocumentError.at(E.SYNTAX_ERROR, f"unreadable results line: {lone[1]}",
+                                       str(self.path), lineno)
             if not isinstance(record, dict):
                 raise DocumentError.at(E.INVALID_VALUE, f"results line must be a JSON object, "
                                        f"got {type(record).__name__}", str(self.path), lineno)

@@ -698,11 +698,21 @@ _COVERED = "SurfaceTreatment.Cover(Sensor,Pedestrian)"
                                 f"'{_OCCLUDED};{_COVERED}'"),
     (f"{_OCCLUDED};{_OCCLUDED}", "InvalidValue {}: templates[0]: relationships must name "
                                  f"each relation once, in canonical order: '{_OCCLUDED}'"),
-], ids=["unknown-form", "out-of-order", "repeated"])
+    ("SpatialPosition.Occlusion(NaturalLight,Pedestrian)",
+     "IncompatiblePair {}: template (SpatialPosition.Occlusion(NaturalLight,Pedestrian), "
+     "NaturalLight, LightAngle, LightReceiving): SpatialPosition.Occlusion(NaturalLight,"
+     "Pedestrian) is not a candidate relation of 'NaturalLight'"),
+    ("SurfaceTreatment.Cover(Sensor,Leaf)",
+     "IncompatiblePair {}: template (SurfaceTreatment.Cover(Sensor,Leaf), NaturalLight, "
+     "LightAngle, LightReceiving): concept 'NaturalLight' is neither 'Leaf' nor a partner "
+     "of its relations"),
+], ids=["unknown-form", "out-of-order", "repeated", "not-a-candidate", "concept-not-a-row"])
 def test_a_template_no_bundle_can_match_is_one_located_line(tmp_path, capsys, signature,
                                                             message):
     """A bundle's signature never names an unknown form, nor a relation out
-    of canonical order or twice, so such a template is refused."""
+    of canonical order or twice, nor a relation the matrix does not grant
+    its source, and its rows are the source and its partners, so such a
+    template is refused. The first template's concept is NaturalLight."""
     templates = read_document(data_path("condition_templates.yaml"))
     templates["templates"][0]["relationships"] = signature
     path = tmp_path / "templates.yaml"
@@ -785,6 +795,19 @@ def test_outputs_keep_their_digests(tmp_path, monkeypatch, capsys, bundle_limit,
     assert written == expected
 
 
+@pytest.mark.parametrize("bundle_limit,expected", [(2, DIGESTS), (3, DIGESTS_AT_LIMIT_3)])
+def test_orjson_writes_the_same_digests(tmp_path, monkeypatch, capsys, bundle_limit,
+                                        expected):
+    """With both bulk sizes at 0, ``dump_bulk`` writes the catalog and the
+    case set, and every file keeps its digest."""
+    monkeypatch.setattr(cli, "_BULK_CONDITIONS", 0)
+    monkeypatch.setattr(cli, "_BULK_CASES", 0)
+    with mock.patch.object(cli, "dump_bulk", wraps=docio.dump_bulk) as bulk:
+        test_outputs_keep_their_digests(tmp_path, monkeypatch, capsys, bundle_limit,
+                                        expected)
+    assert bulk.call_count == 2
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """``generate`` then ``compose``, each seed in one fresh process writing
     to ``out`` in its own cwd: the same bytes, manifests apart from timing."""
@@ -831,6 +854,70 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
     assert (len(cases), warnings) == (1037, [])
     assert (out / "test_cases.json").read_text(encoding="utf-8") \
         == dump_document(cases_to_doc(cases, warnings), fmt="json")
+
+
+def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch, capsys):
+    """``generate``, ``assess``, then ``generate`` again at ``bundle_limit`` 0:
+    ``compose`` and ``report`` read the new catalog, not the ratings that
+    ``assess`` applied to the old one, and the ratings file stays."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(_project(tmp_path, lambda doc: None))]
+    assert cli.main(config + ["generate"]) == 0
+    ids = [c["id"] for c in read_document(tmp_path / "out" / "catalog.json")["conditions"]]
+    assert len(ids) == 49
+    ratings = tmp_path / "ratings.json"
+    ratings.write_text(json.dumps({"schema": "condition-ratings@1", "ratings": [
+        {"condition": ids[0], "exposure": "E4", "criticality": "C4"}]}), encoding="utf-8")
+    assert cli.main(config + ["assess", "--ratings", str(ratings)]) == 0
+    capsys.readouterr()
+
+    config = ["--config", str(_project(
+        tmp_path, lambda doc: doc["parameters"].update(bundle_limit=0)))]
+    assert cli.main(config + ["generate"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"deleted {Path('out', name)}, written by 'assess' for the previous catalog"
+        for name in ("catalog_assessed.json", "assess.manifest.json")]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+        "catalog.csv", "catalog.json", "catalog.md", "generate.manifest.json"]
+    assert ratings.exists()
+    assert cli.main(config + ["compose"]) == 0
+    assert cli.main(config + ["report"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("composed 24 test cases from 24 conditions -> out/test_cases.json\n"
+                          "# Assessment report — RoadSweeper\n\n24 triggering conditions")
+
+
+@pytest.mark.parametrize("command", ["assess", "compose", "report-cases", "report-results"])
+def test_a_lone_surrogate_escape_is_one_located_line(chain, tmp_path, capsys, command):
+    """A ``\\ud800`` escape that pairs with nothing, in a catalog, a case set
+    or a results line, is one located line with exit code 1; nothing is
+    written, as UTF-8 cannot hold the character it stands for."""
+    out = chain["cwd"] / "out"
+    if command == "report-results":
+        text = '{"test_case": "t1", "outcome": "fail", "behavior": "x \\ud800 y"}\n'
+        bad, prefix = tmp_path / "results.jsonl", "unreadable results line: "
+    else:  # the first template text, in the first condition or case
+        source = out / ("test_cases.json" if command == "report-cases" else "catalog.json")
+        text = source.read_text(encoding="utf-8").replace(
+            '": "A streetlamp', '": "bad \\ud800 A streetlamp', 1)
+        bad, prefix = tmp_path / "bad.json", ""
+    bad.write_text(text, encoding="utf-8")
+    start = text.index("\\ud800")
+    line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    written = tmp_path / "written"
+    argv = {
+        "assess": ["assess", "--catalog", bad, "--ratings", chain["cwd"] / "ratings.json",
+                   "--output-dir", written],
+        "compose": ["compose", "--catalog", bad, "--output-dir", written],
+        "report-cases": ["report", "--catalog", out / "catalog.json", "--cases", bad,
+                         "--output", written / "r.md"],
+        "report-results": ["report", "--catalog", out / "catalog.json", "--results", bad,
+                           "--output", written / "r.md"],
+    }[command]
+    assert cli.main(["--config", str(reference_config())] + list(map(str, argv))) == 1
+    assert capsys.readouterr() == ("", f"error SyntaxError {bad}:{line}: {prefix}lone "
+                                       f"surrogate escape '\\ud800' (column {column})\n")
+    assert not written.exists()
 
 
 def test_a_line_break_in_a_template_stays_in_its_table_cell(tmp_path, monkeypatch, capsys):

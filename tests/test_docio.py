@@ -63,6 +63,21 @@ class TestParseDocument:
         assert diag.line == 2
         assert "column" in diag.message
 
+    @pytest.mark.parametrize("text,line,column,escape", [
+        pytest.param('{"a": "bad \\ud800 text"}', 1, 12, "\\ud800", id="high"),
+        pytest.param('{"a": 1,\n "b": ["\\udfff"]}', 2, 9, "\\udfff", id="low"),
+        pytest.param('{"a": "\\uDBFF\\\\uDC00"}', 1, 8, "\\uDBFF", id="high-then-text"),
+        pytest.param('{"a": "\\\\\\ud800"}', 1, 10, "\\ud800", id="after-a-backslash"),
+        pytest.param('{"\\ud800": 1}', 1, 3, "\\ud800", id="key"),
+    ])
+    def test_json_lone_surrogate_escape_is_a_located_syntax_error(self, text, line, column,
+                                                                  escape):
+        with pytest.raises(DocumentError) as excinfo:
+            parse_document(text, fmt="json", source="broken.json")
+        diag = excinfo.value.diagnostics[0]
+        assert (diag.code, diag.file, diag.line) == ("SyntaxError", "broken.json", line)
+        assert diag.message == f"lone surrogate escape '{escape}' (column {column})"
+
     def test_non_mapping_top_level_rejected(self):
         with pytest.raises(DocumentError, match="top level must be a mapping"):
             parse_document("- 1\n- 2\n")
@@ -425,6 +440,26 @@ def test_json_dump_of_deep_nesting():
     assert _writer(value) == _stdlib(value)
 
 
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.text() | st.sampled_from(_TRICKY_TEXT)
+                | st.text(st.sampled_from("\ud800\udbff\udc00\udfff\U0001f600\\uDd8")),
+                max_size=4), st.booleans())
+def test_a_lone_surrogate_is_found_in_any_json_text(texts, ascii_only):
+    """A JSON text holds a lone surrogate escape exactly when a string it
+    decodes to cannot be encoded as UTF-8; surrogate pairs, escaped
+    backslashes and raw characters are text."""
+    text = json.dumps({"texts": texts}, ensure_ascii=ascii_only)
+    if not ascii_only and any("\ud800" <= c <= "\udfff" for t in texts for c in t):
+        return  # a raw surrogate, which no text read from a file holds
+    try:
+        for decoded in json.loads(text)["texts"]:
+            decoded.encode("utf-8")
+    except UnicodeEncodeError:
+        assert docio._lone_surrogate(text) is not None
+    else:
+        assert docio._lone_surrogate(text) is None
+
+
 # ---------------------------------------------------------------------------
 # The bulk writer writes what dump_document writes
 # ---------------------------------------------------------------------------
@@ -445,16 +480,26 @@ def _plain(children, size):
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(st.dictionaries(_plain_texts, _plain(_plain(_plain_scalars, 4), 3), max_size=4))
 def test_bulk_dump_is_the_json_dump(doc):
-    """Lone surrogates and ints beyond 64 bits, which orjson refuses, are
-    written by ``dump_document``."""
-    assert dump_bulk(doc) == dump_document(doc, fmt="json")
+    """Ints beyond 64 bits, which orjson refuses, are written by
+    ``dump_document``; a lone surrogate, which UTF-8 cannot hold, raises the
+    ``UnicodeEncodeError`` that writing that text raises."""
+    text = dump_document(doc, fmt="json")
+    try:
+        expected = text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        with pytest.raises(UnicodeEncodeError) as got:
+            dump_bulk(doc)
+        assert str(got.value) == str(error)
+    else:
+        assert dump_bulk(doc) == expected
 
 
 def test_bulk_dump_of_deep_nesting():
     value = "leaf"
     for depth in range(300):
         value = [value, ()] if depth % 2 else {str(depth): value, "t": {}}
-    assert dump_bulk({"deep": value}) == dump_document({"deep": value}, fmt="json")
+    assert dump_bulk({"deep": value}) \
+        == dump_document({"deep": value}, fmt="json").encode("utf-8")
 
 
 def test_bulk_dump_refuses_a_record():
