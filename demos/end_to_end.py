@@ -14,13 +14,12 @@ from trigkit.config import load_inputs, read_config
 from trigkit.data import reference_config
 from trigkit.docio import dump_document
 from trigkit.generation import AssessmentClass, assess, rank
-from trigkit.pipeline import Catalog, generate_catalog
+from trigkit.pipeline import generate_catalog
 from trigkit.render import (
     cases_to_doc,
     cases_to_markdown,
     catalog_to_csv,
     catalog_to_doc,
-    catalog_to_markdown,
     render_report,
 )
 from trigkit.testcases import BehaviorClass, ResultsLedger, compose, outcome_record
@@ -79,11 +78,7 @@ def main() -> None:
     }
     conditions = tuple(assess(c, ratings[c.id]) if c.id in ratings else c
                        for c in catalog.conditions)
-    catalog = Catalog(vehicle=catalog.vehicle, threshold=catalog.threshold,
-                      bundle_limit=catalog.bundle_limit, conditions=conditions,
-                      positives=catalog.positives, warnings=catalog.warnings)
-    (OUT / "catalog_assessed.md").write_text(catalog_to_markdown(catalog),
-                                             encoding="utf-8")
+    catalog = catalog._replace(conditions=conditions)  # ratings live in memory only
     print(f"rated {len(ratings)} of {len(conditions)} conditions; top of the ranking:")
     for condition in rank(catalog.conditions)[:4]:
         print(f"  {condition.rating_label():>6}  {condition.description}")

@@ -2,15 +2,15 @@
 
 Subcommands mirror the pipeline: ``validate`` checks every configured input,
 ``stages`` and ``matrix`` inspect intermediate mappings, ``generate`` writes
-the condition catalog, ``assess`` applies analyst ratings, ``compose`` pairs
-conditions with hazardous events, and ``report`` renders the ranked summary.
+the condition catalog, ``compose`` pairs conditions with hazardous events, and
+``report`` renders the summary, ranked by the analyst ratings it is given.
 
 Each command reads only the inputs it uses. ``validate`` and ``generate``
 read and cross-check all configured documents (all seven in the bundled
 project); ``stages`` reads the ontology, system and matrix, and ``matrix``
 adds the effects; ``compose`` reads four: the ontology, system, events and
-policy, next to the catalog it pairs. ``assess`` and ``report`` read no
-configured input, only catalogs, cases, ratings and results.
+policy, next to the catalog it pairs. ``report`` reads no configured input,
+only the catalog, cases, ratings and results.
 
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
@@ -35,8 +35,7 @@ from .config import (
 )
 from .docio import dump_bulk, dump_document, read_document
 from .errors import Diagnostic, DocumentError, ToolkitError, format_diagnostic
-from .generation import assess as assess_condition
-from .generation import build_matrix, ratings_from_doc
+from .generation import assess, build_matrix, ratings_from_doc
 from .ontology import lookup_concept
 from .perception import STAGE_ORDER, affected_stages
 from .pipeline import Catalog, candidate_relations, generate_catalog
@@ -64,7 +63,7 @@ __all__ = ["main", "entrypoint"]
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigkit",
-        description="Generate, assess and compose perception triggering "
+        description="Generate, compose and rank perception triggering "
                     "conditions from an ontology of triggering sources.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {TOOL_VERSION}")
@@ -93,17 +92,10 @@ def _parser() -> argparse.ArgumentParser:
     generate.add_argument("--sensor", action="append", metavar="NAME",
                           help="restrict generation to this sensor (repeatable)")
 
-    assess = sub.add_parser("assess", help="apply exposure/criticality ratings")
-    assess.add_argument("--ratings", required=True, metavar="PATH")
-    assess.add_argument("--catalog", metavar="PATH",
-                        help="catalog to rate (default: <output-dir>/catalog.json)")
-    assess.add_argument("--output-dir", metavar="DIR")
-
     compose_cmd = sub.add_parser("compose",
                                  help="pair conditions with hazardous events")
     compose_cmd.add_argument("--catalog", metavar="PATH",
-                             help="catalog to pair (default: "
-                                  "<output-dir>/catalog_assessed.json or catalog.json)")
+                             help="catalog to pair (default: <output-dir>/catalog.json)")
     compose_cmd.add_argument("--output-dir", metavar="DIR")
 
     report = sub.add_parser("report", help="render the ranked assessment report")
@@ -111,6 +103,8 @@ def _parser() -> argparse.ArgumentParser:
     report.add_argument("--cases", metavar="PATH",
                         help="composed cases (default: <output-dir>/test_cases.json "
                              "when it exists)")
+    report.add_argument("--ratings", metavar="PATH",
+                        help="exposure/criticality ratings to rank by")
     report.add_argument("--results", metavar="PATH",
                         help="JSON-lines results ledger")
     report.add_argument("--format", choices=("md", "json"), default="md")
@@ -131,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         "stages": _cmd_stages,
         "matrix": _cmd_matrix,
         "generate": _cmd_generate,
-        "assess": _cmd_assess,
         "compose": _cmd_compose,
         "report": _cmd_report,
     }[args.command]
@@ -188,14 +181,9 @@ def _bundle_from_args(args, inputs: ProjectInputs):
 
 
 def _default_catalog_path(args, config: ProjectConfig) -> Path:
-    explicit = getattr(args, "catalog", None)
-    if explicit:
-        return Path(explicit)
-    directory = Path(getattr(args, "output_dir", None) or config.output_dir)
-    assessed = directory / "catalog_assessed.json"
-    if assessed.exists():
-        return assessed
-    return directory / "catalog.json"
+    if args.catalog:
+        return Path(args.catalog)
+    return Path(getattr(args, "output_dir", None) or config.output_dir) / "catalog.json"
 
 
 def _read_catalog_file(path: Path) -> Catalog:
@@ -203,6 +191,15 @@ def _read_catalog_file(path: Path) -> Catalog:
         raise DocumentError.at(E.MISSING_INPUT, "file not found; run 'generate' first",
                                str(path))
     return catalog_from_doc(read_document(path), source=str(path))
+
+
+def _check_known(ids, catalog: Catalog, what: str, path: Path) -> None:
+    """``UnknownCondition`` at ``path`` unless the catalog holds every id of
+    ``ids``, which the ``what`` document names."""
+    missing = set(ids).difference(condition.id for condition in catalog.conditions)
+    if missing:
+        raise DocumentError.at(E.UNKNOWN_CONDITION, f"{what} reference unknown "
+                               f"condition ids: {', '.join(sorted(missing))}", str(path))
 
 
 def _write_outputs(command: str, directory: Path, outputs: dict[Path, str | bytes],
@@ -223,7 +220,7 @@ def _write_outputs(command: str, directory: Path, outputs: dict[Path, str | byte
 #: a case (24-34 ms -> 3 ms on 2,990 cases, Python 3.11 on a 2-vCPU VM), so it
 #: breaks even near 850-900 cases. The bundled project's 61 cases never load it.
 _BULK_CASES = 1000
-#: The fewest conditions ``generate`` and ``assess`` write with ``dump_bulk``.
+#: The fewest conditions ``generate`` writes with ``dump_bulk``.
 #: In fresh children, importing orjson after trigkit took 6.8-8.2 ms (9
 #: children); it then saves 15-25 us a condition against writing the text
 #: (13.5 ms -> 0.8 ms on 524 conditions, Python 3.11 on a 2-vCPU VM), so it
@@ -309,47 +306,10 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
           f"-> {directory}")
     if "delta" in totals:
         print(f"expected {totals['expected']}, delta {totals['delta']:+d}")
-    for name in ("catalog_assessed.json", "assess.manifest.json"):
-        stale = directory / name  # rated the catalog just replaced
-        if stale.exists():
-            stale.unlink()
-            print(f"deleted {stale}, written by 'assess' for the previous catalog")
     if catalog.warnings:
         count = len(catalog.warnings)
         print(f"{count} warning{'' if count == 1 else 's'} recorded in the catalog",
               file=sys.stderr)
-    return 0
-
-
-def _cmd_assess(args, config: ProjectConfig) -> int:
-    started = time.perf_counter()
-    catalog_path = _default_catalog_path(args, config)
-    catalog = _read_catalog_file(catalog_path)
-    ratings_path = Path(args.ratings)
-    ratings = ratings_from_doc(read_document(ratings_path), source=str(ratings_path))
-
-    known = {condition.id for condition in catalog.conditions}
-    missing = sorted(set(ratings) - known)
-    if missing:
-        raise DocumentError.at(E.UNKNOWN_CONDITION, f"ratings reference unknown "
-                               f"condition ids: {', '.join(missing)}", str(ratings_path))
-    conditions = tuple(
-        assess_condition(c, ratings[c.id]) if c.id in ratings else c
-        for c in catalog.conditions)
-    catalog = catalog._replace(conditions=conditions)
-
-    directory = _output_dir(args, config)
-    out_path = directory / "catalog_assessed.json"
-    rated = sum(1 for c in conditions if c.assessment is not None)
-    _write_outputs("assess", directory,
-                   {out_path: _json_output(catalog_to_doc(catalog), len(conditions),
-                                           _BULK_CONDITIONS)},
-                   {"ratings": str(ratings_path)},
-                   [config.path, catalog_path, ratings_path],
-                   {"conditions": len(conditions), "rated": rated,
-                    "unrated": len(conditions) - rated}, 0, started)
-    print(f"rated {rated} of {len(conditions)} conditions "
-          f"({len(conditions) - rated} unrated) -> {out_path}")
     return 0
 
 
@@ -396,6 +356,14 @@ def _cmd_report(args, config: ProjectConfig) -> int:
         else Path(config.output_dir) / "test_cases.json"
     if args.cases or cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
+        _check_known((case.condition_id for case in cases), catalog, "cases", cases_path)
+    if args.ratings:
+        ratings_path = Path(args.ratings)
+        ratings = ratings_from_doc(read_document(ratings_path), source=str(ratings_path))
+        _check_known(ratings, catalog, "ratings", ratings_path)
+        catalog = catalog._replace(conditions=tuple(
+            assess(c, ratings[c.id]) if c.id in ratings else c
+            for c in catalog.conditions))
     results = ResultsLedger(args.results).read() if args.results else []
 
     if args.format == "json":

@@ -73,7 +73,6 @@ __all__ = [
     "context_to_doc",
     "context_from_doc",
     "ratings_from_doc",
-    "rating_from_doc",
 ]
 
 EFFECTS_SCHEMA = "effect-knowledge@1"
@@ -704,16 +703,12 @@ def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, Asse
     ids: set[str] = set()
     for where, raw in sink.records(doc, "ratings"):
         cid = sink.text(raw, "condition", where)
-        rating = rating_from_doc(raw, where, sink)
-        if None not in (cid, rating) and sink.first(ids, cid, where, "rating for"):
-            out[cid] = rating
+        exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
+                               code=E.UNKNOWN_RATING)
+        criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
+                                  code=E.UNKNOWN_RATING)
+        if None not in (cid, exposure, criticality) \
+                and sink.first(ids, cid, where, "rating for"):
+            out[cid] = AssessmentClass(exposure, criticality)
     sink.raise_if_errors()
     return out
-
-
-def rating_from_doc(raw: dict, where: str, sink: DiagnosticSink) -> AssessmentClass | None:
-    """The exposure/criticality pair in ``raw``."""
-    exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where, code=E.UNKNOWN_RATING)
-    criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
-                              code=E.UNKNOWN_RATING)
-    return None if None in (exposure, criticality) else AssessmentClass(exposure, criticality)

@@ -8,6 +8,10 @@ document that does not fit is read again by the located reader, which is the
 only source of diagnostics. Both build equal records from every document the
 located reader accepts.
 
+Analyst ratings are not part of the catalog document: ``catalog_to_doc``
+writes none, and both readers ignore an ``assessment`` key, as they ignore any
+key they do not know. ``report --ratings`` applies ratings in memory.
+
 Tabular views exist in two styles: CSV (machine-friendly, ASCII degree marks)
 and Markdown (review-friendly, spaced typographic degree marks).
 """
@@ -21,11 +25,10 @@ from typing import Iterable, Mapping, Sequence
 
 from . import errors as E
 from .docio import check_schema
-from .errors import DiagnosticSink, ToolkitError
+from .errors import DiagnosticSink
 from .generation import (
     DEGREE_MAX,
     DEGREE_MIN,
-    AssessmentClass,
     EffectEntry,
     GenerationMatrix,
     TriggeringCondition,
@@ -33,7 +36,6 @@ from .generation import (
     context_from_doc,
     context_to_doc,
     rank,
-    rating_from_doc,
     render_degree,
 )
 from .naming import display_name, is_identifier
@@ -125,7 +127,7 @@ def _effect_to_doc(cell: EffectEntry) -> dict:
 
 
 def _condition_to_doc(condition: TriggeringCondition) -> dict:
-    raw: dict = {
+    return {
         "id": condition.id,
         "sensor": condition.sensor,
         "sources": list(condition.sources),
@@ -140,11 +142,6 @@ def _condition_to_doc(condition: TriggeringCondition) -> dict:
         "variant": condition.variant,
         "templated": condition.templated,
     }
-    if condition.assessment is not None:
-        raw["assessment"] = {"exposure": condition.assessment.exposure,
-                             "criticality": condition.assessment.criticality}
-        raw["priority"] = condition.priority
-    return raw
 
 
 def catalog_to_doc(catalog: Catalog) -> dict:
@@ -200,11 +197,8 @@ def _condition_from_doc(raw: dict, where: str,
     sink.distinct(properties, where, "property")
     sink.distinct(relationships, where, "relationship", _relation_label)
     sink.distinct(effects, where, "effect", _cell_label)
-    rating = sink.collection(raw, "assessment", where, mapping=True)
-    assessment = rating_from_doc(rating, f"{where}.assessment", sink) if rating else None
     if None in (cid, sensor, owner, description, stage, degree, distance, variant,
-                templated, *relationships, *effects) or not sources or not properties \
-            or rating and assessment is None:
+                templated, *relationships, *effects) or not sources or not properties:
         return None
     return TriggeringCondition(
         id=cid, sensor=sensor, sources=tuple(sources),
@@ -212,7 +206,7 @@ def _condition_from_doc(raw: dict, where: str,
         properties=properties, stage=stage.name, effects=tuple(effects),
         description=description,
         degree=degree, distance_augmented=distance, variant=variant,
-        templated=templated, assessment=assessment)
+        templated=templated)
 
 
 def _catalog_from_doc_located(doc: dict, source: str) -> Catalog:
@@ -253,8 +247,8 @@ class _Misfit(Exception):
     accepts or reads differently (an absent optional list, ``1`` for a flag)."""
 
 
-# A missing key, a value of the wrong type and a bad rating are misfits too.
-_MISFITS = (_Misfit, KeyError, TypeError, ToolkitError)
+# A missing key and a value of the wrong type are misfits too.
+_MISFITS = (_Misfit, KeyError, TypeError)
 _HEADER = itemgetter("vehicle", "threshold", "bundle_limit", "conditions",
                      "positives", "warnings")
 _CONDITION = itemgetter("id", "sensor", "property_owner", "description", "sources",
@@ -321,16 +315,14 @@ def _condition_checked(raw: dict, contexts: dict) -> TriggeringCondition:
           and type(degree) is int and degree in _DEGREES and type(distance) is bool
           and type(templated) is bool and is_identifier(variant)
           and isinstance(relations, list) and isinstance(cells, list))
-    properties, rating = tuple(properties), raw.get("assessment")
-    assessment = None if rating is None else \
-        AssessmentClass(rating["exposure"], rating["criticality"])
+    properties = tuple(properties)
     relations = tuple(map(_relation_checked, relations))
     cells = tuple(_cell_checked(cell, owner, properties, stage, contexts) for cell in cells)
     _fits(_distinct(sources) and _distinct(properties) and _distinct(relations)
           and _distinct(cells))
     return TriggeringCondition(
         cid, sensor, tuple(sources), relations, owner, properties, stage.name, cells,
-        degree, description, distance, variant, templated, assessment)
+        degree, description, distance, variant, templated)
 
 
 def _catalog_checked(doc: dict) -> Catalog | None:
@@ -399,18 +391,9 @@ def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def catalog_to_markdown(catalog: Catalog) -> str:
-    assessed = any(c.assessment is not None for c in catalog.conditions)
-    header = list(CSV_HEADER) + ["Degree"]
-    if assessed:
-        header += ["Rating", "Priority"]
-    rows = []
-    for i, condition in enumerate(catalog.conditions, start=1):
-        row = list(_condition_row(i, condition))
-        row.append(render_degree(condition.degree, style="figure"))
-        if assessed:
-            row.append(condition.rating_label())
-            row.append("" if condition.priority is None else str(condition.priority))
-        rows.append(row)
+    header = CSV_HEADER + ("Degree",)
+    rows = [_condition_row(i, condition) + (render_degree(condition.degree, style="figure"),)
+            for i, condition in enumerate(catalog.conditions, start=1)]
     title = f"# Triggering conditions — {catalog.vehicle}" if catalog.vehicle \
         else "# Triggering conditions"
     parts = [title, "",

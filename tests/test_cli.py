@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -42,7 +43,7 @@ def run_cli(*args, cwd, config=reference_config(), env_extra=None, command=CLI):
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """One full generate -> assess -> compose -> report run in a clean cwd."""
+    """One full generate -> compose -> report --ratings run in a clean cwd."""
     cwd = tmp_path_factory.mktemp("chain")
     results = {"cwd": cwd}
     results["generate"] = run_cli("generate", cwd=cwd)
@@ -55,16 +56,15 @@ def chain(tmp_path_factory):
                    {"condition": ids[1], "exposure": "E2", "criticality": "C3"},
                ]}
     (cwd / "ratings.json").write_text(json.dumps(ratings), encoding="utf-8")
-    results["assess"] = run_cli("assess", "--ratings", "ratings.json", cwd=cwd)
     results["compose"] = run_cli("compose", cwd=cwd)
-    results["report_md"] = run_cli("report", cwd=cwd)
+    results["report_md"] = run_cli("report", "--ratings", "ratings.json", cwd=cwd)
 
     ledger_line = json.dumps({"test_case": "t0123456789ab",
                               "behavior": "NearCollision", "outcome": "fail"})
     (cwd / "results.jsonl").write_text(ledger_line + "\n", encoding="utf-8")
     results["report_json"] = run_cli(
-        "report", "--results", "results.jsonl", "--format", "json",
-        "--output", "report.json", cwd=cwd)
+        "report", "--ratings", "ratings.json", "--results", "results.jsonl",
+        "--format", "json", "--output", "report.json", cwd=cwd)
     return results
 
 
@@ -95,6 +95,7 @@ class TestTopLevel:
     def test_unknown_subcommand_is_a_usage_error(self, tmp_path):
         proc = run_cli("conjure", cwd=tmp_path, config=None)
         assert proc.returncode == 2
+        assert cli.main(["assess", "--ratings", "ratings.json"]) == 2
 
     def test_missing_config_is_reported(self, tmp_path):
         proc = run_cli("validate", cwd=tmp_path, config=None)
@@ -237,7 +238,7 @@ class TestMatrix:
 
 
 # ---------------------------------------------------------------------------
-# The generate -> assess -> compose -> report chain
+# The generate -> compose -> report chain
 # ---------------------------------------------------------------------------
 
 class TestChain:
@@ -273,12 +274,15 @@ class TestChain:
         assert len(manifest["inputs"]) == 8  # config plus seven documents
         assert all(len(entry["sha256"]) == 64 for entry in manifest["inputs"])
 
-    def test_assess_summary(self, chain):
-        proc = chain["assess"]
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == (
-            "rated 2 of 49 conditions (47 unrated) -> out/catalog_assessed.json")
-        assert (chain["cwd"] / "out" / "catalog_assessed.json").exists()
+    def test_report_ranks_by_the_ratings_and_writes_no_catalog(self, chain):
+        rated = read_document(chain["cwd"] / "ratings.json")["ratings"]
+        ranking = read_document(chain["cwd"] / "report.json")["ranking"]
+        assert [(entry["id"], entry["rating"]) for entry in ranking[:2]] == [
+            (rated[0]["condition"], "E4/C4"), (rated[1]["condition"], "E2/C3")]
+        assert {entry["rating"] for entry in ranking[2:]} == {"unrated"}
+        assert sorted(path.name for path in (chain["cwd"] / "out").iterdir()) == [
+            "catalog.csv", "catalog.json", "catalog.md", "compose.manifest.json",
+            "generate.manifest.json", "test_cases.json", "test_cases.md"]
 
     def test_compose_summary(self, chain):
         proc = chain["compose"]
@@ -294,7 +298,7 @@ class TestChain:
                               .read_text(encoding="utf-8"))
         config = read_config(reference_config())
         assert [entry["path"] for entry in manifest["inputs"]] == [
-            str(config.path), "out/catalog_assessed.json", str(config.ontology),
+            str(config.path), "out/catalog.json", str(config.ontology),
             str(config.system), str(config.events), str(config.policy)]
 
     def test_report_markdown_defaults_to_stdout(self, chain):
@@ -315,7 +319,8 @@ class TestChain:
         assert doc["ranking"][0]["rating"] == "E4/C4"
 
     def test_report_output_creates_its_directory(self, chain):
-        proc = run_cli("report", "--output", "nodir/deeper/report.md", cwd=chain["cwd"])
+        proc = run_cli("report", "--ratings", "ratings.json",
+                       "--output", "nodir/deeper/report.md", cwd=chain["cwd"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "report -> nodir/deeper/report.md\n", "")
         written = chain["cwd"] / "nodir" / "deeper" / "report.md"
@@ -325,8 +330,8 @@ class TestChain:
         out = chain["cwd"] / "out"
         written = sorted(out.glob("*.json")) + [chain["cwd"] / "report.json"]
         assert {p.name for p in written} >= {
-            "catalog.json", "catalog_assessed.json", "test_cases.json", "report.json",
-            "generate.manifest.json", "assess.manifest.json", "compose.manifest.json"}
+            "catalog.json", "test_cases.json", "report.json",
+            "generate.manifest.json", "compose.manifest.json"}
         for path in written:
             text = path.read_text(encoding="utf-8")
             stdlib = json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
@@ -339,20 +344,20 @@ class TestChainErrors:
         assert proc.returncode == 1
         assert "run 'generate' first" in proc.stderr
 
-    def test_assess_with_unknown_condition_ids(self, chain, tmp_path):
+    def test_report_ratings_with_unknown_condition_ids(self, chain, tmp_path):
         ratings = {"schema": "condition-ratings@1",
                    "ratings": [{"condition": "c000000000000",
                                 "exposure": "E1", "criticality": "C1"}]}
         (tmp_path / "ratings.json").write_text(json.dumps(ratings),
                                                encoding="utf-8")
-        proc = run_cli("assess", "--ratings", "ratings.json",
+        proc = run_cli("report", "--ratings", "ratings.json",
                        "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
                        cwd=tmp_path)
         assert proc.returncode == 1
         assert "unknown condition ids" in proc.stderr
 
     def test_ratings_file_not_found(self, chain, tmp_path):
-        proc = run_cli("assess", "--ratings", "missing.json",
+        proc = run_cli("report", "--ratings", "missing.json",
                        "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
                        cwd=tmp_path)
         assert proc.returncode == 1
@@ -470,7 +475,7 @@ class TestMalformedDocuments:
             self.assert_diagnosed(run_cli(command, cwd=tmp_path, config=config), path)
 
         out = chain["cwd"] / "out"
-        proc = run_cli("compose", "--catalog", str(out / "catalog_assessed.json"),
+        proc = run_cli("compose", "--catalog", str(out / "catalog.json"),
                        cwd=tmp_path, config=config)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "test_cases.json").read_bytes() \
@@ -573,9 +578,9 @@ UNREADABLE = {
     "input-directory": (1, _directory, ["--config", "PROJECT", "validate"]),
     "input-non-utf8": (1, _non_utf8, ["--config", "PROJECT", "validate"]),
     "ratings-directory": (1, _directory,
-                          ["assess", "--ratings", "BAD", "--catalog", "CATALOG"]),
+                          ["report", "--ratings", "BAD", "--catalog", "CATALOG"]),
     "ratings-non-utf8": (1, _non_utf8,
-                         ["assess", "--ratings", "BAD", "--catalog", "CATALOG"]),
+                         ["report", "--ratings", "BAD", "--catalog", "CATALOG"]),
     "cases-non-utf8": (1, _non_utf8, ["report", "--cases", "BAD", "--catalog", "CATALOG"]),
     "results-non-utf8": (1, _ledger,
                          ["report", "--results", "BAD", "--catalog", "CATALOG"]),
@@ -619,7 +624,7 @@ def _unknown_ratings(tmp_path):
 #: In the command, CATALOG is a generated catalog; in the line, TMP is the cwd.
 #: A set-up that returns a config path runs the command with that config.
 MISSING = {
-    "assess-catalog": (["assess", "--ratings", "ratings.json", "--catalog", "nope.json"],
+    "report-catalog": (["report", "--catalog", "nope.json"],
                        "error MissingInput nope.json: file not found; run 'generate' first",
                        None),
     "compose-before-generate": (
@@ -635,8 +640,8 @@ MISSING = {
         ["compose", "--catalog", "CATALOG"],
         "error MissingInput project.yaml: config names no events input",
         lambda tmp: _project(tmp, lambda doc: doc["inputs"].pop("events"))),
-    "assess-unknown-ids": (
-        ["assess", "--ratings", "ratings.json", "--catalog", "CATALOG"],
+    "report-ratings-unknown-ids": (
+        ["report", "--ratings", "ratings.json", "--catalog", "CATALOG"],
         "error UnknownCondition ratings.json: ratings reference unknown condition ids: "
         "c000000000000", _unknown_ratings),
 }
@@ -857,9 +862,9 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
 
 
 def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch, capsys):
-    """``generate``, ``assess``, then ``generate`` again at ``bundle_limit`` 0:
-    ``compose`` and ``report`` read the new catalog, not the ratings that
-    ``assess`` applied to the old one, and the ratings file stays."""
+    """``generate``, ``report --ratings``, then ``generate`` again at
+    ``bundle_limit`` 0: no rated file is left behind, so ``compose`` and
+    ``report`` read the new catalog unrated, and the ratings file stays."""
     monkeypatch.chdir(tmp_path)
     config = ["--config", str(_project(tmp_path, lambda doc: None))]
     assert cli.main(config + ["generate"]) == 0
@@ -868,15 +873,13 @@ def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch
     ratings = tmp_path / "ratings.json"
     ratings.write_text(json.dumps({"schema": "condition-ratings@1", "ratings": [
         {"condition": ids[0], "exposure": "E4", "criticality": "C4"}]}), encoding="utf-8")
-    assert cli.main(config + ["assess", "--ratings", str(ratings)]) == 0
-    capsys.readouterr()
+    assert cli.main(config + ["report", "--ratings", str(ratings)]) == 0
+    assert "48 conditions unrated" in capsys.readouterr().out
 
     config = ["--config", str(_project(
         tmp_path, lambda doc: doc["parameters"].update(bundle_limit=0)))]
     assert cli.main(config + ["generate"]) == 0
-    assert capsys.readouterr().out.splitlines()[2:] == [
-        f"deleted {Path('out', name)}, written by 'assess' for the previous catalog"
-        for name in ("catalog_assessed.json", "assess.manifest.json")]
+    assert len(capsys.readouterr().out.splitlines()) == 2
     assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
         "catalog.csv", "catalog.json", "catalog.md", "generate.manifest.json"]
     assert ratings.exists()
@@ -885,17 +888,42 @@ def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert out.startswith("composed 24 test cases from 24 conditions -> out/test_cases.json\n"
                           "# Assessment report — RoadSweeper\n\n24 triggering conditions")
+    assert "24 composed test cases; 24 conditions unrated." in out
 
 
-@pytest.mark.parametrize("command", ["assess", "compose", "report-cases", "report-results"])
+def test_report_refuses_the_cases_of_another_catalog(tmp_path, monkeypatch, capsys):
+    """``generate``, ``compose``, then ``generate --sensor Camera``: the 61
+    cases name 22 LiDAR conditions that the new catalog lacks, so ``report``
+    is one located line with exit code 1, not a count of foreign cases."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(reference_config())]
+    for command in (["generate"], ["compose"], ["generate", "--sensor", "Camera"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    cases = read_document(tmp_path / "out" / "test_cases.json")["cases"]
+    kept = {c["id"] for c in read_document(tmp_path / "out" / "catalog.json")["conditions"]}
+    foreign = sorted({case["condition"] for case in cases} - kept)
+    assert (len(cases), len(kept), len(foreign)) == (61, 27, 22)
+    capsys.readouterr()
+    assert cli.main(config + ["report"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error UnknownCondition {Path('out', 'test_cases.json')}: cases reference "
+            f"unknown condition ids: {', '.join(foreign)}\n")
+
+
+@pytest.mark.parametrize("command", ["compose", "report-cases", "report-ratings",
+                                     "report-results"])
 def test_a_lone_surrogate_escape_is_one_located_line(chain, tmp_path, capsys, command):
-    """A ``\\ud800`` escape that pairs with nothing, in a catalog, a case set
-    or a results line, is one located line with exit code 1; nothing is
-    written, as UTF-8 cannot hold the character it stands for."""
+    """A ``\\ud800`` escape that pairs with nothing, in a catalog, a case set,
+    a ratings file or a results line, is one located line with exit code 1;
+    nothing is written, as UTF-8 cannot hold the character it stands for."""
     out = chain["cwd"] / "out"
     if command == "report-results":
         text = '{"test_case": "t1", "outcome": "fail", "behavior": "x \\ud800 y"}\n'
         bad, prefix = tmp_path / "results.jsonl", "unreadable results line: "
+    elif command == "report-ratings":
+        text = (chain["cwd"] / "ratings.json").read_text(encoding="utf-8").replace(
+            '"condition": "', '"condition": "bad \\ud800 ', 1)
+        bad, prefix = tmp_path / "ratings.json", ""
     else:  # the first template text, in the first condition or case
         source = out / ("test_cases.json" if command == "report-cases" else "catalog.json")
         text = source.read_text(encoding="utf-8").replace(
@@ -906,11 +934,11 @@ def test_a_lone_surrogate_escape_is_one_located_line(chain, tmp_path, capsys, co
     line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
     written = tmp_path / "written"
     argv = {
-        "assess": ["assess", "--catalog", bad, "--ratings", chain["cwd"] / "ratings.json",
-                   "--output-dir", written],
         "compose": ["compose", "--catalog", bad, "--output-dir", written],
         "report-cases": ["report", "--catalog", out / "catalog.json", "--cases", bad,
                          "--output", written / "r.md"],
+        "report-ratings": ["report", "--catalog", out / "catalog.json", "--ratings", bad,
+                           "--output", written / "r.md"],
         "report-results": ["report", "--catalog", out / "catalog.json", "--results", bad,
                            "--output", written / "r.md"],
     }[command]
@@ -949,6 +977,31 @@ def test_a_line_break_in_a_template_stays_in_its_table_cell(tmp_path, monkeypatc
         assert all(line.startswith("| ") and line.endswith(" |") for line in table), name
         assert len(table) == 2 + len(rows), name
         assert sum("pedestrian<br>at nightfall<br>" in line for line in table) == 2, name
+
+
+def test_every_readme_command_parses(capsys):
+    """Each ``trigkit`` line of the README's ``sh`` blocks, its ``\\``
+    continuations joined, names a command and flags that exist: argparse
+    exits 2 on any other. The commands are parsed, not run, and every
+    command is shown at least once."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["trigkit"]:
+                commands.append(argv[1:])
+    assert {argv[0] for argv in commands} == {
+        "validate", "stages", "matrix", "generate", "compose", "report"}
+    refused = []
+    for argv in commands:
+        try:
+            cli._parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                refused.append(shlex.join(["trigkit", *argv]))
+    assert refused == [], capsys.readouterr().err
 
 
 def test_end_to_end_demo(tmp_path):

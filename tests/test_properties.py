@@ -1,0 +1,132 @@
+"""Input order, ``bundle_limit`` and ``threshold`` do what they say.
+
+- Order: shuffling the list of one bundled input (concepts, sensors, matrix
+  entries, templates or events) leaves ``catalog.json`` and
+  ``test_cases.json`` byte for byte as they were. Effect rules are the
+  exception the README names: among rules of one cell with equal degree and
+  context specificity, the one listed first wins. So effect rules are
+  shuffled only in a project where no cell has such a tie, as the bundled
+  one has none.
+- Limit: the condition ids at ``bundle_limit`` k are a subset of those at
+  k + 1, for 0, 1, 2 (and 3 on the bundled project).
+- Threshold: the condition ids at ``threshold`` t + 1 are a subset of those
+  at t, for 3, 2, 1.
+
+The nesting properties are checked on the bundled project and on the seeded
+random scenes of the C3 oracle gate.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from test_acceptance import _random_kb, _random_matrix, _random_ontology, _random_suite
+from trigkit.data import data_path
+from trigkit.docio import dump_document, read_document
+from trigkit.generation import _context_specificity, effects_from_doc
+from trigkit.ontology import ontology_from_doc
+from trigkit.perception import suite_from_doc
+from trigkit.pipeline import generate_catalog
+from trigkit.relationships import matrix_from_doc
+from trigkit.render import cases_to_doc, catalog_to_doc
+from trigkit.templates import TemplateSet, templates_from_doc
+from trigkit.testcases import compose, events_from_doc, policy_from_doc
+
+#: input -> (bundled file, reader, the list a shuffle reorders)
+BUNDLED = {
+    "ontology": ("source_ontology.yaml", ontology_from_doc, "concepts"),
+    "suite": ("sweeper_system.yaml", suite_from_doc, "sensors"),
+    "matrix": ("compatibility_matrix.yaml", matrix_from_doc, "entries"),
+    "kb": ("effects.yaml", effects_from_doc, "effects"),
+    "templates": ("condition_templates.yaml", templates_from_doc, "templates"),
+    "events": ("hazardous_events.yaml", events_from_doc, "events"),
+    "policy": ("compose_policy.yaml", policy_from_doc, None),
+}
+SEEDS = (1, 2)
+SCENES = range(40)  # the first 40 seeds of the C3 gate
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {name: read_document(data_path(file)) for name, (file, _r, _l) in BUNDLED.items()}
+
+
+def _written(documents, threshold=2, bundle_limit=2):
+    """The text of ``catalog.json`` and ``test_cases.json`` for ``documents``."""
+    inputs = {name: BUNDLED[name][1](doc) for name, doc in documents.items()}
+    catalog = generate_catalog(inputs["ontology"], inputs["suite"], inputs["matrix"],
+                               inputs["kb"], inputs["templates"], threshold=threshold,
+                               bundle_limit=bundle_limit)
+    cases, warnings = compose(catalog.conditions, inputs["events"], inputs["suite"],
+                              inputs["policy"])
+    return (dump_document(catalog_to_doc(catalog), fmt="json"),
+            dump_document(cases_to_doc(cases, warnings), fmt="json"))
+
+
+def _shuffled(entries: list, seed: int) -> list:
+    """``entries`` in a seeded order that differs from the given one."""
+    order = list(entries)
+    random.Random(seed).shuffle(order)
+    return order if order != entries else order[::-1]
+
+
+def _ids(ontology, suite, matrix, kb, templates, threshold, bundle_limit) -> set[str]:
+    catalog = generate_catalog(ontology, suite, matrix, kb, templates,
+                               threshold=threshold, bundle_limit=bundle_limit)
+    return {condition.id for condition in catalog.conditions}
+
+
+def _scene(seed: int):
+    """The ontology, suite, matrix, effects and threshold of C3's random
+    scene ``seed``."""
+    rng = random.Random(9200 + seed)
+    ontology = _random_ontology(rng)
+    matrix = _random_matrix(rng, ontology)
+    suite = _random_suite(rng)
+    return ontology, suite, matrix, _random_kb(rng, ontology), rng.choice((1, 2, 3))
+
+
+@pytest.mark.parametrize("name", [name for name, entry in BUNDLED.items() if entry[2]])
+def test_input_order_changes_no_written_byte(documents, name):
+    if name == "kb":
+        ties = Counter((rule.cell_key, rule.degree, _context_specificity(rule))
+                       for rule in effects_from_doc(documents["kb"]).rules)
+        assert max(ties.values()) == 1  # else the first-listed rule may win a cell
+    expected = _written(documents)
+    key = BUNDLED[name][2]
+    for seed in SEEDS:
+        doc = dict(documents[name], **{key: _shuffled(documents[name][key], seed)})
+        assert _written(dict(documents, **{name: doc})) == expected, (name, seed)
+
+
+def test_limit_and_threshold_nest_on_the_bundled_project(documents):
+    inputs = [BUNDLED[name][1](documents[name])
+              for name in ("ontology", "suite", "matrix", "kb", "templates")]
+    by_limit = [_ids(*inputs, 2, limit) for limit in range(4)]
+    for limit in range(3):
+        assert by_limit[limit] <= by_limit[limit + 1], limit
+    for limit in (1, 2):
+        by_threshold = [_ids(*inputs, threshold, limit) for threshold in (3, 2, 1)]
+        assert by_threshold[0] <= by_threshold[1] <= by_threshold[2], limit
+        assert by_threshold[0] < by_threshold[2], limit
+    assert [len(ids) for ids in by_limit] == [24, 48, 49, 49]
+
+
+def test_limit_and_threshold_nest_on_random_scenes():
+    """At the scene's threshold for the limits, at limit 1 and 2 for the
+    thresholds; a failing scene is named by its C3 seed. Of the 40 scenes, a
+    larger limit adds conditions in 8 and a lower threshold in 27."""
+    grows = Counter()
+    for seed in SCENES:
+        ontology, suite, matrix, kb, threshold = _scene(seed)
+        scene = (ontology, suite, matrix, kb, TemplateSet())
+        by_limit = [_ids(*scene, threshold, limit) for limit in range(3)]
+        assert by_limit[0] <= by_limit[1] <= by_limit[2], ("limit", seed)
+        for limit in (1, 2):
+            by_threshold = [_ids(*scene, t, limit) for t in (3, 2, 1)]
+            assert by_threshold[0] <= by_threshold[1] <= by_threshold[2], \
+                ("threshold", seed, limit)
+            grows["threshold"] += limit == 2 and by_threshold[0] < by_threshold[2]
+        grows["limit"] += by_limit[0] < by_limit[2]
+    assert grows == {"limit": 8, "threshold": 27}

@@ -76,17 +76,14 @@ class TestCatalogDocuments:
         text = dump_document(catalog_to_doc(catalog), fmt="yaml")
         assert catalog_from_doc(parse_document(text, fmt="yaml")) == catalog
 
-    def test_assessed_conditions_survive_the_round_trip(self, catalog):
-        assessed = _assessed(catalog)
-        again = catalog_from_doc(catalog_to_doc(assessed))
-        assert again == assessed
-        assert again.conditions[1].priority == 16
+    def test_ratings_are_not_part_of_the_document(self, catalog):
+        assert catalog_to_doc(_assessed(catalog)) == catalog_to_doc(catalog)
 
     @pytest.mark.parametrize("fmt", ["json", "yaml"])
     def test_checked_and_located_readers_agree(self, catalog, fmt):
-        """On an assessed catalog with a context-bearing positive."""
+        """On a catalog with a context-bearing positive."""
         cell = next(e for c in catalog.conditions for e in c.effects if e.context)
-        rich = _assessed(catalog)._replace(
+        rich = catalog._replace(
             positives=catalog.positives + (("Camera", cell),))
         doc = parse_document(dump_document(catalog_to_doc(rich), fmt=fmt), fmt=fmt)
         checked = _catalog_checked(doc)
@@ -95,7 +92,7 @@ class TestCatalogDocuments:
 
     @pytest.mark.parametrize("path, value", [
         (("distance_augmented",), 1), (("templated",), 0), (("variant",), None),
-        (("assessment",), {}), (("effects", 0, "degree"), None),
+        (("effects", 0, "degree"), None),
     ])
     def test_values_the_located_reader_reads_differently_fall_back(
             self, catalog, path, value):
@@ -126,12 +123,14 @@ class TestCatalogDocuments:
         with pytest.raises(ToolkitError, match="'description' is required"):
             catalog_from_doc(doc)
 
-    def test_malformed_assessment_rejected(self, catalog):
+    def test_an_old_assessment_key_is_ignored(self, catalog):
+        """Catalogs once held each condition's rating; both readers ignore
+        it, even a level that does not exist, as they ignore any unknown key."""
         doc = catalog_to_doc(catalog)
-        doc["conditions"][0]["assessment"] = {"exposure": "E9", "criticality": "C1"}
-        with pytest.raises(ToolkitError) as excinfo:
-            catalog_from_doc(doc)
-        assert excinfo.value.code == "UnknownRating"
+        doc["conditions"][0].update(assessment={"exposure": "E9", "criticality": "C1"},
+                                    priority=9)
+        assert _catalog_checked(doc) == catalog
+        assert _catalog_from_doc_located(doc, "<document>") == catalog
 
     def test_unknown_perturb_category_rejected(self, catalog):
         doc = catalog_to_doc(catalog)
@@ -173,13 +172,10 @@ class TestCatalogTables:
     def test_markdown_uses_figure_degrees(self, catalog):
         assert "− − −" in catalog_to_markdown(catalog)
 
-    def test_markdown_rating_columns_only_when_assessed(self, catalog):
+    def test_markdown_has_no_rating_columns(self, catalog):
         plain = catalog_to_markdown(catalog)
-        assert "Rating" not in plain
-        assessed = catalog_to_markdown(_assessed(catalog))
-        assert "| Rating | Priority |" in assessed
-        assert "E4/C4" in assessed
-        assert "unrated" in assessed
+        assert "| Degree |\n" in plain
+        assert catalog_to_markdown(_assessed(catalog)) == plain
 
     def test_markdown_escapes_pipes(self, catalog):
         spiked = catalog.conditions[0]._replace(description="a|b")
