@@ -12,6 +12,11 @@ adds the effects; ``compose`` reads four: the ontology, system, events and
 policy, next to the catalog it pairs. ``report`` reads no configured input,
 only the catalog, cases, ratings and results.
 
+A run's files sit next to its catalog. ``generate`` writes to ``--output-dir``
+or the config's ``output_dir``, where the default catalog is. ``compose``
+writes next to the catalog it read unless ``--output-dir`` is given;
+``report`` reads the ``test_cases.json`` there unless ``--cases`` is.
+
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
 """
@@ -48,6 +53,7 @@ from .render import (
     cases_from_doc,
     cases_to_doc,
     cases_to_markdown,
+    count_conditions,
     matrix_to_csv,
     matrix_to_doc,
     matrix_to_markdown,
@@ -88,21 +94,23 @@ def _parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="generate the condition catalog")
     generate.add_argument("--output-dir", metavar="DIR",
-                          help="override the config's output directory")
+                          help="default: the config's output directory")
     generate.add_argument("--sensor", action="append", metavar="NAME",
                           help="restrict generation to this sensor (repeatable)")
 
     compose_cmd = sub.add_parser("compose",
                                  help="pair conditions with hazardous events")
     compose_cmd.add_argument("--catalog", metavar="PATH",
-                             help="catalog to pair (default: <output-dir>/catalog.json)")
-    compose_cmd.add_argument("--output-dir", metavar="DIR")
+                             help="default: catalog.json in --output-dir or the config's "
+                                  "output directory")
+    compose_cmd.add_argument("--output-dir", metavar="DIR",
+                             help="default: the catalog's directory")
 
     report = sub.add_parser("report", help="render the ranked assessment report")
-    report.add_argument("--catalog", metavar="PATH")
+    report.add_argument("--catalog", metavar="PATH",
+                        help="default: catalog.json in the config's output directory")
     report.add_argument("--cases", metavar="PATH",
-                        help="composed cases (default: <output-dir>/test_cases.json "
-                             "when it exists)")
+                        help="default: test_cases.json next to the catalog, if it exists")
     report.add_argument("--ratings", metavar="PATH",
                         help="exposure/criticality ratings to rank by")
     report.add_argument("--results", metavar="PATH",
@@ -156,13 +164,6 @@ def entrypoint() -> None:  # console-script hook
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _output_dir(args, config: ProjectConfig) -> Path:
-    override = getattr(args, "output_dir", None)
-    directory = Path(override) if override else config.output_dir
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _bundle_from_args(args, inputs: ProjectInputs):
     """``--source`` and the bundle of its candidate relations that
     ``--relations`` names; any other relation is ``IncompatiblePair``."""
@@ -178,12 +179,6 @@ def _bundle_from_args(args, inputs: ProjectInputs):
                                f"relation of {source.name!r}")
         relations.append(candidates[part])
     return source, compose_bundle(source, relations)
-
-
-def _default_catalog_path(args, config: ProjectConfig) -> Path:
-    if args.catalog:
-        return Path(args.catalog)
-    return Path(getattr(args, "output_dir", None) or config.output_dir) / "catalog.json"
 
 
 def _read_catalog_file(path: Path) -> Catalog:
@@ -205,9 +200,10 @@ def _check_known(ids, catalog: Catalog, what: str, path: Path) -> None:
 def _write_outputs(command: str, directory: Path, outputs: dict[Path, str | bytes],
                    parameters: dict, inputs: list[Path], totals: dict,
                    warnings: int, started: float) -> None:
-    """Write each output file, text as UTF-8 and bytes as they are, then
-    ``<command>.manifest.json`` in ``directory`` with their digests and the
-    seconds since ``started``."""
+    """Make ``directory``, write each output file, text as UTF-8 and bytes as
+    they are, then ``<command>.manifest.json`` in ``directory`` with their
+    digests and the seconds since ``started``."""
+    directory.mkdir(parents=True, exist_ok=True)
     for path, data in outputs.items():
         path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     manifest = build_manifest(command, parameters, inputs, sorted(outputs), totals,
@@ -226,13 +222,6 @@ _BULK_CASES = 1000
 #: (13.5 ms -> 0.8 ms on 524 conditions, Python 3.11 on a 2-vCPU VM), so it
 #: breaks even near 270-550 conditions. The bundled 49 never load it.
 _BULK_CONDITIONS = 400
-
-
-def _json_output(doc: dict, records: int, bulk_from: int) -> str | bytes:
-    """``doc`` as JSON: UTF-8 bytes from ``dump_bulk`` when it holds
-    ``bulk_from`` records or more, conditions or cases, else the text of
-    ``dump_document``, as the import of orjson would cost more than it saves."""
-    return dump_bulk(doc) if records >= bulk_from else dump_document(doc, fmt="json")
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +270,12 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
         inputs.templates, threshold=config.threshold,
         bundle_limit=config.bundle_limit, sensors=sensors)
 
-    directory = _output_dir(args, config)
+    directory = Path(args.output_dir or config.output_dir)
+    doc = catalog_to_doc(catalog)
     outputs = {
-        directory / "catalog.json": _json_output(catalog_to_doc(catalog),
-                                                 len(catalog.conditions), _BULK_CONDITIONS),
+        directory / "catalog.json": (
+            dump_bulk(doc) if len(catalog.conditions) >= _BULK_CONDITIONS
+            else dump_document(doc, fmt="json")),
         directory / "catalog.csv": catalog_to_csv(catalog),
         directory / "catalog.md": catalog_to_markdown(catalog),
     }
@@ -300,10 +291,7 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
                    [config.path] + config.input_paths(), totals,
                    len(catalog.warnings), started)
 
-    summary = ", ".join(f"{sensor}: {count}" for sensor, count
-                        in sorted(catalog.count_by_sensor().items()))
-    print(f"generated {len(catalog.conditions)} conditions ({summary}) "
-          f"-> {directory}")
+    print(f"generated {count_conditions(catalog, 'conditions')} -> {directory}")
     if "delta" in totals:
         print(f"expected {totals['expected']}, delta {totals['delta']:+d}")
     if catalog.warnings:
@@ -320,7 +308,8 @@ _COMPOSE_INPUTS = ("ontology", "system", "events", "policy")
 def _cmd_compose(args, config: ProjectConfig) -> int:
     started = time.perf_counter()
     inputs = load_inputs(config, documents=_COMPOSE_INPUTS)
-    catalog_path = _default_catalog_path(args, config)
+    catalog_path = Path(args.catalog) if args.catalog \
+        else Path(args.output_dir or config.output_dir) / "catalog.json"
     catalog = _read_catalog_file(catalog_path)
     try:
         cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite,
@@ -330,14 +319,15 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    directory = _output_dir(args, config)
+    directory = Path(args.output_dir or catalog_path.parent)
     out_path = directory / "test_cases.json"
     by_event: dict[str, int] = {}
     for case in cases:
         by_event[case.event_id] = by_event.get(case.event_id, 0) + 1
+    doc = cases_to_doc(cases, warnings)
     _write_outputs("compose", directory,
-                   {out_path: _json_output(cases_to_doc(cases, warnings), len(cases),
-                                           _BULK_CASES),
+                   {out_path: (dump_bulk(doc) if len(cases) >= _BULK_CASES
+                               else dump_document(doc, fmt="json")),
                     directory / "test_cases.md": cases_to_markdown(cases)},
                    {}, [config.path, catalog_path]
                    + [getattr(config, name) for name in _COMPOSE_INPUTS],
@@ -350,10 +340,10 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
 
 
 def _cmd_report(args, config: ProjectConfig) -> int:
-    catalog = _read_catalog_file(_default_catalog_path(args, config))
+    catalog_path = Path(args.catalog or config.output_dir / "catalog.json")
+    catalog = _read_catalog_file(catalog_path)
     cases = ()
-    cases_path = Path(args.cases) if args.cases \
-        else Path(config.output_dir) / "test_cases.json"
+    cases_path = Path(args.cases or catalog_path.parent / "test_cases.json")
     if args.cases or cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
         _check_known((case.condition_id for case in cases), catalog, "cases", cases_path)

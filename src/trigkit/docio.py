@@ -18,10 +18,10 @@ None; with an indent it runs a chain of Python generators, which takes 1.4
 to 1.8 times as long on large catalogs and case sets. ``dump_bulk`` returns
 the same text as UTF-8 bytes, made by ``orjson`` ten to fifteen times as
 fast, for a large document of plain JSON types; the bytes go to disk as
-they are. ``orjson`` is imported on the first such call, as it takes 7-8 ms
-to load, which a catalog repays from about 270-550 conditions and a case
-set from about 850-900 cases. So ``cli`` calls it for a catalog of 400
-conditions or more and a case set of 1,000 cases or more.
+they are. ``orjson`` is imported on the first such call, so ``cli`` calls
+it only for a catalog or case set large enough to repay that import: see
+``cli._BULK_CONDITIONS`` and ``cli._BULK_CASES`` for the sizes and the
+measurements behind them.
 
 JSON text is parsed by the stdlib, which decodes a ``\\uD800``-``\\uDFFF``
 escape that is not half of a pair into a lone surrogate, a character no

@@ -66,6 +66,7 @@ __all__ = [
     "cases_to_doc",
     "cases_from_doc",
     "cases_to_markdown",
+    "count_conditions",
     "render_report",
     "report_to_doc",
 ]
@@ -579,15 +580,20 @@ def report_to_doc(catalog: Catalog, cases: Sequence[TestCase] = (),
     }
 
 
+def count_conditions(catalog: Catalog, noun: str) -> str:
+    """``'<count> <noun> (<sensor>: <count>, ...)'``, sensors by name, with no
+    parenthesis for an empty catalog."""
+    by_sensor = ", ".join(f"{s}: {n}" for s, n in sorted(catalog.count_by_sensor().items()))
+    return f"{len(catalog.conditions)} {noun}" + (f" ({by_sensor})" if by_sensor else "")
+
+
 def render_report(catalog: Catalog, cases: Sequence[TestCase] = (),
                   results: Sequence[Mapping] = ()) -> str:
     ranked = rank(catalog.conditions)
     unrated = sum(1 for c in ranked if c.assessment is None)
-    by_sensor = ", ".join(f"{sensor}: {count}"
-                          for sensor, count in sorted(catalog.count_by_sensor().items()))
     parts = [f"# Assessment report — {catalog.vehicle}" if catalog.vehicle
              else "# Assessment report", "",
-             f"{len(catalog.conditions)} triggering conditions ({by_sensor}).",
+             f"{count_conditions(catalog, 'triggering conditions')}.",
              f"{len(cases)} composed test cases; {unrated} conditions unrated.", ""]
     header = ["Rank", "Condition", "Sensor", "Triggering condition",
               "Rating", "Priority"]

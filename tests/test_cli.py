@@ -374,8 +374,9 @@ class TestChainErrors:
                               "has no sensor 'Radar'\n"
 
     def test_report_without_cases_file_reads_none(self, tmp_path, chain):
-        proc = run_cli("report", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
-                       cwd=tmp_path)
+        (tmp_path / "catalog.json").write_bytes(
+            (chain["cwd"] / "out" / "catalog.json").read_bytes())
+        proc = run_cli("report", "--catalog", "catalog.json", cwd=tmp_path)
         assert proc.returncode == 0
         assert "0 composed test cases" in proc.stdout
 
@@ -476,7 +477,7 @@ class TestMalformedDocuments:
 
         out = chain["cwd"] / "out"
         proc = run_cli("compose", "--catalog", str(out / "catalog.json"),
-                       cwd=tmp_path, config=config)
+                       "--output-dir", "out", cwd=tmp_path, config=config)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "test_cases.json").read_bytes() \
             == (out / "test_cases.json").read_bytes()
@@ -908,6 +909,53 @@ def test_report_refuses_the_cases_of_another_catalog(tmp_path, monkeypatch, caps
     assert capsys.readouterr() == (
         "", f"error UnknownCondition {Path('out', 'test_cases.json')}: cases reference "
             f"unknown condition ids: {', '.join(foreign)}\n")
+
+
+def test_compose_and_report_follow_the_catalog_they_read(tmp_path, monkeypatch, capsys):
+    """A run in ``a`` keeps its files in ``a``: ``compose --catalog
+    a/catalog.json`` writes there and nothing under ``out``, and ``report``
+    counts the 61 cases next to that catalog, not the 33 Camera cases that
+    ``out`` holds. A fresh catalog in ``b`` has no cases next to it, so its
+    report counts none."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(reference_config())]
+    for command in (["generate", "--output-dir", "a"],
+                    ["compose", "--catalog", str(Path("a", "catalog.json"))]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.endswith(
+        f"composed 61 test cases from 49 conditions -> {Path('a', 'test_cases.json')}\n")
+    assert sorted(path.name for path in (tmp_path / "a").iterdir()) == [
+        "catalog.csv", "catalog.json", "catalog.md", "compose.manifest.json",
+        "generate.manifest.json", "test_cases.json", "test_cases.md"]
+    assert not (tmp_path / "out").exists()
+
+    for command in (["generate", "--output-dir", "camera", "--sensor", "Camera"],
+                    ["compose", "--catalog", str(Path("camera", "catalog.json")),
+                     "--output-dir", "out"],
+                    ["generate", "--output-dir", "b"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    assert len(read_document(tmp_path / "out" / "test_cases.json")["cases"]) == 33
+    capsys.readouterr()
+    for run, count in (("a", 61), ("b", 0)):
+        assert cli.main(config + ["report", "--catalog", str(Path(run, "catalog.json"))]) \
+            == 0, capsys.readouterr().err
+        assert f"\n{count} composed test cases;" in capsys.readouterr().out
+
+
+def test_an_empty_catalog_prints_no_sensor_counts(tmp_path, monkeypatch, capsys):
+    """Effects no worse than -1 reach no condition at threshold 2: ``generate``
+    and ``report`` print the bare count, with no empty ``()`` after it."""
+    effects = read_document(data_path("effects.yaml"))
+    for effect in effects["effects"]:
+        effect["degree"] = -1
+    (tmp_path / "effects.yaml").write_text(dump_document(effects), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(_config_naming(tmp_path, tmp_path / "effects.yaml"))]
+    for command in ("generate", "report"):
+        assert cli.main(config + [command]) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert out.startswith("generated 0 conditions -> out\n")
+    assert "\n0 triggering conditions.\n0 composed test cases; 0 conditions unrated.\n" in out
 
 
 @pytest.mark.parametrize("command", ["compose", "report-cases", "report-ratings",

@@ -1,10 +1,9 @@
 """Start-up cost: ``import trigkit.cli`` loads neither ``dataclasses`` nor
 ``inspect``, the modules that generated record classes would pull in, nor
-``orjson``. orjson writes only a catalog of 400 conditions or more and a
-case set of 1,000 cases or more, as bytes straight to disk: its import costs
-7-8 ms, which a catalog repays from about 270-550 conditions and a case set
-from about 850-900 cases. So ``generate`` and ``compose`` on the bundled
-project, 49 conditions and 61 cases, never load it."""
+``orjson``. orjson writes only a catalog or case set large enough to repay
+its import (``cli._BULK_CONDITIONS`` and ``cli._BULK_CASES`` hold the sizes
+and the measurements behind them), so ``generate`` and ``compose`` on the
+bundled project, 49 conditions and 61 cases, never load it."""
 
 import ast
 import os
