@@ -12,10 +12,10 @@ adds the effects; ``compose`` reads four: the ontology, system, events and
 policy, next to the catalog it pairs. ``report`` reads no configured input,
 only the catalog, cases, ratings and results.
 
-A run's files sit next to its catalog. ``generate`` writes to ``--output-dir``
-or the config's ``output_dir``, where the default catalog is. ``compose``
-writes next to the catalog it read unless ``--output-dir`` is given;
-``report`` reads the ``test_cases.json`` there unless ``--cases`` is.
+A run's files sit in its catalog's directory: ``compose`` and ``report`` read
+``--catalog``, else ``catalog.json`` in the config's ``output_dir``, and the
+cases next to it. ``generate`` writes to ``--output-dir`` or ``output_dir`` and
+deletes the cases there, which were composed from the catalog it replaced.
 
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
@@ -100,17 +100,13 @@ def _parser() -> argparse.ArgumentParser:
 
     compose_cmd = sub.add_parser("compose",
                                  help="pair conditions with hazardous events")
-    compose_cmd.add_argument("--catalog", metavar="PATH",
-                             help="default: catalog.json in --output-dir or the config's "
-                                  "output directory")
-    compose_cmd.add_argument("--output-dir", metavar="DIR",
-                             help="default: the catalog's directory")
+    compose_cmd.add_argument("--catalog", metavar="PATH", help="default: catalog.json in "
+                             "the config's output directory; cases are written beside it")
 
     report = sub.add_parser("report", help="render the ranked assessment report")
     report.add_argument("--catalog", metavar="PATH",
-                        help="default: catalog.json in the config's output directory")
-    report.add_argument("--cases", metavar="PATH",
-                        help="default: test_cases.json next to the catalog, if it exists")
+                        help="default: catalog.json in the config's output directory; "
+                             "the cases next to it are read if they exist")
     report.add_argument("--ratings", metavar="PATH",
                         help="exposure/criticality ratings to rank by")
     report.add_argument("--results", metavar="PATH",
@@ -181,11 +177,12 @@ def _bundle_from_args(args, inputs: ProjectInputs):
     return source, compose_bundle(source, relations)
 
 
-def _read_catalog_file(path: Path) -> Catalog:
+def _read_catalog(args, config: ProjectConfig) -> tuple[Path, Catalog]:
+    path = Path(args.catalog or config.output_dir / "catalog.json")
     if not path.exists():
         raise DocumentError.at(E.MISSING_INPUT, "file not found; run 'generate' first",
                                str(path))
-    return catalog_from_doc(read_document(path), source=str(path))
+    return path, catalog_from_doc(read_document(path), source=str(path))
 
 
 def _check_known(ids, catalog: Catalog, what: str, path: Path) -> None:
@@ -281,7 +278,8 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
     }
     totals: dict = {"conditions": len(catalog.conditions),
                     "by_sensor": catalog.count_by_sensor()}
-    if config.expected_total is not None:
+    whole_suite = sensors is None or {s.sensor for s in inputs.suite.sensors} <= set(sensors)
+    if config.expected_total is not None and whole_suite:
         totals["expected"] = config.expected_total
         totals["delta"] = len(catalog.conditions) - config.expected_total
     parameters = {"threshold": catalog.threshold,
@@ -298,6 +296,10 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
         count = len(catalog.warnings)
         print(f"{count} warning{'' if count == 1 else 's'} recorded in the catalog",
               file=sys.stderr)
+    for name in ("test_cases.json", "test_cases.md", "compose.manifest.json"):
+        if (directory / name).exists():
+            (directory / name).unlink()
+            print(f"deleted {directory / name}, composed from the previous catalog")
     return 0
 
 
@@ -308,9 +310,7 @@ _COMPOSE_INPUTS = ("ontology", "system", "events", "policy")
 def _cmd_compose(args, config: ProjectConfig) -> int:
     started = time.perf_counter()
     inputs = load_inputs(config, documents=_COMPOSE_INPUTS)
-    catalog_path = Path(args.catalog) if args.catalog \
-        else Path(args.output_dir or config.output_dir) / "catalog.json"
-    catalog = _read_catalog_file(catalog_path)
+    catalog_path, catalog = _read_catalog(args, config)
     try:
         cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite,
                                   inputs.policy)
@@ -319,7 +319,7 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    directory = Path(args.output_dir or catalog_path.parent)
+    directory = catalog_path.parent
     out_path = directory / "test_cases.json"
     by_event: dict[str, int] = {}
     for case in cases:
@@ -340,11 +340,10 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
 
 
 def _cmd_report(args, config: ProjectConfig) -> int:
-    catalog_path = Path(args.catalog or config.output_dir / "catalog.json")
-    catalog = _read_catalog_file(catalog_path)
+    catalog_path, catalog = _read_catalog(args, config)
     cases = ()
-    cases_path = Path(args.cases or catalog_path.parent / "test_cases.json")
-    if args.cases or cases_path.exists():
+    cases_path = catalog_path.parent / "test_cases.json"
+    if cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
         _check_known((case.condition_id for case in cases), catalog, "cases", cases_path)
     if args.ratings:

@@ -170,7 +170,8 @@ def load_inputs(config: ProjectConfig, *,
     reads ontology, system and matrix, ``matrix`` adds effects, and
     ``compose`` reads ontology, system, events and policy.
     Structural errors in any document raise immediately; cross-document
-    dangling references are collected and raised together. Then, when both
+    dangling references are collected, each located at the document that
+    names it, and raised together. Then, when both
     the templates and the matrix are read, each template must fit a bundle
     of candidate relations (``cross_validate_template_bundles``), or the
     templates file is refused.
@@ -185,12 +186,15 @@ def load_inputs(config: ProjectConfig, *,
                                    str(config.path))
         loaded[name] = _READERS[name][1](read_document(path), source=str(path))
 
-    sink = DiagnosticSink(file=str(config.path))
+    findings = []
     for name, document in loaded.items():
         cross_validate = _READERS[name][2]
         if cross_validate is not None:
+            sink = DiagnosticSink(file=str(getattr(config, name)))
             cross_validate(document, loaded["ontology"], sink)
-    sink.raise_if_errors()
+            findings += sink.items
+    if findings:
+        raise DocumentError(findings)
     if "templates" in loaded and "matrix" in loaded:
         sink = DiagnosticSink(file=str(config.templates))
         cross_validate_template_bundles(loaded["templates"], loaded["matrix"],

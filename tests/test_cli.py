@@ -41,6 +41,15 @@ def run_cli(*args, cwd, config=reference_config(), env_extra=None, command=CLI):
                           cwd=cwd, env=env)
 
 
+def _copy_catalog(chain, directory: Path) -> Path:
+    """A copy of the chain's catalog in ``directory``, where a command that
+    reads it finds its cases and writes its own."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "catalog.json"
+    path.write_bytes((chain["cwd"] / "out" / "catalog.json").read_bytes())
+    return path
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """One full generate -> compose -> report --ratings run in a clean cwd."""
@@ -96,6 +105,14 @@ class TestTopLevel:
         proc = run_cli("conjure", cwd=tmp_path, config=None)
         assert proc.returncode == 2
         assert cli.main(["assess", "--ratings", "ratings.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [["compose", "--output-dir", "x"],
+                                      ["report", "--cases", "x"]])
+    def test_a_run_directory_takes_no_override(self, capsys, argv):
+        """``compose`` writes next to its catalog and ``report`` reads the
+        cases there; neither takes another place."""
+        assert cli.main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_config_is_reported(self, tmp_path):
         proc = run_cli("validate", cwd=tmp_path, config=None)
@@ -374,8 +391,7 @@ class TestChainErrors:
                               "has no sensor 'Radar'\n"
 
     def test_report_without_cases_file_reads_none(self, tmp_path, chain):
-        (tmp_path / "catalog.json").write_bytes(
-            (chain["cwd"] / "out" / "catalog.json").read_bytes())
+        _copy_catalog(chain, tmp_path)
         proc = run_cli("report", "--catalog", "catalog.json", cwd=tmp_path)
         assert proc.returncode == 0
         assert "0 composed test cases" in proc.stdout
@@ -446,8 +462,8 @@ class TestMalformedDocuments:
         mutate(doc["cases"])
         path = tmp_path / "test_cases.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        proc = run_cli("report", "--catalog", str(out / "catalog.json"),
-                       "--cases", str(path), cwd=tmp_path)
+        proc = run_cli("report", "--catalog", str(_copy_catalog(chain, tmp_path)),
+                       cwd=tmp_path)
         self.assert_diagnosed(proc, path)
 
     @staticmethod
@@ -475,12 +491,11 @@ class TestMalformedDocuments:
         for command in ("validate", "generate"):
             self.assert_diagnosed(run_cli(command, cwd=tmp_path, config=config), path)
 
-        out = chain["cwd"] / "out"
-        proc = run_cli("compose", "--catalog", str(out / "catalog.json"),
-                       "--output-dir", "out", cwd=tmp_path, config=config)
+        _copy_catalog(chain, tmp_path / "out")
+        proc = run_cli("compose", cwd=tmp_path, config=config)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "test_cases.json").read_bytes() \
-            == (out / "test_cases.json").read_bytes()
+            == (chain["cwd"] / "out" / "test_cases.json").read_bytes()
 
     def test_stages_and_matrix_read_only_their_inputs(self, tmp_path):
         query = ("--source", "Pedestrian", "--sensor", "Camera")
@@ -504,10 +519,10 @@ class TestMalformedDocuments:
     def test_compose_rejects_an_event_target_outside_the_ontology(self, chain, tmp_path):
         events = read_document(data_path("hazardous_events.yaml"))
         events["events"][0]["target"] = "Hovercraft"
-        config, _path = self.config_with(tmp_path, "events", events)
+        config, path = self.config_with(tmp_path, "events", events)
         proc = run_cli("compose", "--catalog", str(chain["cwd"] / "out" / "catalog.json"),
                        cwd=tmp_path, config=config)
-        self.assert_diagnosed(proc, config)
+        self.assert_diagnosed(proc, path)
         assert "target 'Hovercraft' does not resolve in the ontology" in proc.stderr
 
 
@@ -571,7 +586,8 @@ def _under_file(path):
 
 #: case -> (exit code, how the bad path is made, the command that reads it).
 #: In the command, BAD is that path, PROJECT a config naming it as the effects
-#: input, and CATALOG a generated catalog.
+#: input, CATALOG a generated catalog, and COPY a copy of it whose
+#: ``test_cases.json`` is BAD.
 UNREADABLE = {
     "config-directory": (2, _directory, ["--config", "BAD", "validate"]),
     "config-non-utf8": (2, _non_utf8, ["--config", "BAD", "validate"]),
@@ -582,7 +598,7 @@ UNREADABLE = {
                           ["report", "--ratings", "BAD", "--catalog", "CATALOG"]),
     "ratings-non-utf8": (1, _non_utf8,
                          ["report", "--ratings", "BAD", "--catalog", "CATALOG"]),
-    "cases-non-utf8": (1, _non_utf8, ["report", "--cases", "BAD", "--catalog", "CATALOG"]),
+    "cases-non-utf8": (1, _non_utf8, ["report", "--catalog", "COPY"]),
     "results-non-utf8": (1, _ledger,
                          ["report", "--results", "BAD", "--catalog", "CATALOG"]),
     "results-not-json": (1, _ledger_not_json,
@@ -603,8 +619,10 @@ class TestUnreadableFiles:
     @pytest.mark.parametrize("case", sorted(UNREADABLE))
     def test_one_error_line(self, chain, tmp_path, case):
         code, make, command = UNREADABLE[case]
-        bad, line = make(tmp_path / "bad.yaml")
+        bad, line = make(tmp_path / ("test_cases.json" if "COPY" in command else "bad.yaml"))
         paths = {"BAD": bad, "CATALOG": chain["cwd"] / "out" / "catalog.json"}
+        if "COPY" in command:
+            paths["COPY"] = _copy_catalog(chain, tmp_path)
         if "PROJECT" in command:
             paths["PROJECT"] = _config_naming(tmp_path, bad)
         proc = run_cli(*[str(paths.get(arg, arg)) for arg in command], cwd=tmp_path)
@@ -631,8 +649,6 @@ MISSING = {
     "compose-before-generate": (
         ["compose"],
         "error MissingInput out/catalog.json: file not found; run 'generate' first", None),
-    "report-cases": (["report", "--cases", "missing.json", "--catalog", "CATALOG"],
-                     "error MissingInput missing.json: file not found", None),
     "report-results": (["report", "--results", "missing.jsonl", "--catalog", "CATALOG"],
                        "error MissingInput missing.jsonl: file not found", None),
     "config-input": (["validate"], "error MissingInput TMP/nofx.yaml: file not found",
@@ -814,6 +830,14 @@ def test_orjson_writes_the_same_digests(tmp_path, monkeypatch, capsys, bundle_li
     assert bulk.call_count == 2
 
 
+def _run_files(directory: Path) -> dict:
+    """Each file in ``directory`` by name: its bytes, or a manifest apart
+    from its timing."""
+    return {path.name: strip_timing(read_document(path))
+            if path.name.endswith(".manifest.json") else path.read_bytes()
+            for path in sorted(directory.iterdir())}
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """``generate`` then ``compose``, each seed in one fresh process writing
     to ``out`` in its own cwd: the same bytes, manifests apart from timing."""
@@ -826,10 +850,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         proc = run_cli(cwd=cwd, env_extra={"PYTHONHASHSEED": seed},
                        command=[sys.executable, "-c", code])
         assert proc.returncode == 0, proc.stderr
-        written[seed] = proc.stdout, {
-            path.name: strip_timing(read_document(path))
-            if path.name.endswith(".manifest.json") else path.read_bytes()
-            for path in sorted((cwd / "out").iterdir())}
+        written[seed] = proc.stdout, _run_files(cwd / "out")
     assert len(written["0"][1]) == 7
     assert written["1"] == written["0"]
 
@@ -849,9 +870,9 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
         events=str(tmp_path / "events.yaml"), policy=str(tmp_path / "policy.yaml")))
     out = tmp_path / "out"
     with mock.patch.object(cli, "dump_bulk", wraps=docio.dump_bulk) as bulk:
-        for command in ("generate", "compose"):
-            assert cli.main(["--config", str(config), command, "--output-dir", str(out)]) \
-                == 0, capsys.readouterr().err
+        for command in (["generate", "--output-dir", str(out)],
+                        ["compose", "--catalog", str(out / "catalog.json")]):
+            assert cli.main(["--config", str(config)] + command) == 0, capsys.readouterr().err
     assert bulk.call_count == 1
 
     inputs = load_inputs(read_config(config))
@@ -893,21 +914,26 @@ def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch
 
 
 def test_report_refuses_the_cases_of_another_catalog(tmp_path, monkeypatch, capsys):
-    """``generate``, ``compose``, then ``generate --sensor Camera``: the 61
-    cases name 22 LiDAR conditions that the new catalog lacks, so ``report``
-    is one located line with exit code 1, not a count of foreign cases."""
+    """The 61 cases of ``generate`` and ``compose``, copied next to the
+    catalog of ``generate --output-dir camera --sensor Camera``, name 22
+    LiDAR conditions that catalog lacks, so ``report`` on it is one located
+    line with exit code 1, not a count of foreign cases."""
     monkeypatch.chdir(tmp_path)
     config = ["--config", str(reference_config())]
-    for command in (["generate"], ["compose"], ["generate", "--sensor", "Camera"]):
+    for command in (["generate"], ["compose"],
+                    ["generate", "--output-dir", "camera", "--sensor", "Camera"]):
         assert cli.main(config + command) == 0, capsys.readouterr().err
-    cases = read_document(tmp_path / "out" / "test_cases.json")["cases"]
-    kept = {c["id"] for c in read_document(tmp_path / "out" / "catalog.json")["conditions"]}
+    copied = tmp_path / "camera" / "test_cases.json"
+    copied.write_bytes((tmp_path / "out" / "test_cases.json").read_bytes())
+    cases = read_document(copied)["cases"]
+    kept = {c["id"] for c in read_document(copied.with_name("catalog.json"))["conditions"]}
     foreign = sorted({case["condition"] for case in cases} - kept)
     assert (len(cases), len(kept), len(foreign)) == (61, 27, 22)
     capsys.readouterr()
-    assert cli.main(config + ["report"]) == 1
+    assert cli.main(config + ["report", "--catalog", str(Path("camera", "catalog.json"))]) \
+        == 1
     assert capsys.readouterr() == (
-        "", f"error UnknownCondition {Path('out', 'test_cases.json')}: cases reference "
+        "", f"error UnknownCondition {Path('camera', 'test_cases.json')}: cases reference "
             f"unknown condition ids: {', '.join(foreign)}\n")
 
 
@@ -929,9 +955,7 @@ def test_compose_and_report_follow_the_catalog_they_read(tmp_path, monkeypatch, 
         "generate.manifest.json", "test_cases.json", "test_cases.md"]
     assert not (tmp_path / "out").exists()
 
-    for command in (["generate", "--output-dir", "camera", "--sensor", "Camera"],
-                    ["compose", "--catalog", str(Path("camera", "catalog.json")),
-                     "--output-dir", "out"],
+    for command in (["generate", "--sensor", "Camera"], ["compose"],
                     ["generate", "--output-dir", "b"]):
         assert cli.main(config + command) == 0, capsys.readouterr().err
     assert len(read_document(tmp_path / "out" / "test_cases.json")["cases"]) == 33
@@ -940,6 +964,76 @@ def test_compose_and_report_follow_the_catalog_they_read(tmp_path, monkeypatch, 
         assert cli.main(config + ["report", "--catalog", str(Path(run, "catalog.json"))]) \
             == 0, capsys.readouterr().err
         assert f"\n{count} composed test cases;" in capsys.readouterr().out
+
+
+def test_generate_deletes_the_cases_of_the_catalog_it_replaces(tmp_path, monkeypatch,
+                                                              capsys):
+    """``generate --sensor Camera`` and ``compose`` leave 33 cases in ``out``.
+    A ``generate`` of the whole suite there deletes what ``compose`` wrote,
+    as it was composed from the catalog replaced, so ``report`` counts no
+    cases until ``compose`` runs again; the run then equals a fresh one."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(reference_config())]
+    for command in (["generate", "--sensor", "Camera"], ["compose"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    assert "\ncomposed 33 test cases from 27 conditions" in capsys.readouterr().out
+    assert cli.main(config + ["generate"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"deleted {Path('out', name)}, composed from the previous catalog"
+        for name in ("test_cases.json", "test_cases.md", "compose.manifest.json")]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+        "catalog.csv", "catalog.json", "catalog.md", "generate.manifest.json"]
+    assert cli.main(config + ["report"]) == 0
+    assert "\n0 composed test cases;" in capsys.readouterr().out
+
+    for command in (["compose"], ["report"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    assert "\n61 composed test cases;" in capsys.readouterr().out
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.chdir(fresh)
+    for command in (["generate"], ["compose"]):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    assert _run_files(tmp_path / "out") == _run_files(fresh / "out")
+
+
+def test_expected_total_is_compared_only_with_the_whole_suite(tmp_path, monkeypatch,
+                                                             capsys):
+    """The config's ``expected_total`` (87) counts the conditions of every
+    sensor, so ``generate --sensor Camera`` prints and records no delta, and
+    naming both sensors compares as naming none."""
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for flags in ((), ("--sensor", "Camera"), ("--sensor", "Camera", "--sensor", "LiDAR")):
+        assert cli.main(["--config", str(reference_config()), "generate", *flags]) == 0
+        totals = read_document(tmp_path / "out" / "generate.manifest.json")["totals"]
+        runs[flags] = (capsys.readouterr().out.splitlines()[1:],
+                       {key: totals[key] for key in ("expected", "delta") if key in totals})
+    assert runs[("--sensor", "Camera")] == ([], {})
+    assert runs[()] == runs[("--sensor", "Camera", "--sensor", "LiDAR")] == (
+        ["expected 87, delta -38"], {"expected": 87, "delta": -38})
+
+
+def test_a_dangling_reference_is_located_at_the_document_naming_it(tmp_path, capsys):
+    """An effect rule for a concept the ontology lacks, and an event whose
+    target it lacks, are each an error at their own document, reported
+    together."""
+    effects = read_document(data_path("effects.yaml"))
+    effects["effects"][0]["concept"] = "Hovercraft"
+    events = read_document(data_path("hazardous_events.yaml"))
+    events["events"][0]["target"] = "Zeppelin"
+    for name, doc in (("effects", effects), ("events", events)):
+        (tmp_path / f"{name}.yaml").write_text(dump_document(doc), encoding="utf-8")
+    config = _project(tmp_path, lambda doc: doc["inputs"].update(
+        effects=str(tmp_path / "effects.yaml"), events=str(tmp_path / "events.yaml")))
+    assert cli.main(["--config", str(config), "validate"]) == 1
+    effects_path, events_path = (path.resolve() for path in
+                                 (tmp_path / "effects.yaml", tmp_path / "events.yaml"))
+    assert capsys.readouterr() == ("", (
+        f"error UnknownConcept {effects_path}: effect rule names unknown concept "
+        f"'Hovercraft'\n"
+        f"error UnknownConcept {events_path}: event 'HE-1': target 'Zeppelin' does not "
+        f"resolve in the ontology\n"))
 
 
 def test_an_empty_catalog_prints_no_sensor_counts(tmp_path, monkeypatch, capsys):
@@ -965,6 +1059,7 @@ def test_a_lone_surrogate_escape_is_one_located_line(chain, tmp_path, capsys, co
     a ratings file or a results line, is one located line with exit code 1;
     nothing is written, as UTF-8 cannot hold the character it stands for."""
     out = chain["cwd"] / "out"
+    catalog = out / "catalog.json"
     if command == "report-results":
         text = '{"test_case": "t1", "outcome": "fail", "behavior": "x \\ud800 y"}\n'
         bad, prefix = tmp_path / "results.jsonl", "unreadable results line: "
@@ -976,24 +1071,26 @@ def test_a_lone_surrogate_escape_is_one_located_line(chain, tmp_path, capsys, co
         source = out / ("test_cases.json" if command == "report-cases" else "catalog.json")
         text = source.read_text(encoding="utf-8").replace(
             '": "A streetlamp', '": "bad \\ud800 A streetlamp', 1)
-        bad, prefix = tmp_path / "bad.json", ""
+        bad, prefix = tmp_path / source.name, ""
+        if command == "report-cases":
+            catalog = _copy_catalog(chain, tmp_path)
     bad.write_text(text, encoding="utf-8")
     start = text.index("\\ud800")
     line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
     written = tmp_path / "written"
     argv = {
-        "compose": ["compose", "--catalog", bad, "--output-dir", written],
-        "report-cases": ["report", "--catalog", out / "catalog.json", "--cases", bad,
-                         "--output", written / "r.md"],
-        "report-ratings": ["report", "--catalog", out / "catalog.json", "--ratings", bad,
+        "compose": ["compose", "--catalog", bad],
+        "report-cases": ["report", "--catalog", catalog, "--output", written / "r.md"],
+        "report-ratings": ["report", "--catalog", catalog, "--ratings", bad,
                            "--output", written / "r.md"],
-        "report-results": ["report", "--catalog", out / "catalog.json", "--results", bad,
+        "report-results": ["report", "--catalog", catalog, "--results", bad,
                            "--output", written / "r.md"],
     }[command]
+    before = sorted(tmp_path.iterdir())
     assert cli.main(["--config", str(reference_config())] + list(map(str, argv))) == 1
     assert capsys.readouterr() == ("", f"error SyntaxError {bad}:{line}: {prefix}lone "
                                        f"surrogate escape '\\ud800' (column {column})\n")
-    assert not written.exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_a_line_break_in_a_template_stays_in_its_table_cell(tmp_path, monkeypatch, capsys):
@@ -1027,14 +1124,16 @@ def test_a_line_break_in_a_template_stays_in_its_table_cell(tmp_path, monkeypatc
         assert sum("pedestrian<br>at nightfall<br>" in line for line in table) == 2, name
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_every_readme_command_parses(capsys):
     """Each ``trigkit`` line of the README's ``sh`` blocks, its ``\\``
     continuations joined, names a command and flags that exist: argparse
     exits 2 on any other. The commands are parsed, not run, and every
     command is shown at least once."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = []
-    for block in re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
                             re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
             argv = shlex.split(line, comments=True)
@@ -1050,6 +1149,26 @@ def test_every_readme_command_parses(capsys):
             if exc.code:
                 refused.append(shlex.join(["trigkit", *argv]))
     assert refused == [], capsys.readouterr().err
+
+
+def test_the_readme_names_every_flag_and_no_other():
+    """Every flag of every ``trigkit`` subcommand appears in the README, and
+    every ``--flag`` the README names, outside its ``pip`` and ``pytest``
+    lines, is a flag of ``trigkit`` or of one of its subcommands."""
+    def flags(parser):
+        return {flag for action in parser._actions if action.dest != "help"
+                for flag in action.option_strings}
+
+    parser = cli._parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action.choices, dict))
+    shown = {flag for line in README.read_text(encoding="utf-8").splitlines()
+             if not re.search(r"\b(pip|pytest)\b", line)
+             for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
+    unshown = {f"{name} {flag}" for name, sub in subcommands.items()
+               for flag in flags(sub) - shown}
+    assert unshown == set()
+    assert shown - flags(parser).union(*map(flags, subcommands.values())) == set()
 
 
 def test_end_to_end_demo(tmp_path):

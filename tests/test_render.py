@@ -382,9 +382,9 @@ def test_no_record_reaches_the_json_writer(catalog, events, suite, policy, ontol
     monkeypatch.setattr(cli, "build_manifest",
                         lambda *args: manifests.append(build_manifest(*args))
                         or manifests[-1])
-    for command in ("generate", "compose"):
-        assert cli.main(["--config", str(reference_config()), command,
-                         "--output-dir", str(tmp_path)]) == 0
+    for command in (["generate", "--output-dir", str(tmp_path)],
+                    ["compose", "--catalog", str(tmp_path / "catalog.json")]):
+        assert cli.main(["--config", str(reference_config())] + command) == 0
     assert [manifest["command"] for manifest in manifests] == ["generate", "compose"]
     docs = [catalog_to_doc(assessed), cases_to_doc(cases, warnings),
             report_to_doc(assessed, cases, results), matrix_to_doc(matrix),
