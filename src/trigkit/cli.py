@@ -15,7 +15,12 @@ only the catalog, cases, ratings and results.
 A run's files sit in its catalog's directory: ``compose`` and ``report`` read
 ``--catalog``, else ``catalog.json`` in the config's ``output_dir``, and the
 cases next to it. ``generate`` writes to ``--output-dir`` or ``output_dir`` and
-deletes the cases there, which were composed from the catalog it replaced.
+deletes the cases and the ``report.md`` there, which were made from the catalog
+it replaced; a report written under any other name or path is left alone.
+
+``main(argv)`` may be called from Python, repeatedly, in one process: it
+returns the exit code. The argument parser is built on the first call and
+reused; nothing read from an input is kept between calls.
 
 Exit codes: 0 on success, 1 when input data fails validation or processing,
 2 on usage errors, unreadable or empty project configuration.
@@ -23,6 +28,7 @@ Exit codes: 0 on success, 1 when input data fails validation or processing,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -66,6 +72,7 @@ from .testcases import ResultsLedger, compose
 __all__ = ["main", "entrypoint"]
 
 
+@functools.cache  # built on the first main() call, not at import; it holds no input
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigkit",
@@ -296,10 +303,11 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
         count = len(catalog.warnings)
         print(f"{count} warning{'' if count == 1 else 's'} recorded in the catalog",
               file=sys.stderr)
-    for name in ("test_cases.json", "test_cases.md", "compose.manifest.json"):
+    for name, made in (("test_cases.json", "composed"), ("test_cases.md", "composed"),
+                       ("compose.manifest.json", "composed"), ("report.md", "rendered")):
         if (directory / name).exists():
             (directory / name).unlink()
-            print(f"deleted {directory / name}, composed from the previous catalog")
+            print(f"deleted {directory / name}, {made} from the previous catalog")
     return 0
 
 

@@ -374,17 +374,20 @@ def catalog_to_csv(catalog: Catalog) -> str:
     return buffer.getvalue()
 
 
-def _md_escape(text: str) -> str:
-    return text.replace("|", "\\|")
-
-
 def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """A Markdown table; each line break in a cell (``\\r\\n``, ``\\r`` or
-    ``\\n``) is written as ``<br>``, found once per row rather than per cell."""
+    """A Markdown table; each ``|`` in a cell is escaped and each line break
+    (``\\r\\n``, ``\\r`` or ``\\n``) is written as ``<br>``, both found once
+    per row rather than per cell."""
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
-        line = " | ".join(_md_escape(str(c)) for c in row)
+        try:
+            line = " | ".join(row)
+        except TypeError:  # a cell that is not text, such as a ledger value
+            row = list(map(str, row))
+            line = " | ".join(row)
+        if "|" in "".join(row):
+            line = " | ".join(cell.replace("|", "\\|") for cell in row)
         if "\n" in line or "\r" in line:
             line = line.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
         lines.append("| " + line + " |")

@@ -138,8 +138,10 @@ def compose(conditions: Iterable[TriggeringCondition],
     """Pair every condition with its eligible events.
 
     Returns the composed cases plus warnings; a condition with no compatible
-    event is skipped with a warning, never an error. The number of cases is
-    exactly the sum of eligible-event counts over all conditions.
+    event is skipped with a warning, never an error. An event with no
+    pass-criterion negation is warned about once, at its first case. The
+    number of cases is exactly the sum of eligible-event counts over all
+    conditions.
 
     Each event's class and pass criterion, and each sensor's classes, are
     looked up once per call rather than once per condition.
@@ -156,6 +158,7 @@ def compose(conditions: Iterable[TriggeringCondition],
     sensor_classes: dict[str, set[str]] = {}
     cases: list[TestCase] = []
     warnings: list[str] = []
+    warned: set[str] = set()
     for condition in conditions:
         spec = suite.get(condition.sensor)
         if any(rel.targets_sensor() for rel in condition.relationships):
@@ -173,7 +176,8 @@ def compose(conditions: Iterable[TriggeringCondition],
                             f"({condition.description}) matches no hazardous event")
             continue
         for event, _class, pass_criterion, warning in eligible:
-            if warning is not None:
+            if warning is not None and warning not in warned:
+                warned.add(warning)
                 warnings.append(warning)
             cases.append(TestCase(
                 id=test_case_id(condition.id, event.id),

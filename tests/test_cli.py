@@ -87,6 +87,37 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "trigkit 0.1.0"
 
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_calls_print_what_a_fresh_parser_prints(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """One process runs a usage error that names a sensor, ``generate
+        --sensor Camera``, ``generate`` and ``--version``; each call exits and
+        prints as it does with a parser built for it alone, so no flag
+        outlives its call."""
+        config = ["--config", str(reference_config())]
+        sequence = (config + ["generate", "--sensor", "LiDAR", "--bogus"],
+                    config + ["generate", "--sensor", "Camera"],
+                    config + ["generate"],
+                    ["--version"])
+
+        def run(directory: Path) -> list[tuple[int, str, str]]:
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            return [(cli.main(list(argv)), *capsys.readouterr()) for argv in sequence]
+
+        shared = run(tmp_path / "shared")
+        with mock.patch.object(cli, "_parser", cli._parser.__wrapped__):
+            fresh = run(tmp_path / "fresh")
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+        assert "unrecognized arguments: --bogus" in shared[0][2]
+        assert shared[1][1] == "generated 27 conditions (Camera: 27) -> out\n"
+        assert shared[2][1] == ("generated 49 conditions (Camera: 27, LiDAR: 22) -> out\n"
+                                "expected 87, delta -38\n")
+        assert shared[3][1] == "trigkit 0.1.0\n"
+
     def test_importing_one_module_leaves_the_package_unloaded(self):
         code = ("import sys, trigkit.errors; "
                 "print(sorted({'trigkit.pipeline', 'yaml'} & set(sys.modules)))")
@@ -995,6 +1026,30 @@ def test_generate_deletes_the_cases_of_the_catalog_it_replaces(tmp_path, monkeyp
     for command in (["generate"], ["compose"]):
         assert cli.main(config + command) == 0, capsys.readouterr().err
     assert _run_files(tmp_path / "out") == _run_files(fresh / "out")
+
+
+def test_generate_deletes_the_report_of_the_catalog_it_replaces(tmp_path, monkeypatch,
+                                                               capsys):
+    """``report --output out/report.md`` renders the 49-condition catalog, and
+    ``generate --sensor Camera`` into ``out`` deletes it with the cases; a
+    report under another name or in another directory is left alone."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(reference_config())]
+    others = (tmp_path / "out" / "summary.md", tmp_path / "kept" / "report.md")
+    for command in (["generate"], ["compose"], ["report", "--output", "out/report.md"],
+                    *(["report", "--output", str(path)] for path in others)):
+        assert cli.main(config + command) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert "49 triggering conditions" in (tmp_path / "out" / "report.md").read_text("utf-8")
+    kept = {path: path.read_bytes() for path in others}
+
+    assert cli.main(config + ["generate", "--sensor", "Camera"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"deleted {Path('out', name)}, composed from the previous catalog"
+        for name in ("test_cases.json", "test_cases.md", "compose.manifest.json")
+    ] + [f"deleted {Path('out', 'report.md')}, rendered from the previous catalog"]
+    assert not (tmp_path / "out" / "report.md").exists()
+    assert {path: path.read_bytes() for path in others} == kept
 
 
 def test_expected_total_is_compared_only_with_the_whole_suite(tmp_path, monkeypatch,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import pytest
 
@@ -178,9 +179,15 @@ class TestCatalogTables:
         assert catalog_to_markdown(_assessed(catalog)) == plain
 
     def test_markdown_escapes_pipes(self, catalog):
-        spiked = catalog.conditions[0]._replace(description="a|b")
-        doctored = catalog._replace(conditions=(spiked,) + catalog.conditions[1:])
-        assert "a\\|b" in catalog_to_markdown(doctored)
+        spiked = (catalog.conditions[0]._replace(description="a|b"),
+                  catalog.conditions[1]._replace(description="|edge| |"))
+        doctored = catalog._replace(conditions=spiked + catalog.conditions[2:])
+        text = catalog_to_markdown(doctored)
+        assert "| a\\|b |" in text
+        assert "| \\|edge\\| \\| |" in text
+        rows = [line for line in text.splitlines() if line.startswith("| ")]
+        assert len(rows) == 2 + len(catalog.conditions)
+        assert {len(re.split(r"(?<!\\)\|", row)) for row in rows} == {len(CSV_HEADER) + 3}
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,17 @@ class TestCompose:
         assert len(warnings) == 1
         assert warnings[0].startswith("MissingTemplate")
 
+    def test_missing_negation_is_warned_once_per_event_in_first_use_order(
+            self, events, suite):
+        bare_policy = ComposePolicy(class_map=(("Cyclist", "Pedestrian"),))
+        conditions = [_bare_condition("Cyclist", id="c" + "1" * 12),
+                      _bare_condition("NaturalLight", "LiDAR", id="c" + "2" * 12),
+                      _bare_condition("Cyclist", id="c" + "3" * 12)]
+        cases, warnings = compose(conditions, events, suite, bare_policy)
+        assert [c.event_id for c in cases] == ["HE-2", "HE-1", "HE-2"]
+        assert warnings == [f"MissingTemplate: no pass-criterion negation for event {event}; "
+                            "generic wording used" for event in ("HE-2", "HE-1")]
+
     def test_duplicate_policy_keys_keep_the_first(self, events, suite):
         policy = ComposePolicy(
             class_map=(("Cyclist", "Pedestrian"), ("Cyclist", "MovableObstacle"),
