@@ -105,7 +105,7 @@ class TestTopLevel:
         def run(directory: Path) -> list[tuple[int, str, str]]:
             directory.mkdir()
             monkeypatch.chdir(directory)
-            return [(cli.main(list(argv)), *capsys.readouterr()) for argv in sequence]
+            return [(cli.main(argv), *capsys.readouterr()) for argv in sequence]
 
         shared = run(tmp_path / "shared")
         with mock.patch.object(cli, "_parser", cli._parser.__wrapped__):
