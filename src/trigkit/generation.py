@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from functools import cached_property
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema
@@ -326,29 +326,32 @@ def _matrix_rows(bundle: RelationshipBundle, kb: EffectKnowledgeBase,
 
 
 def build_matrix(bundle: RelationshipBundle, system: PerceptionSystemSpec,
-                 kb: EffectKnowledgeBase, ontology: SourceOntology) -> GenerationMatrix:
+                 kb: EffectKnowledgeBase, ontology: SourceOntology,
+                 stages: AbstractSet[str] | None = None) -> GenerationMatrix:
     """Cross source properties with affected stage qualities for one sensor.
 
     Rows are the analyzed concept's own properties, partner properties in the
     relations' perturbed categories, and any knowledge-base joint rows whose
-    members are all present. Only cells a rule fills are built (``graded``);
-    the rest read as degree 0 in the dense ``cells`` view. When several rules
-    match one cell, the worst survives; among equally bad rules the narrower
-    context wins, then the earlier rule.
+    members are all present. Columns are the qualities of the stages the
+    bundle reaches: ``stages`` when the caller has them, as ``generate_catalog``
+    carries them with each bundle, else ``affected_stages``. Only cells a rule
+    fills are built (``graded``); the rest read as degree 0 in the dense
+    ``cells`` view. When several rules match one cell, the worst survives;
+    among equally bad rules the narrower context wins, then the earlier rule.
     """
     source = ontology.get(bundle.source)
     if source is None:
         raise ToolkitError(E.UNKNOWN_CONCEPT,
                            f"bundle source {bundle.source!r} does not resolve")
-    stage_names = sorted(affected_stages(source, bundle.relations, system, ontology),
-                         key=lambda s: STAGE_ORDER[s])
+    if stages is None:
+        stages = affected_stages(source, bundle.relations, system, ontology)
+    stage_names = sorted(stages, key=lambda s: STAGE_ORDER[s])
     columns = tuple((stage, quality)
                     for stage in stage_names
                     for quality in STAGE_BY_NAME[stage].quality_properties)
     rows = _matrix_rows(bundle, kb, ontology)
 
     graded: list[EffectEntry] = []
-    stages = frozenset(stage_names)
     for concept, props in rows:
         for stage, quality, rules in kb.by_row.get((concept, props), ()):
             if stage not in stages:

@@ -1,24 +1,16 @@
 """End-to-end catalog generation.
 
 For every declared sensor and every ontology concept, relationship bundles up
-to the configured size are enumerated from the compatibility matrix, a
-generation matrix is built per bundle that can change the catalog,
-worst-case cells are filtered, and conditions are synthesized. The empty
-bundle (the source considered on its own) is built whenever it reaches one
-of the sensor's declared stages; a bundle that reaches none produces nothing.
+to the configured size are grown from the compatibility matrix, a generation
+matrix is built per bundle that can change the catalog, worst-case cells are
+filtered, and conditions are synthesized. The empty bundle (the source
+considered on its own) is built whenever it reaches one of the sensor's
+declared stages; a bundle that reaches none produces nothing.
 
-Bundles combine only the candidate relations an effect rule can use (see
-``_rule_demands``). A bundle holding any other relation cannot yield a
-condition, because every relation of a condition must be demanded by a
-worst-case rule's context, and its beneficial cells are those of the same
-bundle without that relation, which comes earlier in the smallest-first
-order. Skipping such bundles therefore leaves conditions, warnings and
-beneficial cells unchanged.
-
-A non-empty bundle of usable relations is skipped too, unless one of two
-necessary tests passes (``_may_change``). Below, S is the set of stages the
-bundle reaches on the sensor, and its concepts are the source and the
-partners of its regular relations:
+A non-empty bundle is built only if one of two necessary tests passes
+(``_may_change``). Below, S is the set of stages the bundle reaches on the
+sensor, and its concepts are the source and the partners of its regular
+relations:
 
 - *condition*: for some concept of the bundle, a (properties, stage) group
   with its stage in S has, for every relation of the bundle, a rule at or
@@ -35,20 +27,38 @@ partners of its regular relations:
 A bundle failing both adds no condition, warning or beneficial cell, so its
 matrix is not built.
 
-Work that does not depend on the bundle is done once, outside the bundle
-loop. Per run: the rule indexes the tests read (``_rule_demands``) and each
-concept's context-key sides (``context_sides``). Per source: the candidate
-relations and what each matches (``_Candidate``), shared by every sensor.
-Per (sensor, source): the candidate list is validated and put in canonical
-order once (``enumerate_bundles``), the stages the source reaches on its own
-are mapped once (R1-R3), and each candidate's added stages come from the
-per-relation rules R4 and R5 (``relation_stages``). A bundle then reaches
-the union of those stages, and its tests cost a few set lookups.
+Bundles are grown level by level, as in Apriori (Agrawal and Srikant, 1994),
+so that most bundles that would fail are never formed. ``_rule_demands``
+gives each worst-case group and each beneficial-capable cell a bit, and each
+candidate relation a mask (``_Candidate``): the groups it has a matching rule
+for, and the cells it helps make positive without its contexts making them
+non-positive. A relation helps a cell when it adds the cell's partner row, a
+stage or a positive rule's context. A bundle passes the beneficial test on a
+cell only if each of its relations helps it: without one of them, the
+smaller bundle, tested earlier, would have had the cell positive and
+reported it. So both tests need a bit that every relation's mask holds, and
+``enumerate_bundles`` extends a bundle by a later relation only while the AND
+of their masks is non-zero. The AND only loses bits as relations are added,
+so no bundle left unformed could pass. The masks are kept to the rows and
+stages the (sensor, source) can reach and to cells not yet reported, and the
+tests read the AND a bundle carries.
 
-Sources are walked outermost so that their candidates live for one source
-only; each sensor keeps its own conditions, beneficial cells and warnings,
-and these are joined in sensor order, as if each sensor ran over every
-source in turn.
+Work that does not depend on the bundle is done once, outside the bundle
+loop. Per run: the bit index (``_rule_demands``) and each concept's
+context-key sides (``context_sides``). Per source: the candidate relations
+and their masks, shared by every sensor. Per (sensor, source): the candidate
+list is validated once (``enumerate_bundles``), the stages the source reaches
+on its own are mapped once (R1-R3), and each candidate's added stages come
+from the per-relation rules R4 and R5 (``relation_stages``). A bundle then
+reaches the union of those stages, and ``build_matrix`` takes them from it.
+A ``RelationshipBundle`` is made only for a matrix that is built.
+
+Bundles are visited smallest first, then in the order of their candidates,
+as combinations of the candidates would be, because the beneficial test and
+the order of the reported cells depend on that order. Sources are walked
+outermost so that their candidates live for one source only; each sensor
+keeps its own conditions, beneficial cells and warnings, and these are
+joined in sensor order, as if each sensor ran over every source in turn.
 
 Ordering is canonical and total, so repeated runs over the same inputs emit
 byte-identical catalogs.
@@ -176,7 +186,7 @@ def cross_validate_template_bundles(templates: TemplateSet, matrix: Compatibilit
 
 def enumerate_bundles(source: SourceConcept,
                       candidates: Sequence[RelationshipInstance],
-                      limit: int) -> list[RelationshipBundle]:
+                      limit: int, demands: Sequence[int] | None = None) -> list:
     """The empty bundle plus every combination of the candidates up to
     ``limit``, smallest first.
 
@@ -185,16 +195,37 @@ def enumerate_bundles(source: SourceConcept,
     to one and the rest are put in canonical order. Each combination of the
     canonical relations is then already a canonical bundle. For canonical
     candidates, as ``candidate_relations`` returns them, bundle i holds
-    combination i of ``candidates``."""
+    combination i of ``candidates``.
+
+    ``demands``, one bitmask per candidate, which must then be canonical,
+    grows the bundles level by level instead: a bundle is extended by a later
+    candidate only while the AND of its candidates' masks is non-zero, so no
+    superset of a bundle whose AND is zero is formed. The result then holds
+    (candidate indices, AND) for the empty bundle, whose AND is -1, and for
+    each bundle whose AND is non-zero, in the same order as above; no
+    ``RelationshipBundle`` is made."""
     if type(limit) is not int or limit < 0:  # not a bool or float
         raise ToolkitError(E.INVALID_VALUE,
                            f"bundle limit must be an integer >= 0, got {limit!r}")
     relations = compose_bundle(source, candidates).relations
-    bundles: list[RelationshipBundle] = [RelationshipBundle(source=source.name)]
-    for size in range(1, min(limit, len(relations)) + 1):
-        bundles += [RelationshipBundle(source.name, chosen)
-                    for chosen in combinations(relations, size)]
-    return bundles
+    if demands is None:
+        bundles: list = [RelationshipBundle(source=source.name)]
+        for size in range(1, min(limit, len(relations)) + 1):
+            bundles += [RelationshipBundle(source.name, chosen)
+                        for chosen in combinations(relations, size)]
+        return bundles
+    if relations != tuple(candidates) or len(demands) != len(relations):
+        raise ValueError("demands need canonical candidates, one mask each")
+    alive = [i for i, mask in enumerate(demands) if mask]
+    level = [((), -1, 0)]  # (indices, AND, first position in ``alive`` to extend by)
+    grown = [((), -1)]
+    for _size in range(min(limit, len(alive))):
+        level = [(picked + (alive[at],), common, at + 1)
+                 for picked, shared, start in level
+                 for at in range(start, len(alive))
+                 if (common := shared & demands[alive[at]])]
+        grown += [(picked, common) for picked, common, _start in level]
+    return grown
 
 
 def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
@@ -213,46 +244,44 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
     conditions: list[TriggeringCondition] = []
     # per sensor: its beneficial cells and its warnings
     found: list[tuple[list, list[str]]] = [([], []) for _spec in specs]
+    seen = [0] * len(specs)  # per sensor: the bits of the beneficial cells it reported
     seen_ids: set[str] = set()
-    seen_positives: set[tuple] = set()
 
-    contexts, positive_concepts, positive_stages, worst, beneficial = \
-        _rule_demands(kb, threshold)
+    demands = _rule_demands(kb, threshold)
     sides = context_sides(ontology)
 
     for name in ontology.names():
         source = ontology.get(name)
-        # each candidate relation with what the tests need of it, shared by
-        # every sensor
-        candidates = [_Candidate(rel, name, sides, ontology, contexts,
-                                 positive_concepts, worst)
+        # each candidate relation with its masks, shared by every sensor
+        candidates = [_Candidate(rel, sides, ontology, demands)
                       for rel in candidate_relations(source, matrix, ontology)]
-        for spec, (positives, warnings) in zip(specs, found):
+        rels = [c.rel for c in candidates]
+        own = demands.by_concept.get(name, 0)
+        rows = own
+        for candidate in candidates:
+            rows |= candidate.rows
+        for k, (spec, (positives, warnings)) in enumerate(zip(specs, found)):
             # a bundle reaches the source's own stages plus those each of
             # its relations adds (R4 and R5 act per relation)
             bare = affected_stages(source, (), spec, ontology)
-            relevant, added = [], []  # the usable candidates, the stages each adds
-            for candidate in candidates:
-                adds = relation_stages(source, candidate.rel, spec, ontology) - bare
-                if candidate.needed or not positive_stages.isdisjoint(adds):
-                    relevant.append(candidate)
-                    added.append(adds)
-            bundles = enumerate_bundles(source, [c.rel for c in relevant], bundle_limit)
-            # bundle i holds combination i of ``relevant``, smallest first
-            sizes = range(1, min(bundle_limit, len(relevant)) + 1)
-            chosen = chain([()], *(combinations(relevant, size) for size in sizes))
-            adding = chain([()], *(combinations(added, size) for size in sizes))
-            for bundle, picked, adds in zip(bundles, chosen, adding, strict=True):
-                stages = bare.union(*adds)
+            added = [relation_stages(source, rel, spec, ontology) - bare for rel in rels]
+            # what a bundle of this source can still reach on this sensor
+            reach = rows & demands.stage_bits(bare.union(*added)) & ~seen[k]
+            masks = [reach & (c.demand | demands.cells & ~c.kills
+                              & (c.rows | c.hits | demands.stage_bits(adds)))
+                     for c, adds in zip(candidates, added)]
+            for picked, common in enumerate_bundles(source, rels, bundle_limit, masks):
+                stages = bare.union(*(added[i] for i in picked))
                 if not stages or picked and not _may_change(
-                        name, picked, stages, spec.sensor, beneficial, seen_positives):
+                        name, [candidates[i] for i in picked], common, stages, own,
+                        demands, seen[k]):
                     continue
-                gen_matrix = build_matrix(bundle, spec, kb, ontology)
+                bundle = RelationshipBundle(name, tuple(rels[i] for i in picked))
+                gen_matrix = build_matrix(bundle, spec, kb, ontology, stages)
                 for cell in positive_cells(gen_matrix):
-                    key = (spec.sensor, cell.concept, cell.properties,
-                           cell.stage, cell.stage_property)
-                    if key not in seen_positives:
-                        seen_positives.add(key)
+                    bit = demands.cell_bit[cell[:4]]
+                    if not seen[k] & bit:
+                        seen[k] |= bit
                         positives.append((spec.sensor, cell))
                 cells = worst_case_filter(gen_matrix, threshold)
                 if not cells:
@@ -274,72 +303,102 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                    warnings=tuple(chain.from_iterable(w for _p, w in found)))
 
 
-def _rule_demands(kb: EffectKnowledgeBase, threshold: int) -> tuple:
-    """What a relation must touch to change the catalog, compiled in one pass.
+class _Demands(NamedTuple):
+    """``_rule_demands``'s index: one bit per worst-case group and per
+    beneficial-capable cell, and the bits each context key, concept and stage
+    holds. A candidate's or bundle's masks are ORs and ANDs of these."""
 
-    A bundle holding a relation that touches none of these yields no
-    condition, and its beneficial cells are those of the same bundle without
-    that relation, which is enumerated earlier:
+    by_key: dict[tuple, tuple[int, int, int]]  # context key -> (groups, kills, hits)
+    by_concept: dict[str, int]  # concept -> its groups and cells
+    by_stage: dict[str, int]  # stage -> the groups and cells at it
+    groups: int  # every group's bit
+    cells: int  # every cell's bit
+    free_hits: int  # the cells a context-free positive rule fills
+    cell_bit: dict[tuple, int]  # (concept, properties, stage, quality) -> its bit
+    cell_rows: tuple[tuple[str, tuple[str, ...]], ...]  # cell's bit position -> its row
 
-    - conditions need every relation matched by the context of a rule at or
-      beyond the threshold (see ``synthesize_conditions``);
-    - a beneficial cell changes only through the context of a rule sharing
-      its cell key, a row of the rule's concept, or a column of its stage.
+    def stage_bits(self, stages: AbstractSet[str]) -> int:
+        bits = 0
+        for stage in stages:
+            bits |= self.by_stage.get(stage, 0)
+        return bits
 
-    Returns the keys of those contexts (see ``RelationContext.key``), the
-    concepts and the stages of beneficial rules, the worst-case groups
-    (concept -> context key -> (properties, stage)) that ``_may_change``
-    tests a bundle's relations against, and the beneficial-capable cells by
-    concept: (properties, stage, quality, context keys of the non-positive
-    rules, context keys of the positive rules), ``None`` standing for no
-    context. A cell is capable when it has a positive rule and no
-    context-free non-positive one, which would always outrank it.
+
+def _rule_demands(kb: EffectKnowledgeBase, threshold: int) -> _Demands:
+    """What a bundle must hold to change the catalog, compiled in one pass.
+
+    - A condition needs a worst-case group, (concept, properties, stage),
+      with a rule at or beyond the threshold for every relation of the
+      bundle, whose context matches that relation (see
+      ``synthesize_conditions``). A context key's groups are those of its
+      rules.
+    - A beneficial cell changes only through the context of a rule sharing
+      its cell key. A cell is capable when it has a positive rule and no
+      context-free non-positive one, which would always outrank it; a key
+      kills the cells it has a non-positive rule for and hits those it has
+      a positive rule for. A cell with a context-free positive rule is hit
+      by every bundle.
     """
-    worst: dict[str, dict[tuple, set[tuple[tuple[str, ...], str]]]] = {}
+    groups: dict[tuple, list] = {}  # (concept, properties, stage) -> its keys
     signs: dict[tuple, tuple[set, set]] = {}  # cell key -> (keys of rules <= 0, > 0)
     for rule in kb.rules:
         key = None if rule.context is None else rule.context.key()
         signs.setdefault(rule.cell_key, (set(), set()))[rule.degree > 0].add(key)
         if key is not None and rule.degree <= -threshold:
-            worst.setdefault(rule.concept, {}).setdefault(key, set()).add(
-                (rule.properties, rule.stage))
-    cells = {cell: keys for cell, keys in signs.items() if keys[1]}
-    contexts = frozenset(chain(*(by_key.keys() for by_key in worst.values()),
-                               *(low | high for low, high in cells.values()))) - {None}
-    beneficial: dict[str, list[tuple]] = {}
-    for (concept, props, stage, quality), (low, high) in cells.items():
-        if None not in low:
-            beneficial.setdefault(concept, []).append(
-                (props, stage, quality, frozenset(low), frozenset(high)))
-    return (contexts, frozenset(cell[0] for cell in cells),
-            frozenset(cell[2] for cell in cells), worst, beneficial)
+            groups.setdefault((rule.concept, rule.properties, rule.stage), []).append(key)
+    cells = {cell: keys for cell, keys in signs.items() if keys[1] and None not in keys[0]}
+    by_key: dict[tuple, list[int]] = {}
+    by_concept: dict[str, int] = {}
+    by_stage: dict[str, int] = {}
+    free_hits = 0
+    for position, (cell, (low, high)) in enumerate(cells.items()):
+        bit = 1 << position
+        for key in low:
+            by_key.setdefault(key, [0, 0, 0])[1] |= bit
+        if None in high:
+            free_hits |= bit
+        else:
+            for key in high:
+                by_key.setdefault(key, [0, 0, 0])[2] |= bit
+    for position, (concept, props, stage) in enumerate(groups, len(cells)):
+        bit = 1 << position
+        for key in groups[concept, props, stage]:
+            by_key.setdefault(key, [0, 0, 0])[0] |= bit
+    for position, (concept, props, stage, *_quality) in enumerate(chain(cells, groups)):
+        by_concept[concept] = by_concept.get(concept, 0) | 1 << position
+        by_stage[stage] = by_stage.get(stage, 0) | 1 << position
+    return _Demands(
+        by_key={key: tuple(masks) for key, masks in by_key.items()},
+        by_concept=by_concept, by_stage=by_stage,
+        groups=(1 << len(cells) + len(groups)) - (1 << len(cells)),
+        cells=(1 << len(cells)) - 1, free_hits=free_hits,
+        cell_bit={cell: 1 << position for position, cell in enumerate(cells)},
+        cell_rows=tuple(cell[:2] for cell in cells))
 
 
 class _Candidate:
-    """A candidate relation of one source with what the bundle tests read of
-    it, built once per source and shared by every sensor: whether any rule
-    can use it (``needed``, see ``_rule_demands``), the rule context keys
-    that match it, the partner whose rows it can add, and the worst-case
-    groups its rules match on the rows it brings (the source's and the
-    partner's). The groups are sets of ``_rule_demands``'s index, so building
-    a candidate copies none unless several of its keys match one concept;
-    candidates live for one source only.
+    """A candidate relation of one source with the masks the bundle tests
+    read of it, built once per source and shared by every sensor: the
+    worst-case groups it has a matching rule for (``demand``), the
+    beneficial cells its contexts kill and hit, and the groups and cells of
+    its partner, whose rows it can add (``rows``).
     """
 
-    __slots__ = ("rel", "source", "partner", "keys", "needed", "own_groups",
-                 "partner_groups", "_ontology", "_worst", "_props")
+    __slots__ = ("rel", "partner", "demand", "kills", "hits", "rows", "_ontology",
+                 "_props")
 
-    def __init__(self, rel: RelationshipInstance, source: str, sides: dict[str, tuple],
-                 ontology: SourceOntology, contexts: frozenset[tuple],
-                 positive_concepts: frozenset[str], worst: dict):
-        self.rel, self.source, self._ontology, self._worst = rel, source, ontology, worst
+    def __init__(self, rel: RelationshipInstance, sides: dict[str, tuple],
+                 ontology: SourceOntology, demands: _Demands):
+        self.rel, self._ontology = rel, ontology
         self.partner = None if rel.targets_sensor() else rel.partner
-        self.keys = tuple(filter(contexts.__contains__,
-                                 relation_context_keys(rel, sides)))
-        self.needed = bool(self.keys) or self.partner in positive_concepts
-        self.own_groups = self._match(source)
-        self.partner_groups = _NO_GROUPS if self.partner is None \
-            else self._match(self.partner)
+        self.demand = self.kills = self.hits = 0
+        for key in relation_context_keys(rel, sides):
+            masks = demands.by_key.get(key)
+            if masks is not None:
+                self.demand |= masks[0]
+                self.kills |= masks[1]
+                self.hits |= masks[2]
+        self.rows = demands.by_concept.get(self.partner, 0)
         self._props: tuple[str, ...] | None = None
 
     def props(self) -> tuple[str, ...]:
@@ -349,52 +408,29 @@ class _Candidate:
             self._props = () if partner is None else partner.properties_in(self.rel.perturbed)
         return self._props
 
-    def groups(self, concept: str) -> AbstractSet[tuple]:
-        """``concept``'s worst-case groups with a rule whose context matches
-        the relation."""
-        if concept == self.source:
-            return self.own_groups
-        if concept == self.partner:
-            return self.partner_groups
-        return self._match(concept)
 
-    def _match(self, concept: str) -> AbstractSet[tuple]:
-        by_key = self._worst.get(concept, _NO_GROUPS)
-        matched = [by_key[key] for key in self.keys if key in by_key]
-        return matched[0] if len(matched) == 1 else _NO_GROUPS.union(*matched)
-
-
-_NO_GROUPS: frozenset = frozenset()
-
-
-def _may_change(source: str, picked: tuple[_Candidate, ...], stages: frozenset[str],
-                sensor: str, beneficial: dict, seen_positives: set[tuple]) -> bool:
+def _may_change(source: str, picked: list[_Candidate], common: int,
+                stages: AbstractSet[str], rows: int, demands: _Demands, seen: int) -> bool:
     """Whether the matrix of the bundle of ``picked`` relations can add a
-    condition or a beneficial cell not seen yet. Both tests are necessary
-    (see the module docstring), so a bundle failing them changes nothing."""
-    first, rest = picked[0], picked[1:]
-    owners: dict[str, tuple[_Candidate, ...]] = {source: ()}  # row concept -> its relations
+    condition or a beneficial cell not seen yet. ``common`` is the AND of the
+    relations' masks, ``stages`` those the bundle reaches and ``rows`` the
+    source's groups and cells. Both tests are necessary (see the module
+    docstring), so a bundle failing them changes nothing."""
+    hits = demands.free_hits
     for candidate in picked:
-        if candidate.partner is not None and candidate.partner != source:
-            owners[candidate.partner] = owners.get(candidate.partner, ()) + (candidate,)
-    keys = None
-    for concept, adding in owners.items():
-        groups = first.groups(concept)
-        if rest:
-            groups = groups.intersection(*(c.groups(concept) for c in rest))
-        if groups and any(stage in stages for _props, stage in groups):
+        rows |= candidate.rows
+        hits |= candidate.hits
+    common &= rows & demands.stage_bits(stages)  # the bundle's rows and stages
+    if common & demands.groups:
+        return True
+    common &= hits & ~seen
+    while common:
+        bit = common & -common
+        common ^= bit
+        concept, props = demands.cell_rows[bit.bit_length() - 1]
+        if concept == source or set(chain(*(c.props() for c in picked
+                                            if c.partner == concept))).issuperset(props):
             return True
-        for props, stage, quality, low, high in beneficial.get(concept, ()):
-            if stage not in stages:
-                continue
-            if keys is None:
-                keys = frozenset(chain((None,), *(c.keys for c in picked)))
-            if not keys.isdisjoint(low) or keys.isdisjoint(high) \
-                    or (sensor, concept, props, stage, quality) in seen_positives:
-                continue  # a non-positive rule wins, none applies, or seen
-            if concept == source \
-                    or set(chain(*(c.props() for c in adding))).issuperset(props):
-                return True
     return False
 
 

@@ -1,6 +1,7 @@
 """Command-line workbench, exercised through real subprocesses."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -117,6 +118,53 @@ class TestTopLevel:
         assert shared[2][1] == ("generated 49 conditions (Camera: 27, LiDAR: 22) -> out\n"
                                 "expected 87, delta -38\n")
         assert shared[3][1] == "trigkit 0.1.0\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch,
+                                                      capsys, enabled):
+        """The collector is paused while a command runs, and restored after a
+        success, a usage error, a failed command and an exception."""
+        monkeypatch.chdir(tmp_path)
+        config = ["--config", str(reference_config())]
+        paused = []
+
+        def failing_generate(args, config):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("boom")
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            codes = [cli.main(argv) for argv in (config + ["generate"], ["conjure"],
+                                                 config + ["generate", "--sensor", "Radar"])]
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(cli, "_cmd_generate", failing_generate)
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.main(config + ["generate"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert codes == [0, 2, 1]
+        assert paused == [True]
+        capsys.readouterr()
+
+    def test_the_bundled_chain_leaves_no_cycles_for_the_collector(self, tmp_path):
+        """With collection paused, ``generate``, ``compose`` and ``report`` at
+        ``bundle_limit`` 3 leave nothing that only the collector could free.
+        The parser is built first: argparse leaves a few cycles when it builds
+        one, once per process."""
+        config = _project(tmp_path, lambda doc: doc["parameters"].update(bundle_limit=3))
+        code = ("import gc; from trigkit import cli; cli._parser(); gc.collect(); "
+                "gc.disable(); "
+                f"codes = [cli.main(['--config', {str(config)!r}, command]) "
+                "for command in ('generate', 'compose', 'report')]; "
+                "print(codes, gc.collect())")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("TRIGKIT_CONFIG", None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 0"
 
     def test_importing_one_module_leaves_the_package_unloaded(self):
         code = ("import sys, trigkit.errors; "

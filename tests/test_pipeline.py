@@ -1,17 +1,34 @@
 """End-to-end catalog generation over the bundled road-sweeper corpus."""
 
+import operator
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from trigkit import pipeline
 from trigkit.errors import ToolkitError
+from trigkit.generation import (
+    EffectKnowledgeBase,
+    EffectRule,
+    RelationContext,
+    context_sides,
+)
+from trigkit.ontology import ontology_from_doc
+from trigkit.perception import PerceptionSystemSpec, SensorClass, SensorSuite
 from trigkit.pipeline import (
     candidate_relations,
     enumerate_bundles,
     generate_catalog,
 )
-from trigkit.relationships import CompatibilityMatrix, compose_bundle
+from trigkit.relationships import (
+    CompatibilityMatrix,
+    MatrixEntry,
+    MatrixPattern,
+    compose_bundle,
+    parse_relation_form,
+)
+from trigkit.templates import TemplateSet
 
 
 class TestCandidateRelations:
@@ -85,6 +102,27 @@ class TestEnumerateBundles:
         candidates = candidate_relations(rain, matrix, ontology)
         assert enumerate_bundles(rain, candidates, limit=10**9) \
             == enumerate_bundles(rain, candidates, limit=len(candidates))
+
+    def test_demands_keep_the_combinations_whose_masks_share_a_bit(self, ontology,
+                                                                  matrix):
+        pedestrian = ontology.get("Pedestrian")
+        candidates = candidate_relations(pedestrian, matrix, ontology)
+        masks = [(i * 37) % 16 for i in range(len(candidates))]  # some are 0
+        assert 0 in masks
+        for limit in (0, 1, 2, 3):
+            expected = [((), -1)]
+            for size in range(1, limit + 1):
+                for chosen in combinations(range(len(candidates)), size):
+                    common = reduce(operator.and_, (masks[i] for i in chosen))
+                    if common:
+                        expected.append((chosen, common))
+            assert enumerate_bundles(pedestrian, candidates, limit, masks) == expected
+
+    def test_demands_need_canonical_candidates(self, ontology, matrix):
+        pedestrian = ontology.get("Pedestrian")
+        candidates = candidate_relations(pedestrian, matrix, ontology)
+        with pytest.raises(ValueError, match="canonical candidates"):
+            enumerate_bundles(pedestrian, candidates[::-1], 2, [1] * len(candidates))
 
     def test_negative_limit_rejected(self, ontology, matrix):
         rain = ontology.get("Rain")
@@ -264,3 +302,89 @@ class TestGenerateCatalog:
         for condition in catalog.conditions:
             for name in condition.sources:
                 assert ontology.get(name) is not None
+
+
+class TestLevelWiseGrowth:
+    """Bundles grow level by level while their candidates share a demand bit,
+    and the gate runs only on the bundles grown; every matrix the exhaustive
+    gate built is still built."""
+
+    def test_matrices_built_and_bundles_gated_at_each_limit(self, inputs, config,
+                                                              monkeypatch):
+        built, gated = [], []
+        real_build, real_gate = pipeline.build_matrix, pipeline._may_change
+
+        def counting_build(*args):
+            built.append(args[0])
+            return real_build(*args)
+
+        def counting_gate(*args):
+            gated.append(args[1])
+            return real_gate(*args)
+
+        monkeypatch.setattr(pipeline, "build_matrix", counting_build)
+        monkeypatch.setattr(pipeline, "_may_change", counting_gate)
+        counts = {}
+        for limit in (1, 2, 3):
+            built.clear()
+            gated.clear()
+            generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
+                             inputs.effects, inputs.templates,
+                             threshold=config.threshold, bundle_limit=limit)
+            counts[limit] = (len(built), len(gated))
+        # gating every combination of the usable relations tested 46, 94 and
+        # 134 bundles for the same 41, 42 and 42 matrices
+        assert counts == {1: (41, 13), 2: (42, 14), 3: (42, 14)}
+
+    def test_a_pair_sharing_no_demand_is_built_for_a_beneficial_cell(self, monkeypatch):
+        """Walker possesses a Kiosk, which adds the Kiosk's Outline row, and
+        resembles a Hound, which satisfies the context of the Kiosk's only
+        positive rule. Neither relation alone makes that cell positive, and no
+        worst-case rule demands both, so only the beneficial test keeps the
+        pair; it adds the catalog's one positive cell."""
+        from test_acceptance import _reference_catalog
+
+        ontology = ontology_from_doc({"schema": "triggering-sources@1", "concepts": [
+            {"name": "Walker", "kind": "InteractiveEntity",
+             "properties": [{"name": "Shape", "category": "FeatureVariability"}]},
+            {"name": "Kiosk", "kind": "DisturbingEntity",
+             "properties": [{"name": "Outline", "category": "FeatureVariability"}]},
+            {"name": "Hound", "kind": "DisturbingEntity",
+             "properties": [{"name": "Hue", "category": "Reflectivity"}]}]})
+        possess, resemble = parse_relation_form("Possess"), \
+            parse_relation_form("CognitiveFeature")
+        matrix = CompatibilityMatrix(entries=(
+            MatrixEntry(MatrixPattern(name="Walker"), MatrixPattern(name="Kiosk"),
+                        (possess,)),
+            MatrixEntry(MatrixPattern(name="Walker"), MatrixPattern(name="Hound"),
+                        (resemble,))))
+        suite = SensorSuite(vehicle="Rig", sensors=(PerceptionSystemSpec(
+            sensor="Eye", sensor_class=SensorClass.PASSIVE,
+            stages=("LightReceiving", "FeatureExtraction")),))
+        kb = EffectKnowledgeBase(rules=(
+            EffectRule("Walker", ("Shape",), "FeatureExtraction", "Variety", -3),
+            EffectRule("Kiosk", ("Outline",), "FeatureExtraction", "Variety", 2,
+                       context=RelationContext(form=resemble))))
+        scene = (ontology, suite, matrix, kb, TemplateSet())
+
+        walker = ontology.get("Walker")
+        demands = pipeline._rule_demands(kb, 2)
+        sides = context_sides(ontology)
+        pair = [pipeline._Candidate(rel, sides, ontology, demands)
+                for rel in candidate_relations(walker, matrix, ontology)]
+        assert [c.partner for c in pair] == ["Hound", "Kiosk"]
+        assert pair[0].demand & pair[1].demand == 0
+
+        built = []
+        real_build = pipeline.build_matrix
+        monkeypatch.setattr(pipeline, "build_matrix",
+                            lambda *args: built.append(args[0].signature())
+                            or real_build(*args))
+        for limit in (2, 3):
+            built.clear()
+            catalog = generate_catalog(*scene, threshold=2, bundle_limit=limit)
+            assert catalog == _reference_catalog(*scene, 2, limit)
+            assert built == ["", "CognitiveFeature(Walker,Hound);Possess(Walker,Kiosk)"]
+        assert [(sensor, cell.concept, cell.degree) for sensor, cell in catalog.positives] \
+            == [("Eye", "Kiosk", 2)]
+        assert len(catalog.conditions) == 1

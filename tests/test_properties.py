@@ -14,14 +14,27 @@
 
 The nesting properties are checked on the bundled project and on the seeded
 random scenes of the C3 oracle gate.
+
+- Growth: on small random scenes that ``hypothesis`` draws, the catalog at
+  ``bundle_limit`` 2 and 3 equals the one graded from every combination of
+  candidate relations (``test_acceptance._reference_catalog``), positives
+  and warnings included.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from test_acceptance import _random_kb, _random_matrix, _random_ontology, _random_suite
+from test_acceptance import (
+    _random_kb,
+    _random_matrix,
+    _random_ontology,
+    _random_suite,
+    _reference_catalog,
+)
 from trigkit.data import data_path
 from trigkit.docio import dump_document, read_document
 from trigkit.generation import _context_specificity, effects_from_doc
@@ -130,3 +143,16 @@ def test_limit_and_threshold_nest_on_random_scenes():
             grows["threshold"] += limit == 2 and by_threshold[0] < by_threshold[2]
         grows["limit"] += by_limit[0] < by_limit[2]
     assert grows == {"limit": 8, "threshold": 27}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rng=st.randoms(use_true_random=False), limit=st.sampled_from((2, 3)))
+def test_grown_bundles_match_every_combination_on_small_scenes(rng, limit):
+    ontology = _random_ontology(rng)
+    matrix = _random_matrix(rng, ontology)
+    suite = _random_suite(rng)
+    scene = (ontology, suite, matrix, _random_kb(rng, ontology), TemplateSet())
+    threshold = rng.choice((1, 2, 3))
+    assert generate_catalog(*scene, threshold=threshold, bundle_limit=limit) \
+        == _reference_catalog(*scene, threshold, limit)
