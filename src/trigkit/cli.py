@@ -131,10 +131,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # a command builds no reference cycles, so the collector's passes during
-    # it would free nothing; the caller's setting is restored
     enabled = gc.isenabled()
-    gc.disable()
+    gc.disable()  # a command builds no reference cycles (see the module docstring)
     try:
         return _main(argv)
     finally:
