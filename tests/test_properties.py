@@ -25,7 +25,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import (
@@ -145,8 +145,7 @@ def test_limit_and_threshold_nest_on_random_scenes():
     assert grows == {"limit": 8, "threshold": 27}
 
 
-@settings(derandomize=True, max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(derandomize=True, max_examples=30, deadline=None)
 @given(rng=st.randoms(use_true_random=False), limit=st.sampled_from((2, 3)))
 def test_grown_bundles_match_every_combination_on_small_scenes(rng, limit):
     ontology = _random_ontology(rng)
