@@ -56,7 +56,7 @@ from .generation import assess, build_matrix, ratings_from_doc
 from .ontology import lookup_concept
 from .perception import STAGE_ORDER, affected_stages
 from .pipeline import Catalog, candidate_relations, generate_catalog
-from .relationships import compose_bundle
+from .relationships import RelationshipBundle
 from .render import (
     catalog_from_doc,
     catalog_to_csv,
@@ -189,15 +189,16 @@ def _bundle_from_args(args, inputs: ProjectInputs):
     source = lookup_concept(inputs.ontology, args.source)
     candidates = {rel.sort_key(): rel for rel in
                   candidate_relations(source, inputs.matrix, inputs.ontology)}
-    relations = []
-    for part in split_signature(args.relations):
+    parts = split_signature(args.relations)
+    for part in parts:
         if part not in candidates:
             form_label, focal, partner = part
             raise ToolkitError(E.INCOMPATIBLE_PAIR,
                                f"{form_label}({focal},{partner}) is not a candidate "
                                f"relation of {source.name!r}")
-        relations.append(candidates[part])
-    return source, compose_bundle(source, relations)
+    # a candidate's key is its sort key, so sorted keys give the canonical order
+    return source, RelationshipBundle(source.name,
+                                      tuple(candidates[p] for p in sorted(set(parts))))
 
 
 def _read_catalog(args, config: ProjectConfig) -> tuple[Path, Catalog]:

@@ -49,7 +49,6 @@ UNKNOWN_SENSOR_CLASS = "UnknownSensorClass"
 # Relationships
 UNKNOWN_RELATIONSHIP = "UnknownRelationship"
 INCOMPATIBLE_PAIR = "IncompatiblePair"
-MIXED_FOCAL = "MixedFocal"
 # Generation and assessment
 UNKNOWN_RATING = "UnknownRating"
 MISSING_TEMPLATE = "MissingTemplate"

@@ -45,13 +45,14 @@ tests read the AND a bundle carries.
 
 Work that does not depend on the bundle is done once, outside the bundle
 loop. Per run: the bit index (``_rule_demands``) and each concept's
-context-key sides (``context_sides``). Per source: the candidate relations
-and their masks, shared by every sensor. Per (sensor, source): the candidate
-list is validated once (``enumerate_bundles``), the stages the source reaches
-on its own are mapped once (R1-R3), and each candidate's added stages come
-from the per-relation rules R4 and R5 (``relation_stages``). A bundle then
-reaches the union of those stages, and ``build_matrix`` takes them from it.
-A ``RelationshipBundle`` is made only for a matrix that is built.
+context-key sides (``context_sides``). Per source: the candidate relations,
+distinct and in canonical order, and their masks, shared by every sensor.
+Per (sensor, source): the stages the source reaches on its own are mapped
+once (R1-R3), and each candidate's added stages come from the per-relation
+rules R4 and R5 (``relation_stages``). A bundle then reaches the union of
+those stages, and ``build_matrix`` takes them from it. A
+``RelationshipBundle`` of the picked candidates, canonical as picked, is
+made only for a matrix that is built.
 
 Bundles are visited smallest first, then in the order of their candidates,
 as combinations of the candidates would be, because the beneficial test and
@@ -65,7 +66,7 @@ byte-identical catalogs.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 from typing import AbstractSet, NamedTuple, Sequence
 
 from . import errors as E
@@ -94,7 +95,6 @@ from .relationships import (
     RelationshipInstance,
     _instance_from_entry,
     bundle_signature,
-    compose_bundle,
 )
 from .templates import TemplateSet, split_signature
 
@@ -184,46 +184,23 @@ def cross_validate_template_bundles(templates: TemplateSet, matrix: Compatibilit
                                             f"{source!r} nor a partner of its relations")
 
 
-def enumerate_bundles(source: SourceConcept,
-                      candidates: Sequence[RelationshipInstance],
-                      limit: int, demands: Sequence[int] | None = None) -> list:
-    """The empty bundle plus every combination of the candidates up to
-    ``limit``, smallest first.
+def enumerate_bundles(masks: Sequence[int], limit: int) -> list[tuple[tuple[int, ...], int]]:
+    """The bundles of up to ``limit`` candidates, one mask each, grown level
+    by level: (candidate indices, AND of their masks), starting with the
+    empty bundle, whose AND is -1, then smallest first and in the order of
+    the candidates, as combinations of them would be.
 
-    The candidates are validated and canonicalised once, by ``compose_bundle``
-    (``MixedFocal`` for a relation around another focal): duplicates collapse
-    to one and the rest are put in canonical order. Each combination of the
-    canonical relations is then already a canonical bundle. For canonical
-    candidates, as ``candidate_relations`` returns them, bundle i holds
-    combination i of ``candidates``.
-
-    ``demands``, one bitmask per candidate, which must then be canonical,
-    grows the bundles level by level instead: a bundle is extended by a later
-    candidate only while the AND of its candidates' masks is non-zero, so no
-    superset of a bundle whose AND is zero is formed. The result then holds
-    (candidate indices, AND) for the empty bundle, whose AND is -1, and for
-    each bundle whose AND is non-zero, in the same order as above; no
-    ``RelationshipBundle`` is made."""
-    if type(limit) is not int or limit < 0:  # not a bool or float
-        raise ToolkitError(E.INVALID_VALUE,
-                           f"bundle limit must be an integer >= 0, got {limit!r}")
-    relations = compose_bundle(source, candidates).relations
-    if demands is None:
-        bundles: list = [RelationshipBundle(source=source.name)]
-        for size in range(1, min(limit, len(relations)) + 1):
-            bundles += [RelationshipBundle(source.name, chosen)
-                        for chosen in combinations(relations, size)]
-        return bundles
-    if relations != tuple(candidates) or len(demands) != len(relations):
-        raise ValueError("demands need canonical candidates, one mask each")
-    alive = [i for i, mask in enumerate(demands) if mask]
+    A bundle is extended by a later candidate only while the AND of its
+    candidates' masks is non-zero, so no superset of a bundle whose AND is
+    zero is formed, and a candidate whose mask is zero is in no bundle."""
+    alive = [i for i, mask in enumerate(masks) if mask]
     level = [((), -1, 0)]  # (indices, AND, first position in ``alive`` to extend by)
     grown = [((), -1)]
     for _size in range(min(limit, len(alive))):
         level = [(picked + (alive[at],), common, at + 1)
                  for picked, shared, start in level
                  for at in range(start, len(alive))
-                 if (common := shared & demands[alive[at]])]
+                 if (common := shared & masks[alive[at]])]
         grown += [(picked, common) for picked, common, _start in level]
     return grown
 
@@ -235,9 +212,16 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
                      sensors: tuple[str, ...] | None = None) -> Catalog:
     """Run the full generation pass over every sensor and source concept.
 
+    ``threshold`` (an integer in [1, 3]) and ``bundle_limit`` (one >= 0) are
+    checked first, with the bounds ``catalog_from_doc`` reads them with.
     ``sensors`` restricts the pass to a subset of the suite, each name taken
     once in first-given order; unknown names raise ``UnknownSensor``.
     """
+    sink = DiagnosticSink()
+    parameters = {"threshold": threshold, "bundle_limit": bundle_limit}
+    sink.int_in(parameters, "threshold", 1, 3)
+    sink.int_in(parameters, "bundle_limit", 0, None)
+    sink.raise_if_errors()
     specs = suite.sensors if sensors is None \
         else [suite.get(name) for name in dict.fromkeys(sensors)]
 
@@ -270,7 +254,7 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
             masks = [reach & (c.demand | demands.cells & ~c.kills
                               & (c.rows | c.hits | demands.stage_bits(adds)))
                      for c, adds in zip(candidates, added)]
-            for picked, common in enumerate_bundles(source, rels, bundle_limit, masks):
+            for picked, common in enumerate_bundles(masks, bundle_limit):
                 stages = bare.union(*(added[i] for i in picked))
                 if not stages or picked and not _may_change(
                         name, [candidates[i] for i in picked], common, stages, own,

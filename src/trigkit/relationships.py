@@ -29,7 +29,6 @@ from .ontology import (
     SENSOR_TARGET,
     ConceptKind,
     PropertyCategory,
-    SourceConcept,
     SourceOntology,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "bundle_signature",
     "MATRIX_SCHEMA",
     "parse_relation_form",
-    "compose_bundle",
     "matrix_from_doc",
     "matrix_to_doc",
 ]
@@ -279,29 +277,6 @@ class RelationshipBundle(NamedTuple):
 def bundle_signature(relations: Sequence[RelationshipInstance]) -> str:
     """``Form(focal,partner)`` for each relation, joined by ``;``."""
     return ";".join(f"{r.form.label}({r.focal},{r.partner})" for r in relations)
-
-
-def compose_bundle(focal: SourceConcept,
-                   relations: Sequence[RelationshipInstance]) -> RelationshipBundle:
-    """Deduplicate, validate and canonically order relations around ``focal``.
-
-    Duplicates (same form/focal/partner) collapse to one. ``MixedFocal`` is
-    raised when a regular relation names a different focal.
-    """
-    deduped: dict[tuple, RelationshipInstance] = {}  # sort key -> first relation
-    for rel in relations:
-        if rel.targets_sensor():
-            if rel.partner != focal.name:
-                raise ToolkitError(E.MIXED_FOCAL,
-                                   f"sensor relation partner {rel.partner!r} does not "
-                                   f"match bundle focal {focal.name!r}")
-        elif rel.focal != focal.name:
-            raise ToolkitError(E.MIXED_FOCAL,
-                               f"relation focal {rel.focal!r} does not match bundle "
-                               f"focal {focal.name!r}")
-        deduped.setdefault(rel.sort_key(), rel)
-    return RelationshipBundle(source=focal.name,
-                              relations=tuple(deduped[key] for key in sorted(deduped)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ from trigkit.relationships import (
     MatrixPattern,
     RelationshipBundle,
     RelationshipInstance,
-    compose_bundle,
     matrix_from_doc,
     matrix_to_doc,
 )
@@ -488,7 +487,7 @@ def _reference_catalog(ontology, suite, matrix, kb, templates, threshold,
             candidates = candidate_relations(source, matrix, ontology)
             bundles = [RelationshipBundle(source=name)]
             for size in range(1, bundle_limit + 1):
-                bundles.extend(compose_bundle(source, chosen)
+                bundles.extend(RelationshipBundle(name, chosen)
                                for chosen in combinations(candidates, size))
             for bundle in bundles:
                 cells = _reference_cells(bundle, spec, kb, ontology)

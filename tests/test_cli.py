@@ -319,6 +319,24 @@ class TestMatrix:
         assert proc.returncode == 0
         assert f"Relationships: {signature}" in proc.stdout
 
+    @pytest.mark.parametrize("view", [["stages"], ["matrix", "--format", "md"],
+                                      ["matrix", "--format", "csv"],
+                                      ["matrix", "--format", "json"]])
+    def test_relations_ignore_order_and_repeats(self, view, capsys):
+        a = "CognitiveFeature(Pedestrian,MovableObstacle)"
+        b = "SpatialPosition.Occlusion(Pedestrian,TemporaryStructure)"
+        printed = []
+        for signature in (f"{a};{b}", f"{b};{a}", f"{a};{a};{b}"):
+            status = cli.main(["--config", str(reference_config()), *view,
+                               "--source", "Pedestrian", "--sensor", "Camera",
+                               "--relations", signature])
+            printed.append((status, *capsys.readouterr()))
+        status, out, err = printed[0]
+        assert (status, err) == (0, "") and out
+        assert printed[1:] == [printed[0]] * 2
+        if view[-1] in ("md", "json"):  # the views that print the signature
+            assert f"{a};{b}" in out
+
     def test_malformed_signature_exits_1(self, tmp_path):
         proc = run_cli("matrix", "--source", "Pedestrian", "--sensor", "Camera",
                        "--relations", "Nonsense Here", cwd=tmp_path)

@@ -1,5 +1,7 @@
 """Generation matrix, worst-case filter, synthesis, assessment and ranking."""
 
+from itertools import chain, combinations
+
 import pytest
 
 from trigkit.docio import dump_document, parse_document
@@ -34,13 +36,12 @@ from trigkit.ontology import (
     SourceProperty,
 )
 from trigkit.perception import PerceptionSystemSpec, SensorClass
-from trigkit.pipeline import candidate_relations, enumerate_bundles
+from trigkit.pipeline import candidate_relations
 from trigkit.relationships import (
     CompatibilityMatrix,
     MatrixEntry,
     MatrixPattern,
     RelationshipBundle,
-    compose_bundle,
     parse_relation_form,
 )
 from trigkit.templates import TemplateSet
@@ -131,11 +132,11 @@ RAIN_COVER = _candidate(RAIN, COVER, "Sensor", "Rain")
 
 
 def _occluded_bundle():
-    return compose_bundle(PEDESTRIAN, [PEDESTRIAN_OCCLUDED])
+    return RelationshipBundle(PEDESTRIAN.name, (PEDESTRIAN_OCCLUDED,))
 
 
 def _covered_leaf_bundle():
-    return compose_bundle(LEAF, [LEAF_COVER])
+    return RelationshipBundle(LEAF.name, (LEAF_COVER,))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +298,9 @@ class TestBuildMatrix:
             for name in ontology.names():
                 source = ontology.get(name)
                 candidates = candidate_relations(source, inputs.matrix, ontology)
-                for bundle in enumerate_bundles(source, candidates, 2):
-                    matrix = build_matrix(bundle, spec, kb, ontology)
+                for chosen in chain(*(combinations(candidates, size) for size in range(3))):
+                    matrix = build_matrix(RelationshipBundle(name, chosen), spec, kb,
+                                          ontology)
                     assert matrix.graded == tuple(c for c in matrix.cells if c.degree)
                     assert len(matrix.cells) == len(matrix.rows) * len(matrix.columns)
                     graded = {((c.concept, c.properties), (c.stage, c.stage_property))
@@ -389,7 +391,7 @@ class TestSynthesis:
         # rain covering the sensor: the only surviving cell is the bare
         # propagation rule, which fires identically without the cover, so
         # this bundle yields nothing and the bare bundle owns the condition
-        covered = compose_bundle(RAIN, [RAIN_COVER])
+        covered = RelationshipBundle(RAIN.name, (RAIN_COVER,))
         assert _synthesize(covered, LIDAR) == []
         assert len(_synthesize(_bare(RAIN), LIDAR)) == 2  # base + distance twin
 

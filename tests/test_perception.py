@@ -1,5 +1,7 @@
 """Perception stages and the source-to-stage mapping rules."""
 
+from itertools import chain, combinations
+
 import pytest
 
 from trigkit.docio import dump_document, parse_document
@@ -23,7 +25,7 @@ from trigkit.perception import (
     suite_from_doc,
     suite_to_doc,
 )
-from trigkit.pipeline import candidate_relations, enumerate_bundles
+from trigkit.pipeline import candidate_relations
 from trigkit.relationships import (
     RELATION_FORMS,
     RelationForm,
@@ -267,13 +269,11 @@ class TestStagesPerRelation:
                 source = ontology.get(name)
                 bare = source_stages(source, spec)
                 candidates = candidate_relations(source, matrix, ontology)
-                for bundle in enumerate_bundles(source, candidates, 2):
-                    stages = affected_stages(source, bundle.relations, spec, ontology)
+                for chosen in chain(*(combinations(candidates, size) for size in range(3))):
+                    stages = affected_stages(source, chosen, spec, ontology)
                     assert stages == bare.union(*(
-                        relation_stages(source, rel, spec, ontology)
-                        for rel in bundle.relations))
-                    assert stages == _reference_stages(source, bundle.relations, spec,
-                                                       ontology)
+                        relation_stages(source, rel, spec, ontology) for rel in chosen))
+                    assert stages == _reference_stages(source, chosen, spec, ontology)
 
 
 class TestSuiteLoading:

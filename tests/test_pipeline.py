@@ -1,12 +1,16 @@
 """End-to-end catalog generation over the bundled road-sweeper corpus."""
 
 import operator
+import random
 from functools import reduce
 from itertools import combinations
 
 import pytest
 
+from test_acceptance import _random_matrix, _random_ontology
 from trigkit import pipeline
+from trigkit.data import data_path
+from trigkit.docio import read_document
 from trigkit.errors import ToolkitError
 from trigkit.generation import (
     EffectKnowledgeBase,
@@ -25,7 +29,6 @@ from trigkit.relationships import (
     CompatibilityMatrix,
     MatrixEntry,
     MatrixPattern,
-    compose_bundle,
     parse_relation_form,
 )
 from trigkit.templates import TemplateSet
@@ -74,113 +77,63 @@ class TestCandidateRelations:
             # the sensor pair, then one per other concept
             assert len(calls) == 1 + (len(ontology.names()) - 1)
 
+    def test_candidates_strictly_increase(self, ontology, matrix):
+        """``enumerate_bundles`` picks candidates in order and their bundles
+        are built as picked, so each source's candidates must be distinct and
+        canonical: on the bundled project and on every C3 scene."""
+        scenes = [(ontology, matrix)]
+        for seed in range(100):
+            rng = random.Random(9200 + seed)  # the scenes of C3
+            scene_ontology = _random_ontology(rng)
+            scenes.append((scene_ontology, _random_matrix(rng, scene_ontology)))
+        checked = 0
+        for scene_ontology, scene_matrix in scenes:
+            for name in scene_ontology.names():
+                keys = [rel.sort_key() for rel in candidate_relations(
+                    scene_ontology.get(name), scene_matrix, scene_ontology)]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (name, keys)
+                checked += len(keys)
+        assert checked > 1000
+
 
 class TestEnumerateBundles:
     def test_rain_bundles(self, ontology, matrix):
         rain = ontology.get("Rain")
-        bundles = enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
-                                    limit=2)
-        assert [b.signature() for b in bundles] == [
-            "", "SurfaceTreatment.Cover(Sensor,Rain)"]
+        (cover,) = candidate_relations(rain, matrix, ontology)
+        assert cover.sort_key() == ("SurfaceTreatment.Cover", "Sensor", "Rain")
+        # the bare source, then the lone candidate while its mask holds a bit
+        assert enumerate_bundles([0b10], limit=2) == [((), -1), ((0,), 0b10)]
+        assert enumerate_bundles([0], limit=2) == [((), -1)]
 
-    def test_limit_zero_keeps_only_the_bare_bundle(self, ontology, matrix):
-        pedestrian = ontology.get("Pedestrian")
-        bundles = enumerate_bundles(
-            pedestrian, candidate_relations(pedestrian, matrix, ontology), limit=0)
-        assert len(bundles) == 1
-        assert bundles[0].signature() == ""
+    def test_limit_zero_keeps_only_the_bare_bundle(self):
+        assert enumerate_bundles([-1] * 5, limit=0) == [((), -1)]
+        assert enumerate_bundles([], limit=3) == [((), -1)]
 
     def test_bundle_counts_follow_combinations(self, ontology, matrix):
         pedestrian = ontology.get("Pedestrian")
-        candidates = candidate_relations(pedestrian, matrix, ontology)
-        singles = len(candidates)
-        bundles = enumerate_bundles(pedestrian, candidates, limit=2)
+        singles = len(candidate_relations(pedestrian, matrix, ontology))
+        # masks sharing every bit grow every combination, in combination order
+        bundles = enumerate_bundles([-1] * singles, limit=2)
+        assert [picked for picked, _common in bundles] \
+            == [chosen for size in range(3) for chosen in combinations(range(singles), size)]
         assert len(bundles) == 1 + singles + singles * (singles - 1) // 2
 
-    def test_a_limit_past_the_candidates_stops_at_them(self, ontology, matrix):
-        rain = ontology.get("Rain")
-        candidates = candidate_relations(rain, matrix, ontology)
-        assert enumerate_bundles(rain, candidates, limit=10**9) \
-            == enumerate_bundles(rain, candidates, limit=len(candidates))
+    def test_a_limit_past_the_candidates_stops_at_them(self):
+        masks = [0b011, 0b110, 0b101, 0b111]
+        assert enumerate_bundles(masks, limit=10**9) \
+            == enumerate_bundles(masks, limit=len(masks))
 
-    def test_demands_keep_the_combinations_whose_masks_share_a_bit(self, ontology,
-                                                                  matrix):
-        pedestrian = ontology.get("Pedestrian")
-        candidates = candidate_relations(pedestrian, matrix, ontology)
-        masks = [(i * 37) % 16 for i in range(len(candidates))]  # some are 0
+    def test_demands_keep_the_combinations_whose_masks_share_a_bit(self):
+        masks = [(i * 37) % 16 for i in range(12)]  # some are 0
         assert 0 in masks
         for limit in (0, 1, 2, 3):
             expected = [((), -1)]
             for size in range(1, limit + 1):
-                for chosen in combinations(range(len(candidates)), size):
+                for chosen in combinations(range(len(masks)), size):
                     common = reduce(operator.and_, (masks[i] for i in chosen))
                     if common:
                         expected.append((chosen, common))
-            assert enumerate_bundles(pedestrian, candidates, limit, masks) == expected
-
-    def test_demands_need_canonical_candidates(self, ontology, matrix):
-        pedestrian = ontology.get("Pedestrian")
-        candidates = candidate_relations(pedestrian, matrix, ontology)
-        with pytest.raises(ValueError, match="canonical candidates"):
-            enumerate_bundles(pedestrian, candidates[::-1], 2, [1] * len(candidates))
-
-    def test_negative_limit_rejected(self, ontology, matrix):
-        rain = ontology.get("Rain")
-        with pytest.raises(ToolkitError, match="bundle limit must be an integer >= 0"):
-            enumerate_bundles(rain, candidate_relations(rain, matrix, ontology),
-                              limit=-1)
-
-
-class TestCandidatesValidatedOnce:
-    def test_out_of_order_and_duplicated_candidates_are_canonicalised(
-            self, ontology, matrix):
-        pedestrian = ontology.get("Pedestrian")
-        canonical = candidate_relations(pedestrian, matrix, ontology)
-        messy = list(reversed(canonical)) + canonical[:3]
-        for limit in (0, 1, 2, 3):
-            bundles = enumerate_bundles(pedestrian, messy, limit)
-            assert bundles == enumerate_bundles(pedestrian, canonical, limit)
-            expected = [()] + [chosen for size in range(1, limit + 1)
-                               for chosen in combinations(canonical, size)]
-            assert [b.relations for b in bundles] == expected
-            # each bundle is what composing its relations gives
-            for bundle in bundles[1:]:
-                assert bundle == compose_bundle(pedestrian, bundle.relations)
-
-    def test_a_relation_around_another_focal_is_rejected(self, ontology, matrix):
-        pedestrian = ontology.get("Pedestrian")
-        candidates = candidate_relations(pedestrian, matrix, ontology)
-        foreign = candidate_relations(ontology.get("MovableObstacle"), matrix,
-                                      ontology)
-        foreign = [rel for rel in foreign if not rel.targets_sensor()][:1]
-        with pytest.raises(ToolkitError) as excinfo:
-            enumerate_bundles(pedestrian, candidates + foreign, 1)
-        assert excinfo.value.code == "MixedFocal"
-
-    def test_compose_bundle_runs_once_per_enumeration(self, inputs, monkeypatch):
-        composed, enumerated = [], []
-        real_compose, real_enumerate = pipeline.compose_bundle, pipeline.enumerate_bundles
-
-        def counting_compose(*args, **kwargs):
-            composed.append(args[0].name)
-            return real_compose(*args, **kwargs)
-
-        def counting_enumerate(*args):
-            bundles = real_enumerate(*args)
-            enumerated.append(len(bundles))
-            return bundles
-
-        monkeypatch.setattr(pipeline, "compose_bundle", counting_compose)
-        monkeypatch.setattr(pipeline, "enumerate_bundles", counting_enumerate)
-        for limit in (1, 2, 3):
-            composed.clear()
-            enumerated.clear()
-            generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
-                             inputs.effects, inputs.templates, bundle_limit=limit)
-            pairs = len(inputs.suite.sensors) * len(inputs.ontology.names())
-            # one validation per (sensor, source), however many bundles
-            assert len(enumerated) == len(composed) == pairs
-            assert sum(enumerated) > pairs
+            assert enumerate_bundles(masks, limit) == expected
 
 
 class TestGenerateCatalog:
@@ -264,6 +217,24 @@ class TestGenerateCatalog:
             generate_catalog(inputs.ontology, inputs.suite, inputs.matrix,
                              inputs.effects, inputs.templates, **parameters)
         assert excinfo.value.code == "InvalidValue"
+
+    @pytest.mark.parametrize("parameters", [
+        {"threshold": 5}, {"threshold": True}, {"bundle_limit": -1}, {"bundle_limit": 1.5},
+    ])
+    def test_parameters_are_checked_before_any_matrix(self, inputs, parameters):
+        # TemporaryStructure alone reaches no LiDAR stage, so no matrix is
+        # built; the catalog would be one that catalog_from_doc refuses
+        doc = read_document(data_path("source_ontology.yaml"))
+        doc["concepts"] = [dict(concept, parent=None) for concept in doc["concepts"]
+                           if concept["name"] == "TemporaryStructure"]
+        (key, value), = parameters.items()
+        for sensors in (("LiDAR",), ()):
+            with pytest.raises(ToolkitError) as excinfo:
+                generate_catalog(ontology_from_doc(doc), inputs.suite, inputs.matrix,
+                                 inputs.effects, inputs.templates, sensors=sensors,
+                                 **parameters)
+            assert excinfo.value.code == "InvalidValue"
+            assert f"'{key}' must be an integer" in str(excinfo.value)
 
     def test_distance_twins_follow_their_base(self, catalog):
         for i, condition in enumerate(catalog.conditions):

@@ -15,6 +15,10 @@
 The nesting properties are checked on the bundled project and on the seeded
 random scenes of the C3 oracle gate.
 
+- Sensor copy: adding a renamed copy of the bundled ``Camera`` to the suite
+  gives the copy exactly ``Camera``'s conditions, positives and warnings,
+  apart from the sensor and the id, at ``bundle_limit`` 1 to 3, and leaves
+  everything else in place.
 - Growth: on small random scenes that ``hypothesis`` draws, the catalog at
   ``bundle_limit`` 2 and 3 equals the one graded from every combination of
   candidate relations (``test_acceptance._reference_catalog``), positives
@@ -143,6 +147,32 @@ def test_limit_and_threshold_nest_on_random_scenes():
             grows["threshold"] += limit == 2 and by_threshold[0] < by_threshold[2]
         grows["limit"] += by_limit[0] < by_limit[2]
     assert grows == {"limit": 8, "threshold": 27}
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_a_renamed_sensor_copy_gets_exactly_the_sensors_conditions(documents, limit):
+    ontology, suite, matrix, kb, templates = [
+        BUNDLED[name][1](documents[name])
+        for name in ("ontology", "suite", "matrix", "kb", "templates")]
+    sensors = documents["suite"]["sensors"]
+    camera = next(sensor for sensor in sensors if sensor["sensor"] == "Camera")
+    copied = suite_from_doc(dict(documents["suite"],
+                                 sensors=sensors + [dict(camera, sensor="CameraCopy")]))
+    scene = (ontology, suite, matrix, kb, templates)
+    before = generate_catalog(*scene, bundle_limit=limit)
+    alone = generate_catalog(*scene, bundle_limit=limit, sensors=("Camera",))
+    after = generate_catalog(ontology, copied, matrix, kb, templates, bundle_limit=limit)
+    copy = [c for c in after.conditions if c.sensor == "CameraCopy"]
+    assert [c for c in after.conditions if c.sensor != "CameraCopy"] \
+        == list(before.conditions)
+    assert [c._replace(id=None, sensor="Camera") for c in copy] \
+        == [c._replace(id=None) for c in alone.conditions]
+    assert alone.conditions and not {c.id for c in copy} & {c.id for c in before.conditions}
+    # positives and warnings are joined in suite order, the copy's last
+    assert after.positives == before.positives + tuple(
+        ("CameraCopy", cell) for _sensor, cell in alone.positives)
+    assert alone.positives
+    assert after.warnings == before.warnings + alone.warnings
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

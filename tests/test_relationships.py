@@ -19,8 +19,8 @@ from trigkit.relationships import (
     MatrixEntry,
     MatrixPattern,
     RelationForm,
+    RelationshipBundle,
     RelationshipKind,
-    compose_bundle,
     cross_validate_matrix,
     matrix_from_doc,
     matrix_to_doc,
@@ -404,49 +404,52 @@ class TestInstantiate:
 
 
 class TestBundles:
+    """A bundle holds candidate relations of its source in the order
+    ``candidate_relations`` returns them, which is what makes it canonical."""
+
     def _occlusion(self, compat):
         return _candidates(PEDESTRIAN, compat)[
             ("SpatialPosition.Occlusion", "Pedestrian", "Cone")]
 
     def test_empty_bundle(self, compat):
-        bundle = compose_bundle(PEDESTRIAN, [])
+        bundle = RelationshipBundle(source="Pedestrian")
         assert bundle.source == "Pedestrian"
         assert bundle.relations == ()
         assert bundle.signature() == ""
 
     def test_signature_format(self, compat):
-        rel = self._occlusion(compat)
-        bundle = compose_bundle(PEDESTRIAN, [rel])
+        bundle = RelationshipBundle("Pedestrian", (self._occlusion(compat),))
         assert bundle.signature() == "SpatialPosition.Occlusion(Pedestrian,Cone)"
 
     def test_canonical_ordering_is_independent_of_input_order(self, compat):
+        # candidates are sorted by (form, focal, partner), whatever the order
+        # of the matrix entries and of the concepts
+        candidates = candidate_relations(PEDESTRIAN, compat, ONTOLOGY)
+        assert candidate_relations(
+            PEDESTRIAN, CompatibilityMatrix(entries=compat.entries[::-1]),
+            SourceOntology(concepts=ONTOLOGY.concepts[::-1])) == candidates
         occ = self._occlusion(compat)
         cognitive = _candidates(PEDESTRIAN, compat)[
             ("CognitiveFeature", "Pedestrian", "Leaf")]
-        forward = compose_bundle(PEDESTRIAN, [occ, cognitive])
-        backward = compose_bundle(PEDESTRIAN, [cognitive, occ])
-        assert forward == backward
-        assert forward.signature() == ("CognitiveFeature(Pedestrian,Leaf);"
-                                       "SpatialPosition.Occlusion(Pedestrian,Cone)")
+        assert candidates.index(cognitive) < candidates.index(occ)
+        assert RelationshipBundle("Pedestrian", (cognitive, occ)).signature() == (
+            "CognitiveFeature(Pedestrian,Leaf);SpatialPosition.Occlusion(Pedestrian,Cone)")
 
     def test_duplicates_collapse(self, compat):
-        rel = self._occlusion(compat)
-        bundle = compose_bundle(PEDESTRIAN, [rel, rel])
-        assert len(bundle.relations) == 1
-
-    def test_mixed_focal_rejected(self, compat):
-        rel = self._occlusion(compat)
-        with pytest.raises(ToolkitError) as excinfo:
-            compose_bundle(CONE, [rel])
-        assert excinfo.value.code == "MixedFocal"
+        # the name pair and the kind pair both grant (Pedestrian, Cone)
+        # occlusion; the pair resolves to one entry, so it is one candidate
+        keys = [rel.sort_key() for rel in candidate_relations(PEDESTRIAN, compat, ONTOLOGY)]
+        assert keys.count(("SpatialPosition.Occlusion", "Pedestrian", "Cone")) == 1
+        assert len(keys) == len(set(keys))
 
     def test_sensor_relation_partner_must_be_the_focal(self, compat):
+        # a source's candidates are around it: it is the focal of a regular
+        # relation and the partner of a sensor one
+        for concept in ONTOLOGY.concepts:
+            for rel in candidate_relations(concept, compat, ONTOLOGY):
+                assert (rel.partner if rel.targets_sensor() else rel.focal) == concept.name
         cover = _candidates(LEAF, compat)[("SurfaceTreatment.Cover", "Sensor", "Leaf")]
-        bundle = compose_bundle(LEAF, [cover])
-        assert bundle.signature() == "SurfaceTreatment.Cover(Sensor,Leaf)"
-        with pytest.raises(ToolkitError) as excinfo:
-            compose_bundle(CONE, [cover])
-        assert excinfo.value.code == "MixedFocal"
+        assert cover not in candidate_relations(CONE, compat, ONTOLOGY)
 
 
 class TestMatrixDocuments:

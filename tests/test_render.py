@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+from itertools import chain, combinations
 
 import pytest
 
@@ -18,7 +19,7 @@ from trigkit.generation import (
     assess,
     build_matrix,
 )
-from trigkit.pipeline import Catalog, candidate_relations, enumerate_bundles
+from trigkit.pipeline import Catalog, candidate_relations
 from trigkit.relationships import RelationshipBundle
 from trigkit.render import (
     _CASE_FIELDS,
@@ -227,8 +228,9 @@ class TestMatrixViews:
             for name in ontology.names():
                 source = ontology.get(name)
                 candidates = candidate_relations(source, inputs.matrix, ontology)
-                for bundle in enumerate_bundles(source, candidates, 2):
-                    matrix = build_matrix(bundle, spec, inputs.effects, ontology)
+                for chosen in chain(*(combinations(candidates, size) for size in range(3))):
+                    matrix = build_matrix(RelationshipBundle(name, chosen), spec,
+                                          inputs.effects, ontology)
                     assert [d for row in matrix_to_doc(matrix)["degrees"] for d in row] \
                         == [c.degree for c in matrix.cells]
                     built += 1
