@@ -139,6 +139,12 @@ class RelationContext(NamedTuple):
         return (None if self.form is None else self.form.label,
                 _pattern_key(self.focal), _pattern_key(self.partner))
 
+    def shape(self) -> tuple[int, ...]:
+        """Which parts the context pins: its form (1) or not (0), and each side
+        by name (1), by kind (2) or not (0), as ``context_sides`` orders them."""
+        return (int(self.form is not None), *(0 if pattern is None else 2 - (pattern.kind is None)
+                                              for pattern in (self.focal, self.partner)))
+
     def label(self) -> str:
         parts = []
         if self.form is not None:
@@ -164,18 +170,21 @@ def context_sides(ontology: SourceOntology) -> dict[str, tuple]:
             for concept in ontology.concepts}
 
 
-def relation_context_keys(rel: RelationshipInstance,
-                          sides: dict[str, tuple]) -> list[tuple]:
-    """Keys of every context that matches ``rel``, given the ontology's
-    ``context_sides``.
+def relation_context_keys(rel: RelationshipInstance, sides: dict[str, tuple],
+                          shapes: Sequence[tuple] = tuple(product((0, 1), range(3), range(3)))
+                          ) -> list[tuple]:
+    """Keys of every context with one of ``shapes`` that matches ``rel``,
+    given the ontology's ``context_sides``.
 
-    ``context.key()`` is in the result exactly when ``context.matches(rel,
-    ontology)``: each of form, focal and partner is either unconstrained or
-    pinned to the relation's value (a concept name, or that concept's kind).
-    """
-    focals = sides.get(rel.focal) or (None, (rel.focal, None))
-    partners = sides.get(rel.partner) or (None, (rel.partner, None))
-    return list(product((None, rel.form.label), focals, partners))
+    ``context.key()`` is in the result exactly when ``context.shape()`` is in
+    ``shapes`` and ``context.matches(rel, ontology)``: each of form, focal
+    and partner is either unconstrained or pinned to the relation's value (a
+    concept name, or that concept's kind; ``(None, None)`` for a name outside
+    the ontology, which no context pins)."""
+    forms = (None, rel.form.label)
+    focals = sides.get(rel.focal) or (None, (rel.focal, None), (None, None))
+    partners = sides.get(rel.partner) or (None, (rel.partner, None), (None, None))
+    return [(forms[f], focals[a], partners[b]) for f, a, b in shapes]
 
 
 CellKey = tuple[str, tuple[str, ...], str, str]  # (concept, properties, stage, quality)

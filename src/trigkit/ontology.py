@@ -133,6 +133,10 @@ class SourceOntology(_OntologyFields):
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.concepts)
 
+    @cached_property
+    def names_by_kind(self) -> dict[ConceptKind, list[str]]:
+        return {kind: [c.name for c in self.concepts if c.kind is kind] for kind in ConceptKind}
+
 
 def lookup_concept(ontology: SourceOntology, name: str) -> SourceConcept:
     concept = ontology.get(name)

@@ -22,8 +22,9 @@ R5  disturbing entities and environmental modifications reach recognition
     stages only through a relationship whose focal concept is interactive.
 
 R1-R3 depend on the source alone (``source_stages``), and R4 and R5 on one
-relation at a time (``relation_stages``), so the stages of a bundle are the
-source's own plus those each of its relations adds (``affected_stages``).
+relation at a time and on no sensor (``relation_rule``; ``rule_stages`` maps
+the rule to a sensor's stages), so the stages of a bundle are the source's
+own plus those each of its relations adds (``affected_stages``).
 Results are always intersected with the stages the system declares.
 """
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
     "SYSTEM_SCHEMA",
     "stages_for_class",
     "source_stages",
+    "relation_rule",
+    "rule_stages",
     "relation_stages",
     "affected_stages",
     "suite_from_doc",
@@ -147,12 +150,14 @@ class SensorSuite(NamedTuple):
 # Stage mapping (rules R1-R5)
 # ---------------------------------------------------------------------------
 
-#: The stages rules R1, R3 and R4 reach on each sensor class.
+#: The stages rules R1, R3, R4 and R5 reach on each sensor class.
 _RULE_STAGES: dict[SensorClass, dict[str, frozenset[str]]] = {
     SensorClass.ACTIVE: {"R1": frozenset({"SignalReflection"}),
                          "R3": frozenset({"SignalPropagation"}),
-                         "R4": frozenset({"SignalTransmission", "SignalReceiving"})},
-    SensorClass.PASSIVE: dict.fromkeys(("R1", "R3", "R4"), frozenset({"LightReceiving"})),
+                         "R4": frozenset({"SignalTransmission", "SignalReceiving"}),
+                         "R5": _RECOGNITION_STAGES},
+    SensorClass.PASSIVE: {**dict.fromkeys(("R1", "R3", "R4"), frozenset({"LightReceiving"})),
+                          "R5": _RECOGNITION_STAGES},
 }
 #: The forms by which a source covers or obstructs the sensor itself (R4).
 _R4_FORMS = frozenset({"SurfaceTreatment.Cover", "SpatialPosition.Occlusion"})
@@ -173,19 +178,25 @@ def source_stages(source: SourceConcept,
     return frozenset(result.intersection(system.stages))
 
 
+def relation_rule(source: SourceConcept, rel, ontology: SourceOntology) -> str | None:
+    """The rule, "R4" or "R5", by which ``rel`` alone lets ``source`` reach more
+    stages on any sensor (``rule_stages``), or None."""
+    if rel.focal == SENSOR_TARGET and rel.partner == source.name:
+        return "R4" if rel.form.label in _R4_FORMS else None
+    focal = None if source.kind is ConceptKind.INTERACTIVE else ontology.get(rel.focal)
+    return "R5" if focal is not None and focal.kind is ConceptKind.INTERACTIVE else None
+
+
+def rule_stages(rule: str | None, system: PerceptionSystemSpec) -> frozenset[str]:
+    """Declared stages of ``system`` that a ``relation_rule`` reaches."""
+    return _RULE_STAGES[system.sensor_class].get(rule, frozenset()).intersection(system.stages)
+
+
 def relation_stages(source: SourceConcept, rel,
                     system: PerceptionSystemSpec,
                     ontology: SourceOntology) -> frozenset[str]:
-    """Declared stages of ``system`` that the one relation ``rel`` lets
-    ``source`` reach (R4, R5); R4 and R5 act on each relation alone."""
-    if rel.focal == SENSOR_TARGET and rel.partner == source.name:
-        if rel.form.label in _R4_FORMS:
-            return _RULE_STAGES[system.sensor_class]["R4"].intersection(system.stages)
-    elif source.kind is not ConceptKind.INTERACTIVE:
-        focal = ontology.get(rel.focal)
-        if focal is not None and focal.kind is ConceptKind.INTERACTIVE:
-            return _RECOGNITION_STAGES.intersection(system.stages)  # R5
-    return frozenset()
+    """Declared stages of ``system`` that ``rel`` alone lets ``source`` reach (R4, R5)."""
+    return rule_stages(relation_rule(source, rel, ontology), system)
 
 
 def affected_stages(source: SourceConcept,

@@ -43,16 +43,18 @@ so no bundle left unformed could pass. The masks are kept to the rows and
 stages the (sensor, source) can reach and to cells not yet reported, and the
 tests read the AND a bundle carries.
 
-Work that does not depend on the bundle is done once, outside the bundle
-loop. Per run: the bit index (``_rule_demands``) and each concept's
-context-key sides (``context_sides``). Per source: the candidate relations,
-distinct and in canonical order, and their masks, shared by every sensor.
-Per (sensor, source): the stages the source reaches on its own are mapped
-once (R1-R3), and each candidate's added stages come from the per-relation
-rules R4 and R5 (``relation_stages``). A bundle then reaches the union of
-those stages, and ``build_matrix`` takes them from it. A
-``RelationshipBundle`` of the picked candidates, canonical as picked, is
-made only for a matrix that is built.
+Work that does not depend on the bundle is done once. Per run: the bit index
+(``_rule_demands``) with the shapes of its rules' contexts, each concept's
+context-key sides (``context_sides``) and the matrix entries split by pattern
+shape (``CompatibilityMatrix.around``). Per source, for every sensor: the
+candidates, distinct and canonical, from the entries around the source alone;
+their masks, from the keys of those shapes alone; and the rule each adds
+stages by (``relation_rule``): R4 or none, as a candidate's focal is the
+source or the sensor, and R5 needs an interactive focal for another source.
+Per (sensor, source): the source's own stages (R1-R3) and each rule's are
+mapped once, a bundle reaches their union, and ``build_matrix`` takes it
+from it. A ``RelationshipBundle`` of the picked candidates is made only when
+a matrix is built.
 
 Bundles are visited smallest first, then in the order of their candidates,
 as combinations of the candidates would be, because the beneficial test and
@@ -87,7 +89,8 @@ from .perception import (
     STAGE_ORDER,
     SensorSuite,
     affected_stages,
-    relation_stages,
+    relation_rule,
+    rule_stages,
 )
 from .relationships import (
     CompatibilityMatrix,
@@ -130,25 +133,25 @@ def candidate_relations(source: SourceConcept, matrix: CompatibilityMatrix,
     plus relations that cover or obstruct the sensor with ``source`` as the
     covering partner. Canonically ordered.
 
-    Each pair is resolved once. A form whose perturbed categories ``source``
-    cannot hold is skipped, and so is ``source`` paired with itself."""
+    A partner gets the most specific of the entries around ``source``, so
+    only the partners they name or whose kind they name are visited. A form
+    whose perturbed categories ``source`` cannot hold is skipped, and so is
+    ``source`` paired with itself."""
     candidates: list[RelationshipInstance] = []
     entry = matrix.resolve(SENSOR_TARGET, None, source.name, source.kind)
     if entry is not None:
         candidates += [_instance_from_entry(form, SENSOR_TARGET, source.name, entry)
                        for form in entry.forms]
+    resolved = {}  # partner name -> its most specific entry, set least specific first
+    for table in reversed(matrix.around(source.name, source.kind)):
+        for (partner, kind), entry in table.items():  # kind patterns first
+            resolved.update(dict.fromkeys(
+                ontology.names_by_kind[kind] if partner is None else (partner,), entry))
     legal = legal_categories(source.kind)
-    for partner_name in ontology.names():
-        if partner_name == source.name:
-            continue
-        partner = ontology.get(partner_name)
-        entry = matrix.resolve(source.name, source.kind, partner.name, partner.kind)
-        if entry is None:
-            continue
-        for form in entry.forms:
-            rel = _instance_from_entry(form, source.name, partner.name, entry)
-            if rel.perturbed <= legal:
-                candidates.append(rel)
+    for partner, entry in resolved.items():
+        if partner != source.name and ontology.get(partner) is not None:
+            candidates += [rel for form in entry.forms if (rel := _instance_from_entry(
+                form, source.name, partner, entry)).perturbed <= legal]
     candidates.sort(key=lambda r: r.sort_key())
     return candidates
 
@@ -239,28 +242,29 @@ def generate_catalog(ontology: SourceOntology, suite: SensorSuite,
         # each candidate relation with its masks, shared by every sensor
         candidates = [_Candidate(rel, sides, ontology, demands)
                       for rel in candidate_relations(source, matrix, ontology)]
-        rels = [c.rel for c in candidates]
+        rules = [relation_rule(source, c.rel, ontology) for c in candidates]
         own = demands.by_concept.get(name, 0)
         rows = own
         for candidate in candidates:
             rows |= candidate.rows
         for k, (spec, (positives, warnings)) in enumerate(zip(specs, found)):
-            # a bundle reaches the source's own stages plus those each of
-            # its relations adds (R4 and R5 act per relation)
+            # a bundle reaches the source's own stages plus those the rule
+            # of each of its relations adds on this sensor
             bare = affected_stages(source, (), spec, ontology)
-            added = [relation_stages(source, rel, spec, ontology) - bare for rel in rels]
+            adds = {rule: rule_stages(rule, spec) - bare for rule in dict.fromkeys(rules)}
+            helps = {rule: demands.stage_bits(stages) for rule, stages in adds.items()}
             # what a bundle of this source can still reach on this sensor
-            reach = rows & demands.stage_bits(bare.union(*added)) & ~seen[k]
+            reach = rows & demands.stage_bits(bare.union(*adds.values())) & ~seen[k]
             masks = [reach & (c.demand | demands.cells & ~c.kills
-                              & (c.rows | c.hits | demands.stage_bits(adds)))
-                     for c, adds in zip(candidates, added)]
+                              & (c.rows | c.hits | helps[rule]))
+                     for c, rule in zip(candidates, rules)]
             for picked, common in enumerate_bundles(masks, bundle_limit):
-                stages = bare.union(*(added[i] for i in picked))
+                stages = bare.union(*(adds[rules[i]] for i in picked))
                 if not stages or picked and not _may_change(
                         name, [candidates[i] for i in picked], common, stages, own,
                         demands, seen[k]):
                     continue
-                bundle = RelationshipBundle(name, tuple(rels[i] for i in picked))
+                bundle = RelationshipBundle(name, tuple(candidates[i].rel for i in picked))
                 gen_matrix = build_matrix(bundle, spec, kb, ontology, stages)
                 for cell in positive_cells(gen_matrix):
                     bit = demands.cell_bit[cell[:4]]
@@ -293,6 +297,7 @@ class _Demands(NamedTuple):
     holds. A candidate's or bundle's masks are ORs and ANDs of these."""
 
     by_key: dict[tuple, tuple[int, int, int]]  # context key -> (groups, kills, hits)
+    shapes: tuple[tuple[int, ...], ...]  # each shape of a rule's context, keys to look up
     by_concept: dict[str, int]  # concept -> its groups and cells
     by_stage: dict[str, int]  # stage -> the groups and cells at it
     groups: int  # every group's bit
@@ -353,6 +358,7 @@ def _rule_demands(kb: EffectKnowledgeBase, threshold: int) -> _Demands:
         by_stage[stage] = by_stage.get(stage, 0) | 1 << position
     return _Demands(
         by_key={key: tuple(masks) for key, masks in by_key.items()},
+        shapes=tuple(dict.fromkeys(r.context.shape() for r in kb.rules if r.context)),
         by_concept=by_concept, by_stage=by_stage,
         groups=(1 << len(cells) + len(groups)) - (1 << len(cells)),
         cells=(1 << len(cells)) - 1, free_hits=free_hits,
@@ -376,7 +382,7 @@ class _Candidate:
         self.rel, self._ontology = rel, ontology
         self.partner = None if rel.targets_sensor() else rel.partner
         self.demand = self.kills = self.hits = 0
-        for key in relation_context_keys(rel, sides):
+        for key in relation_context_keys(rel, sides, demands.shapes):
             masks = demands.by_key.get(key)
             if masks is not None:
                 self.demand |= masks[0]

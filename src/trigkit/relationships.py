@@ -198,25 +198,26 @@ class CompatibilityMatrix(_MatrixFields):
         """Most specific entry for the pair; name patterns beat kind patterns,
         the focal side weighing more than the partner side, and the first
         entry wins among equally specific ones."""
-        index = self._index
-        for key in ((focal_name, None, partner_name, None),
-                    (focal_name, None, None, partner_kind),
-                    (None, focal_kind, partner_name, None),
-                    (None, focal_kind, None, partner_kind)):
-            entry = index.get(key)
-            if entry is not None:
-                return entry
+        for table in self.around(focal_name, focal_kind):
+            for partner in ((partner_name, None), (None, partner_kind)):
+                entry = table.get(partner)
+                if entry is not None:
+                    return entry
         return None
 
+    def around(self, focal_name: str, focal_kind: ConceptKind | None) -> tuple[dict, dict]:
+        """Partner pattern (name, kind) -> entry, for the focal's name and then
+        for its kind: the entries split by pattern shape, least specific last."""
+        return self._index.get((focal_name, None), {}), self._index.get((None, focal_kind), {})
+
     @cached_property
-    def _index(self) -> dict[tuple, MatrixEntry]:
-        """(focal name, focal kind, partner name, partner kind) -> the first
-        entry with those patterns; each pattern sets one of its name and kind.
-        Cached outside the fields, so equality and ``repr`` stay the entries'."""
-        index: dict[tuple, MatrixEntry] = {}
-        for entry in self.entries:
-            index.setdefault((entry.focal.name, entry.focal.kind,
-                              entry.partner.name, entry.partner.kind), entry)
+    def _index(self) -> dict[tuple, dict[tuple, MatrixEntry]]:
+        """Focal pattern -> partner pattern -> the first entry with both; each
+        focal's kind patterns come before its name patterns. Cached outside
+        the fields, so equality and ``repr`` stay the entries'."""
+        index: dict[tuple, dict[tuple, MatrixEntry]] = {}
+        for entry in sorted(self.entries, key=lambda e: e.partner.name is not None):
+            index.setdefault(entry.focal, {}).setdefault(entry.partner, entry)
         return index
 
 
@@ -256,8 +257,7 @@ def _instance_from_entry(form: RelationForm, focal: str, partner: str,
     perturbed = entry.perturbed_for(form)
     if perturbed is None:
         perturbed = DEFAULT_PERTURBED[form.kind]
-    return RelationshipInstance(form=form, focal=focal, partner=partner,
-                                perturbed=perturbed, source=entry.source)
+    return RelationshipInstance(form, focal, partner, perturbed, entry.source)
 
 
 class RelationshipBundle(NamedTuple):

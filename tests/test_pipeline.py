@@ -2,13 +2,14 @@
 
 import operator
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 
 import pytest
 
-from test_acceptance import _random_matrix, _random_ontology
-from trigkit import pipeline
+from test_acceptance import _random_kb, _random_matrix, _random_ontology, _random_suite
+from trigkit import perception, pipeline
 from trigkit.data import data_path
 from trigkit.docio import read_document
 from trigkit.errors import ToolkitError
@@ -17,9 +18,17 @@ from trigkit.generation import (
     EffectRule,
     RelationContext,
     context_sides,
+    relation_context_keys,
 )
-from trigkit.ontology import ontology_from_doc
-from trigkit.perception import PerceptionSystemSpec, SensorClass, SensorSuite
+from trigkit.ontology import ConceptKind, legal_categories, ontology_from_doc
+from trigkit.perception import (
+    PerceptionSystemSpec,
+    SensorClass,
+    SensorSuite,
+    affected_stages,
+    relation_rule,
+    rule_stages,
+)
 from trigkit.pipeline import (
     candidate_relations,
     enumerate_bundles,
@@ -29,9 +38,65 @@ from trigkit.relationships import (
     CompatibilityMatrix,
     MatrixEntry,
     MatrixPattern,
+    _instance_from_entry,
     parse_relation_form,
 )
 from trigkit.templates import TemplateSet
+
+
+def _scenes(inputs, threshold):
+    """(ontology, suite, matrix, effects, threshold) of the bundled project,
+    then of each random scene of the C3 gate."""
+    yield inputs.ontology, inputs.suite, inputs.matrix, inputs.effects, threshold
+    for seed in range(100):
+        rng = random.Random(9200 + seed)
+        ontology = _random_ontology(rng)
+        matrix = _random_matrix(rng, ontology)
+        suite = _random_suite(rng)
+        yield ontology, suite, matrix, _random_kb(rng, ontology), rng.choice((1, 2, 3))
+
+
+def _pairwise_candidates(source, matrix, ontology):
+    """The candidate relations as they were derived before the per-run
+    indexes: the matrix resolved for the sensor pair and for every (source,
+    partner) pair of the ontology."""
+    candidates = []
+    entry = matrix.resolve("Sensor", None, source.name, source.kind)
+    if entry is not None:
+        candidates += [_instance_from_entry(form, "Sensor", source.name, entry)
+                       for form in entry.forms]
+    for partner in ontology.concepts:
+        entry = None if partner.name == source.name else \
+            matrix.resolve(source.name, source.kind, partner.name, partner.kind)
+        for form in () if entry is None else entry.forms:
+            rel = _instance_from_entry(form, source.name, partner.name, entry)
+            if rel.perturbed <= legal_categories(source.kind):
+                candidates.append(rel)
+    return sorted(candidates, key=lambda r: r.sort_key())
+
+
+def _pairwise_masks(rel, sides, demands):
+    """(demand, kills, hits, rows) of ``rel`` from all 18 context keys that
+    can match it, whatever shapes the rules use."""
+    demand = kills = hits = 0
+    for key in relation_context_keys(rel, sides):
+        groups, killed, hit = demands.by_key.get(key, (0, 0, 0))
+        demand, kills, hits = demand | groups, kills | killed, hits | hit
+    partner = None if rel.targets_sensor() else rel.partner
+    return demand, kills, hits, demands.by_concept.get(partner, 0)
+
+
+def _pairwise_stages(source, rel, spec, ontology):
+    """What ``relation_stages`` gave per (sensor, relation) before the rule
+    was split from the sensor: R4 and R5 applied to the pair directly."""
+    if rel.focal == "Sensor" and rel.partner == source.name:
+        if rel.form.label in ("SurfaceTreatment.Cover", "SpatialPosition.Occlusion"):
+            return perception._RULE_STAGES[spec.sensor_class]["R4"] & set(spec.stages)
+    elif source.kind is not ConceptKind.INTERACTIVE:
+        focal = ontology.get(rel.focal)
+        if focal is not None and focal.kind is ConceptKind.INTERACTIVE:
+            return perception._RECOGNITION_STAGES & set(spec.stages)
+    return frozenset()
 
 
 class TestCandidateRelations:
@@ -62,7 +127,9 @@ class TestCandidateRelations:
         # the generic interactive-pair grant was replaced by the specific entry
         assert ("SpatialPosition.Overlay", "MovableObstacle") not in labels
 
-    def test_each_pair_is_resolved_once(self, ontology, matrix, monkeypatch):
+    def test_only_the_sensor_pair_is_resolved(self, ontology, matrix, monkeypatch):
+        """The partners come from the entries around the source, split by
+        pattern shape, so no (source, partner) pair is resolved one by one."""
         calls = []
         real_resolve = CompatibilityMatrix.resolve
 
@@ -74,8 +141,7 @@ class TestCandidateRelations:
         for name in ontology.names():
             calls.clear()
             candidate_relations(ontology.get(name), matrix, ontology)
-            # the sensor pair, then one per other concept
-            assert len(calls) == 1 + (len(ontology.names()) - 1)
+            assert calls == [("Sensor", None, name, ontology.get(name).kind)]
 
     def test_candidates_strictly_increase(self, ontology, matrix):
         """``enumerate_bundles`` picks candidates in order and their bundles
@@ -94,6 +160,69 @@ class TestCandidateRelations:
                 assert all(a < b for a, b in zip(keys, keys[1:])), (name, keys)
                 checked += len(keys)
         assert checked > 1000
+
+
+class TestPerRunIndexes:
+    """Each source's candidates, their masks and the stages each adds are
+    derived from indexes built once per run; the pair-by-pair derivation they
+    replace gives the same on the bundled project and every C3 scene."""
+
+    def test_candidates_masks_and_added_stages_match_the_pairwise_derivation(
+            self, inputs, config):
+        checked = 0
+        for ontology, suite, matrix, kb, threshold in _scenes(inputs, config.threshold):
+            demands = pipeline._rule_demands(kb, threshold)
+            sides = context_sides(ontology)
+            for source in ontology.concepts:
+                rels = candidate_relations(source, matrix, ontology)
+                expected = _pairwise_candidates(source, matrix, ontology)
+                assert [(r.sort_key(), r.perturbed, r.source) for r in rels] \
+                    == [(r.sort_key(), r.perturbed, r.source) for r in expected]
+                for rel in rels:
+                    candidate = pipeline._Candidate(rel, sides, ontology, demands)
+                    assert (candidate.demand, candidate.kills, candidate.hits,
+                            candidate.rows) == _pairwise_masks(rel, sides, demands)
+                    for spec in suite.sensors:
+                        bare = affected_stages(source, (), spec, ontology)
+                        assert rule_stages(relation_rule(source, rel, ontology), spec) \
+                            - bare == _pairwise_stages(source, rel, spec, ontology) - bare
+                    checked += 1
+        assert checked > 1000
+
+    def test_the_rules_use_few_key_shapes(self, inputs, config):
+        demands = pipeline._rule_demands(inputs.effects, config.threshold)
+        assert sorted(demands.shapes) == [(1, 0, 1), (1, 1, 1), (1, 1, 2)]
+        assert {rel.context.shape() for rel in inputs.effects.rules if rel.context} \
+            == set(demands.shapes)
+
+
+class TestR5InGeneration:
+    """R5 gives a non-interactive source the recognition stages through a
+    relation whose focal is interactive. A candidate's focal is its source, or
+    the sensor for a relation that covers it, so no candidate applies R5 and
+    generation never reaches a stage by it; R4 does fire."""
+
+    def test_no_candidate_applies_r5(self, inputs, config):
+        fired = Counter()
+        for number, (ontology, suite, matrix, _kb, _t) in enumerate(
+                _scenes(inputs, config.threshold)):
+            for source in ontology.concepts:
+                for rel in candidate_relations(source, matrix, ontology):
+                    fired["bundled" if number == 0 else "scenes",
+                          relation_rule(source, rel, ontology)] += len(suite.sensors)
+        assert not {key for key in fired if key[1] == "R5"}
+        assert fired["bundled", "R4"] == 8 and fired["scenes", "R4"] > 0
+
+    def test_r5_fires_for_a_relation_with_an_interactive_focal(self, ontology, camera):
+        """So the test above is not vacuous: the leaf as the partner of an
+        interactive focal, which no candidate of the leaf is."""
+        leaf = ontology.get("Leaf")
+        rel = _instance_from_entry(parse_relation_form("SpatialPosition.Occlusion"),
+                                   "Pedestrian", "Leaf", MatrixEntry(
+                                       MatrixPattern(name="Pedestrian"),
+                                       MatrixPattern(name="Leaf"), ()))
+        assert relation_rule(leaf, rel, ontology) == "R5"
+        assert rule_stages("R5", camera) == {"FeatureExtraction", "TargetClassification"}
 
 
 class TestEnumerateBundles:

@@ -23,10 +23,20 @@ random scenes of the C3 oracle gate.
   ``bundle_limit`` 2 and 3 equals the one graded from every combination of
   candidate relations (``test_acceptance._reference_catalog``), positives
   and warnings included.
+- Concept renaming: renaming one concept in every input of the bundled
+  project or of a C3 scene maps the catalog one to one, at ``bundle_limit``
+  1 to 3. Each condition of the renamed run is the renamed image of one
+  before, apart from its id and wording, in canonical order: its relations
+  sorted, its sources and the catalog re-sorted under the new name.
+- Inert knowledge: on a C3 scene, removing an effect rule that wins no
+  cell of any matrix the run builds leaves the catalog equal, conditions,
+  positives and warnings included.
 """
 
 import random
 from collections import Counter
+from enum import Enum
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +54,11 @@ from trigkit.docio import dump_document, read_document
 from trigkit.generation import _context_specificity, effects_from_doc
 from trigkit.ontology import ontology_from_doc
 from trigkit.perception import suite_from_doc
-from trigkit.pipeline import generate_catalog
+from trigkit import pipeline
+from trigkit.pipeline import _condition_order, generate_catalog
 from trigkit.relationships import matrix_from_doc
 from trigkit.render import cases_to_doc, catalog_to_doc
-from trigkit.templates import TemplateSet, templates_from_doc
+from trigkit.templates import TemplateSet, split_signature, templates_from_doc
 from trigkit.testcases import compose, events_from_doc, policy_from_doc
 
 #: input -> (bundled file, reader, the list a shuffle reorders)
@@ -185,3 +196,102 @@ def test_grown_bundles_match_every_combination_on_small_scenes(rng, limit):
     threshold = rng.choice((1, 2, 3))
     assert generate_catalog(*scene, threshold=threshold, bundle_limit=limit) \
         == _reference_catalog(*scene, threshold, limit)
+
+
+def _renamed(value, old: str, new: str):
+    """``value`` with every string equal to ``old`` replaced by ``new``,
+    through named tuples, tuples, lists and dicts; enums stay as they are."""
+    if isinstance(value, Enum) or not isinstance(value, (str, tuple, list, dict)):
+        return value
+    if isinstance(value, str):
+        return new if value == old else value
+    if isinstance(value, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new) for k, v in value.items()}
+    items = [_renamed(item, old, new) for item in value]
+    if isinstance(value, list):
+        return items
+    return type(value)._make(items) if hasattr(value, "_fields") else tuple(items)
+
+
+def _renamed_scene(scene, old: str, new: str):
+    """The inputs with the concept ``old`` called ``new``, put in the order
+    their readers give: concepts and matrix entries sorted by name, each
+    template signature in canonical order. Effect rules keep their order."""
+    ontology, suite, matrix, kb, templates = (_renamed(part, old, new) for part in scene)
+    ontology = ontology._replace(concepts=tuple(sorted(ontology.concepts,
+                                                       key=lambda c: c.name)))
+    matrix = matrix._replace(entries=tuple(sorted(
+        matrix.entries, key=lambda e: (e.focal.label, e.partner.label))))
+    entries = {}
+    for (signature, *rest), variants in templates.entries.items():
+        parts = sorted(_renamed(tuple(split_signature(signature)), old, new))
+        entries[(";".join(f"{form}({focal},{partner})" for form, focal, partner in parts),
+                 *rest)] = variants
+    return ontology, suite, matrix, kb, templates._replace(entries=entries)
+
+
+def _renamed_condition(condition, old: str, new: str):
+    """The condition as the renamed run should give it, without id or wording."""
+    condition = _renamed(condition, old, new)
+    relations = tuple(sorted(condition.relationships, key=lambda r: r.sort_key()))
+    sources = dict.fromkeys([condition.sources[0]] + [
+        r.partner for r in relations if not r.targets_sensor()])
+    return condition._replace(id=None, description=None, relationships=relations,
+                              sources=tuple(sources))
+
+
+def _any_scene(documents, seed):
+    """The bundled project for seed None, else C3's random scene ``seed``;
+    (inputs, threshold)."""
+    if seed is None:
+        return [BUNDLED[name][1](documents[name]) for name in
+                ("ontology", "suite", "matrix", "kb", "templates")], 2
+    ontology, suite, matrix, kb, threshold = _scene(seed)
+    return [ontology, suite, matrix, kb, TemplateSet()], threshold
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.sampled_from((None, None, *SCENES)),
+       limit=st.sampled_from((1, 2, 3)), new=st.sampled_from(("Aardwolf", "Mongoose", "Zorilla")))
+def test_renaming_a_concept_maps_the_catalog_one_to_one(documents, data, seed, limit, new):
+    scene, threshold = _any_scene(documents, seed)
+    old = data.draw(st.sampled_from(scene[0].names()))
+    before = generate_catalog(*scene, threshold=threshold, bundle_limit=limit)
+    after = generate_catalog(*_renamed_scene(scene, old, new), threshold=threshold,
+                             bundle_limit=limit)
+    expected = sorted((_renamed_condition(c, old, new) for c in before.conditions),
+                      key=_condition_order)
+    assert [c._replace(id=None, description=None) for c in after.conditions] == expected
+    assert [c.templated for c in after.conditions] == [c.templated for c in expected]
+    assert {(sensor, cell[:4]) for sensor, cell in after.positives} \
+        == {(sensor, _renamed(cell, old, new)[:4]) for sensor, cell in before.positives}
+    assert len(after.warnings) == len(before.warnings)
+
+
+def _winners(scene, threshold, limit):
+    """The catalog, and the cells of every matrix it built: (rule fields) of
+    the rule that won each."""
+    won = set()
+    real_build = pipeline.build_matrix
+
+    def recording_build(*args):
+        matrix = real_build(*args)
+        won.update(tuple(cell) for cell in matrix.graded)
+        return matrix
+
+    with mock.patch.object(pipeline, "build_matrix", recording_build):
+        catalog = generate_catalog(*scene, threshold=threshold, bundle_limit=limit)
+    return catalog, won
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.sampled_from(range(100)), limit=st.sampled_from((1, 2, 3)))
+def test_removing_a_rule_that_wins_no_cell_changes_nothing(seed, limit):
+    """Each such rule of the drawn C3 scene, removed on its own."""
+    (ontology, suite, matrix, kb, templates), threshold = _any_scene(None, seed)
+    catalog, won = _winners((ontology, suite, matrix, kb, templates), threshold, limit)
+    inert = [i for i, rule in enumerate(kb.rules) if tuple(rule[:8]) not in won]
+    for drop in inert:
+        fewer = kb._replace(rules=kb.rules[:drop] + kb.rules[drop + 1:])
+        assert generate_catalog(ontology, suite, matrix, fewer, templates, threshold=threshold,
+                                bundle_limit=limit) == catalog, kb.rules[drop]
