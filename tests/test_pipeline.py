@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from test_acceptance import _random_kb, _random_matrix, _random_ontology, _random_suite
+from test_acceptance import _random_matrix, _random_ontology
+from test_properties import _scene
 from trigkit import perception, pipeline
 from trigkit.data import data_path
 from trigkit.docio import read_document
@@ -48,12 +49,7 @@ def _scenes(inputs, threshold):
     """(ontology, suite, matrix, effects, threshold) of the bundled project,
     then of each random scene of the C3 gate."""
     yield inputs.ontology, inputs.suite, inputs.matrix, inputs.effects, threshold
-    for seed in range(100):
-        rng = random.Random(9200 + seed)
-        ontology = _random_ontology(rng)
-        matrix = _random_matrix(rng, ontology)
-        suite = _random_suite(rng)
-        yield ontology, suite, matrix, _random_kb(rng, ontology), rng.choice((1, 2, 3))
+    yield from map(_scene, range(100))
 
 
 def _pairwise_candidates(source, matrix, ontology):
