@@ -927,6 +927,37 @@ def test_orjson_writes_the_same_digests(tmp_path, monkeypatch, capsys, bundle_li
     assert bulk.call_count == 2
 
 
+#: ``report --ratings`` on the bundled project at ``bundle_limit`` 2, hashed
+#: as :data:`DIGESTS` hashes.
+RATED_DIGESTS = {"report.md": "783beddc7609", "report.json": "389f9f69a30a"}
+
+
+def test_the_rated_report_keeps_its_digests(tmp_path, monkeypatch, capsys):
+    """Five conditions rated in catalog positions 2, 5, 6, 7 and 9: a priority
+    tie that criticality breaks (E4/C1 against E1/C4), an exact tie at E2/C2
+    that the ids break against catalog order, and 44 conditions unrated."""
+    monkeypatch.chdir(tmp_path)
+    config = ["--config", str(_project(tmp_path, lambda doc: None))]
+    assert cli.main(config + ["generate"]) == 0
+    assert cli.main(config + ["compose"]) == 0
+    ids = [c["id"] for c in read_document(tmp_path / "out" / "catalog.json")["conditions"]]
+    rated = {ids[2]: ("E4", "C1"), ids[5]: ("E1", "C4"), ids[6]: ("E2", "C2"),
+             ids[7]: ("E2", "C2"), ids[9]: ("E3", "C4")}
+    assert ids[7] < ids[6]
+    ratings = tmp_path / "ratings.json"
+    ratings.write_text(json.dumps({"schema": "condition-ratings@1", "ratings": [
+        {"condition": cid, "exposure": e, "criticality": c}
+        for cid, (e, c) in rated.items()]}), encoding="utf-8")
+    for command in (["--output", "report.md"],
+                    ["--format", "json", "--output", "report.json"]):
+        assert cli.main(config + ["report", "--ratings", str(ratings)] + command) == 0, \
+            capsys.readouterr().err
+    ranking = read_document(tmp_path / "report.json")["ranking"]
+    assert [entry["id"] for entry in ranking[:5]] == [ids[9], ids[5], ids[7], ids[6], ids[2]]
+    assert [entry["id"] for entry in ranking[5:]] == [cid for cid in ids if cid not in rated]
+    assert {name: _digest(tmp_path / name) for name in RATED_DIGESTS} == RATED_DIGESTS
+
+
 def _run_files(directory: Path) -> dict:
     """Each file in ``directory`` by name: its bytes, or a manifest apart
     from its timing."""
