@@ -13,13 +13,15 @@ from pathlib import Path
 from trigkit.config import load_inputs, read_config
 from trigkit.data import reference_config
 from trigkit.docio import dump_document
-from trigkit.generation import AssessmentClass, assess, rank
+from trigkit.generation import assess
 from trigkit.pipeline import generate_catalog
 from trigkit.render import (
     cases_to_doc,
     cases_to_markdown,
     catalog_to_csv,
+    AssessmentClass,
     catalog_to_doc,
+    rank,
     render_report,
 )
 from trigkit.testcases import BehaviorClass, ResultsLedger, compose, outcome_record

@@ -52,7 +52,7 @@ from .config import (
 )
 from .docio import dump_bulk, dump_document, read_document
 from .errors import Diagnostic, DocumentError, ToolkitError, format_diagnostic
-from .generation import assess, build_matrix, ratings_from_doc
+from .generation import assess, build_matrix
 from .ontology import lookup_concept
 from .perception import STAGE_ORDER, affected_stages
 from .pipeline import Catalog, candidate_relations, generate_catalog
@@ -69,6 +69,7 @@ from .render import (
     matrix_to_csv,
     matrix_to_doc,
     matrix_to_markdown,
+    ratings_from_doc,
     render_report,
     report_to_doc,
 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from functools import cached_property
 from itertools import product
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema
@@ -48,15 +48,11 @@ from .relationships import (
 
 __all__ = [
     "EFFECTS_SCHEMA",
-    "RATINGS_SCHEMA",
-    "EXPOSURE_LEVELS",
-    "CRITICALITY_LEVELS",
     "RelationContext",
     "EffectRule",
     "EffectKnowledgeBase",
     "EffectEntry",
     "GenerationMatrix",
-    "AssessmentClass",
     "TriggeringCondition",
     "render_degree",
     "context_sides",
@@ -67,16 +63,13 @@ __all__ = [
     "synthesize_conditions",
     "condition_id",
     "assess",
-    "rank",
     "effects_from_doc",
     "effects_to_doc",
     "context_to_doc",
     "context_from_doc",
-    "ratings_from_doc",
 ]
 
 EFFECTS_SCHEMA = "effect-knowledge@1"
-RATINGS_SCHEMA = "condition-ratings@1"
 
 DEGREE_MIN, DEGREE_MAX = -3, 3
 FIGURE_MINUS = "−"  # the spaced mark used in rendered matrices
@@ -395,40 +388,6 @@ def positive_cells(matrix: GenerationMatrix) -> list[EffectEntry]:
 # Triggering conditions
 # ---------------------------------------------------------------------------
 
-class _RatingFields(NamedTuple):
-    exposure: str  # E1..E4
-    criticality: str  # C1..C4
-
-
-class AssessmentClass(_RatingFields):
-    __slots__ = ()
-
-    def __new__(cls, exposure: str, criticality: str):
-        if exposure not in EXPOSURE_LEVELS:
-            raise ToolkitError(E.INVALID_VALUE, f"unknown exposure {exposure!r}")
-        if criticality not in CRITICALITY_LEVELS:
-            raise ToolkitError(E.INVALID_VALUE, f"unknown criticality {criticality!r}")
-        return super().__new__(cls, exposure, criticality)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through here
-
-    @property
-    def exposure_index(self) -> int:
-        return int(self.exposure[1])
-
-    @property
-    def criticality_index(self) -> int:
-        return int(self.criticality[1])
-
-    @property
-    def priority(self) -> int:
-        return self.exposure_index * self.criticality_index
-
-
-EXPOSURE_LEVELS = ("E1", "E2", "E3", "E4")
-CRITICALITY_LEVELS = ("C1", "C2", "C3", "C4")
-
-
 class TriggeringCondition(NamedTuple):
     """One synthesized worst-case condition for a catalog."""
 
@@ -561,21 +520,6 @@ def assess(condition: TriggeringCondition,
     return condition._replace(assessment=rating)
 
 
-def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]:
-    """Descending by (priority, criticality, exposure), id as final tiebreak.
-
-    Ties on priority break toward higher criticality, then higher exposure.
-    Unassessed conditions keep their relative order at the bottom.
-    """
-    rated: list[TriggeringCondition] = []
-    unrated: list[TriggeringCondition] = []
-    for condition in conditions:
-        (rated if condition.assessment is not None else unrated).append(condition)
-    rated.sort(key=lambda c: (-c.priority, -c.assessment.criticality_index,
-                              -c.assessment.exposure_index, c.id))
-    return rated + unrated
-
-
 # ---------------------------------------------------------------------------
 # Effect knowledge documents
 # ---------------------------------------------------------------------------
@@ -702,25 +646,3 @@ def cross_validate_effects(kb: EffectKnowledgeBase, ontology: SourceOntology,
             if prop not in owned:
                 sink.error(E.UNKNOWN_PROPERTY,
                            f"effect rule: {rule.concept!r} has no property {prop!r}")
-
-
-# ---------------------------------------------------------------------------
-# Ratings documents
-# ---------------------------------------------------------------------------
-
-def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, AssessmentClass]:
-    check_schema(doc, RATINGS_SCHEMA, source=source)
-    sink = DiagnosticSink(file=source)
-    out: dict[str, AssessmentClass] = {}
-    ids: set[str] = set()
-    for where, raw in sink.records(doc, "ratings"):
-        cid = sink.text(raw, "condition", where)
-        exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
-                               code=E.UNKNOWN_RATING)
-        criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
-                                  code=E.UNKNOWN_RATING)
-        if None not in (cid, exposure, criticality) \
-                and sink.first(ids, cid, where, "rating for"):
-            out[cid] = AssessmentClass(exposure, criticality)
-    sink.raise_if_errors()
-    return out

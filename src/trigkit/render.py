@@ -21,11 +21,11 @@ import csv
 import io
 from itertools import chain
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import errors as E
 from .docio import check_schema
-from .errors import DiagnosticSink
+from .errors import DiagnosticSink, ToolkitError
 from .generation import (
     DEGREE_MAX,
     DEGREE_MIN,
@@ -35,7 +35,6 @@ from .generation import (
     _stage_property,
     context_from_doc,
     context_to_doc,
-    rank,
     render_degree,
 )
 from .naming import display_name, is_identifier
@@ -55,6 +54,10 @@ __all__ = [
     "CATALOG_SCHEMA",
     "CASES_SCHEMA",
     "MATRIX_DOC_SCHEMA",
+    "RATINGS_SCHEMA",
+    "EXPOSURE_LEVELS",
+    "CRITICALITY_LEVELS",
+    "AssessmentClass",
     "CSV_HEADER",
     "catalog_to_doc",
     "catalog_from_doc",
@@ -67,6 +70,8 @@ __all__ = [
     "cases_from_doc",
     "cases_to_markdown",
     "count_conditions",
+    "rank",
+    "ratings_from_doc",
     "render_report",
     "report_to_doc",
 ]
@@ -74,6 +79,7 @@ __all__ = [
 CATALOG_SCHEMA = "condition-catalog@1"
 CASES_SCHEMA = "test-cases@1"
 MATRIX_DOC_SCHEMA = "generation-matrix@1"
+RATINGS_SCHEMA = "condition-ratings@1"
 
 CSV_HEADER = ("No.", "Sensor", "Triggering sources", "Properties",
               "Process stage", "Triggering condition")
@@ -551,6 +557,73 @@ def cases_to_markdown(cases: Sequence[TestCase]) -> str:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+class _RatingFields(NamedTuple):
+    exposure: str  # E1..E4
+    criticality: str  # C1..C4
+
+
+class AssessmentClass(_RatingFields):
+    __slots__ = ()
+
+    def __new__(cls, exposure: str, criticality: str):
+        if exposure not in EXPOSURE_LEVELS:
+            raise ToolkitError(E.INVALID_VALUE, f"unknown exposure {exposure!r}")
+        if criticality not in CRITICALITY_LEVELS:
+            raise ToolkitError(E.INVALID_VALUE, f"unknown criticality {criticality!r}")
+        return super().__new__(cls, exposure, criticality)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through here
+
+    @property
+    def exposure_index(self) -> int:
+        return int(self.exposure[1])
+
+    @property
+    def criticality_index(self) -> int:
+        return int(self.criticality[1])
+
+    @property
+    def priority(self) -> int:
+        return self.exposure_index * self.criticality_index
+
+
+EXPOSURE_LEVELS = ("E1", "E2", "E3", "E4")
+CRITICALITY_LEVELS = ("C1", "C2", "C3", "C4")
+
+
+def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]:
+    """Descending by (priority, criticality, exposure), id as final tiebreak.
+
+    Ties on priority break toward higher criticality, then higher exposure.
+    Unassessed conditions keep their relative order at the bottom.
+    """
+    rated: list[TriggeringCondition] = []
+    unrated: list[TriggeringCondition] = []
+    for condition in conditions:
+        (rated if condition.assessment is not None else unrated).append(condition)
+    rated.sort(key=lambda c: (-c.priority, -c.assessment.criticality_index,
+                              -c.assessment.exposure_index, c.id))
+    return rated + unrated
+
+
+def ratings_from_doc(doc: dict, *, source: str = "<document>") -> dict[str, AssessmentClass]:
+    check_schema(doc, RATINGS_SCHEMA, source=source)
+    sink = DiagnosticSink(file=source)
+    out: dict[str, AssessmentClass] = {}
+    ids: set[str] = set()
+    for where, raw in sink.records(doc, "ratings"):
+        cid = sink.text(raw, "condition", where)
+        exposure = sink.choice(raw, "exposure", EXPOSURE_LEVELS, where,
+                               code=E.UNKNOWN_RATING)
+        criticality = sink.choice(raw, "criticality", CRITICALITY_LEVELS, where,
+                                  code=E.UNKNOWN_RATING)
+        if None not in (cid, exposure, criticality) \
+                and sink.first(ids, cid, where, "rating for"):
+            out[cid] = AssessmentClass(exposure, criticality)
+    sink.raise_if_errors()
+    return out
+
 
 def _result_counts(results: Sequence[Mapping]) -> dict[str, int]:
     counts = {"pass": 0, "marginal": 0, "fail": 0}

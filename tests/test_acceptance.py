@@ -20,7 +20,6 @@ from trigkit.config import strip_timing
 from trigkit.data import data_path, reference_config
 from trigkit.docio import read_document
 from trigkit.generation import (
-    AssessmentClass,
     EffectEntry,
     EffectKnowledgeBase,
     EffectRule,
@@ -30,7 +29,6 @@ from trigkit.generation import (
     build_matrix,
     effects_from_doc,
     effects_to_doc,
-    rank,
     synthesize_conditions,
     worst_case_filter,
 )
@@ -70,6 +68,7 @@ from trigkit.relationships import (
     matrix_from_doc,
     matrix_to_doc,
 )
+from trigkit.render import AssessmentClass, rank
 from trigkit.templates import TemplateSet, templates_from_doc, templates_to_doc
 from trigkit.testcases import (
     BehaviorClass,

@@ -34,10 +34,11 @@ from trigkit.config import config_from_doc
 from trigkit.data import data_path, reference_config
 from trigkit.docio import check_schema, dump_document, parse_document, read_document
 from trigkit.errors import DocumentError
-from trigkit.generation import effects_from_doc, ratings_from_doc
+from trigkit.generation import effects_from_doc
 from trigkit.ontology import ontology_from_doc
 from trigkit.perception import suite_from_doc
 from trigkit.relationships import matrix_from_doc
+from trigkit.render import ratings_from_doc
 from trigkit.render import (
     _cases_checked,
     _cases_from_doc_located,

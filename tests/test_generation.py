@@ -7,7 +7,6 @@ import pytest
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
-    AssessmentClass,
     EffectKnowledgeBase,
     EffectRule,
     RelationContext,
@@ -21,8 +20,6 @@ from trigkit.generation import (
     effects_from_doc,
     effects_to_doc,
     positive_cells,
-    rank,
-    ratings_from_doc,
     relation_context_keys,
     render_degree,
     synthesize_conditions,
@@ -44,6 +41,7 @@ from trigkit.relationships import (
     RelationshipBundle,
     parse_relation_form,
 )
+from trigkit.render import AssessmentClass, rank, ratings_from_doc
 from trigkit.templates import TemplateSet
 
 # ---------------------------------------------------------------------------

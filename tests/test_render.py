@@ -13,7 +13,6 @@ from trigkit.data import reference_config
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
-    AssessmentClass,
     EffectEntry,
     GenerationMatrix,
     assess,
@@ -24,6 +23,7 @@ from trigkit.relationships import RelationshipBundle
 from trigkit.render import (
     _CASE_FIELDS,
     CSV_HEADER,
+    AssessmentClass,
     _catalog_checked,
     _catalog_from_doc_located,
     cases_from_doc,
