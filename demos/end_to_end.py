@@ -13,7 +13,6 @@ from pathlib import Path
 from trigkit.config import load_inputs, read_config
 from trigkit.data import reference_config
 from trigkit.docio import dump_document
-from trigkit.generation import assess
 from trigkit.pipeline import generate_catalog
 from trigkit.render import (
     cases_to_doc,
@@ -78,12 +77,10 @@ def main() -> None:
         catalog.conditions[2].id: AssessmentClass("E4", "C2"),
         catalog.conditions[3].id: AssessmentClass("E2", "C2"),
     }
-    conditions = tuple(assess(c, ratings[c.id]) if c.id in ratings else c
-                       for c in catalog.conditions)
-    catalog = catalog._replace(conditions=conditions)  # ratings live in memory only
-    print(f"rated {len(ratings)} of {len(conditions)} conditions; top of the ranking:")
-    for condition in rank(catalog.conditions)[:4]:
-        print(f"  {condition.rating_label():>6}  {condition.description}")
+    print(f"rated {len(ratings)} of {len(catalog.conditions)} conditions; "
+          "top of the ranking:")
+    for condition, rating in rank(catalog.conditions, ratings)[:4]:
+        print(f"  {rating.exposure}/{rating.criticality}  {condition.description}")
 
     # ------------------------------------------------------------------
     # 4. Compose executable test cases against the hazardous events
@@ -125,7 +122,7 @@ def main() -> None:
     # 6. Render the ranked report
     # ------------------------------------------------------------------
     banner("Report")
-    report = render_report(catalog, cases, ledger.read())
+    report = render_report(catalog, cases, ledger.read(), ratings)
     (OUT / "report.md").write_text(report, encoding="utf-8")
     print(f"report written to {OUT / 'report.md'}")
     print()

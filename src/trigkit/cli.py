@@ -52,7 +52,7 @@ from .config import (
 )
 from .docio import dump_bulk, dump_document, read_document
 from .errors import Diagnostic, DocumentError, ToolkitError, format_diagnostic
-from .generation import assess, build_matrix
+from .generation import build_matrix
 from .ontology import lookup_concept
 from .perception import STAGE_ORDER, affected_stages
 from .pipeline import Catalog, candidate_relations, generate_catalog
@@ -372,19 +372,17 @@ def _cmd_report(args, config: ProjectConfig) -> int:
     if cases_path.exists():
         cases = cases_from_doc(read_document(cases_path), source=str(cases_path))
         _check_known((case.condition_id for case in cases), catalog, "cases", cases_path)
+    ratings = {}
     if args.ratings:
         ratings_path = Path(args.ratings)
         ratings = ratings_from_doc(read_document(ratings_path), source=str(ratings_path))
         _check_known(ratings, catalog, "ratings", ratings_path)
-        catalog = catalog._replace(conditions=tuple(
-            assess(c, ratings[c.id]) if c.id in ratings else c
-            for c in catalog.conditions))
     results = ResultsLedger(args.results).read() if args.results else []
 
     if args.format == "json":
-        text = dump_document(report_to_doc(catalog, cases, results), fmt="json")
+        text = dump_document(report_to_doc(catalog, cases, results, ratings), fmt="json")
     else:
-        text = render_report(catalog, cases, results)
+        text = render_report(catalog, cases, results, ratings)
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(text, encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Generation matrix, worst-case filtering, condition synthesis, assessment.
+"""Generation matrix, worst-case filtering and condition synthesis.
 
 For one analyzed source (with its relationship bundle) and one declared
 sensor, the generation matrix crosses source properties against the quality
@@ -12,11 +12,6 @@ diagnostics only and never become conditions.
 
 Each condition for a sensing stage also gets a distance-augmented companion:
 a marginal target distance compounds any sensing degradation.
-
-Assessment attaches an exposure/criticality pair (E1..E4 x C1..C4); priority
-is the product of the two indexes and ranking is descending by (priority,
-criticality, exposure) with ids as the final tiebreak. Conditions without a
-rating sink to the bottom flagged "unrated".
 """
 from __future__ import annotations
 
@@ -62,7 +57,6 @@ __all__ = [
     "positive_cells",
     "synthesize_conditions",
     "condition_id",
-    "assess",
     "effects_from_doc",
     "effects_to_doc",
     "context_to_doc",
@@ -404,12 +398,6 @@ class TriggeringCondition(NamedTuple):
     distance_augmented: bool = False
     variant: str = "default"
     templated: bool = True
-    assessment: AssessmentClass | None = None
-
-    @property
-    def priority(self) -> int | None:
-        """The assessment's priority; None while unrated."""
-        return None if self.assessment is None else self.assessment.priority
 
     @property
     def property_key(self) -> str:
@@ -427,11 +415,6 @@ class TriggeringCondition(NamedTuple):
 
     def properties_rendered(self) -> str:
         return display_property_key(self.properties)
-
-    def rating_label(self) -> str:
-        if self.assessment is None:
-            return "unrated"
-        return f"{self.assessment.exposure}/{self.assessment.criticality}"
 
 
 def condition_id(sensor: str, bundle_source: str, relation_signature: str,
@@ -508,16 +491,6 @@ def synthesize_conditions(entries: Sequence[EffectEntry], bundle: RelationshipBu
                     description=text + templates.distance_suffix if distance else text,
                     distance_augmented=distance, variant=tag, templated=templated))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Assessment and ranking
-# ---------------------------------------------------------------------------
-
-def assess(condition: TriggeringCondition,
-           rating: AssessmentClass) -> TriggeringCondition:
-    """Attach an exposure/criticality rating; priority is their index product."""
-    return condition._replace(assessment=rating)
 
 
 # ---------------------------------------------------------------------------

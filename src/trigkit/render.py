@@ -8,9 +8,13 @@ document that does not fit is read again by the located reader, which is the
 only source of diagnostics. Both build equal records from every document the
 located reader accepts.
 
-Analyst ratings are not part of the catalog document: ``catalog_to_doc``
-writes none, and both readers ignore an ``assessment`` key, as they ignore any
-key they do not know. ``report --ratings`` applies ratings in memory.
+Analyst ratings are not part of the catalog or of its conditions: a ratings
+document maps condition ids to an exposure/criticality pair (E1..E4 x
+C1..C4), and the report joins them by id when it renders, as it joins the
+cases and results. Priority is the product of the two indexes; rated
+conditions rank descending by (priority, criticality, exposure) with ids as
+the final tiebreak, and the unrated ones follow in catalog order. Both catalog
+readers ignore an ``assessment`` key, as they ignore any key they do not know.
 
 Tabular views exist in two styles: CSV (machine-friendly, ASCII degree marks)
 and Markdown (review-friendly, spaced typographic degree marks).
@@ -592,18 +596,21 @@ EXPOSURE_LEVELS = ("E1", "E2", "E3", "E4")
 CRITICALITY_LEVELS = ("C1", "C2", "C3", "C4")
 
 
-def rank(conditions: Iterable[TriggeringCondition]) -> list[TriggeringCondition]:
-    """Descending by (priority, criticality, exposure), id as final tiebreak.
+def rank(conditions: Iterable[TriggeringCondition], ratings: Mapping[str, AssessmentClass]
+         ) -> list[tuple[TriggeringCondition, AssessmentClass | None]]:
+    """Each condition with its rating in ``ratings``, or None: the rated ones
+    descending by (priority, criticality, exposure), id as final tiebreak.
 
     Ties on priority break toward higher criticality, then higher exposure.
-    Unassessed conditions keep their relative order at the bottom.
+    Unrated conditions keep their relative order at the bottom.
     """
-    rated: list[TriggeringCondition] = []
-    unrated: list[TriggeringCondition] = []
+    rated: list[tuple[TriggeringCondition, AssessmentClass]] = []
+    unrated: list[tuple[TriggeringCondition, None]] = []
     for condition in conditions:
-        (rated if condition.assessment is not None else unrated).append(condition)
-    rated.sort(key=lambda c: (-c.priority, -c.assessment.criticality_index,
-                              -c.assessment.exposure_index, c.id))
+        rating = ratings.get(condition.id)
+        (unrated if rating is None else rated).append((condition, rating))
+    rated.sort(key=lambda pair: (-pair[1].priority, -pair[1].criticality_index,
+                                 -pair[1].exposure_index, pair[0].id))
     return rated + unrated
 
 
@@ -634,24 +641,29 @@ def _result_counts(results: Sequence[Mapping]) -> dict[str, int]:
     return counts
 
 
+def _rating_label(rating: AssessmentClass | None) -> str:
+    return "unrated" if rating is None else f"{rating.exposure}/{rating.criticality}"
+
+
 def report_to_doc(catalog: Catalog, cases: Sequence[TestCase] = (),
-                  results: Sequence[Mapping] = ()) -> dict:
-    ranked = rank(catalog.conditions)
+                  results: Sequence[Mapping] = (),
+                  ratings: Mapping[str, AssessmentClass] = {}) -> dict:
+    ranked = rank(catalog.conditions, ratings)
     return {
         "schema": "assessment-report@1",
         "vehicle": catalog.vehicle,
         "totals": {
             "conditions": len(catalog.conditions),
             "by_sensor": catalog.count_by_sensor(),
-            "unrated": sum(1 for c in ranked if c.assessment is None),
+            "unrated": sum(rating is None for _condition, rating in ranked),
             "test_cases": len(cases),
         },
         "ranking": [{
             "id": c.id,
             "description": c.description,
-            "rating": c.rating_label(),
-            "priority": c.priority,
-        } for c in ranked],
+            "rating": _rating_label(rating),
+            "priority": None if rating is None else rating.priority,
+        } for c, rating in ranked],
         "results": _result_counts(results),
     }
 
@@ -664,9 +676,10 @@ def count_conditions(catalog: Catalog, noun: str) -> str:
 
 
 def render_report(catalog: Catalog, cases: Sequence[TestCase] = (),
-                  results: Sequence[Mapping] = ()) -> str:
-    ranked = rank(catalog.conditions)
-    unrated = sum(1 for c in ranked if c.assessment is None)
+                  results: Sequence[Mapping] = (),
+                  ratings: Mapping[str, AssessmentClass] = {}) -> str:
+    ranked = rank(catalog.conditions, ratings)
+    unrated = sum(rating is None for _condition, rating in ranked)
     parts = [f"# Assessment report — {catalog.vehicle}" if catalog.vehicle
              else "# Assessment report", "",
              f"{count_conditions(catalog, 'triggering conditions')}.",
@@ -674,10 +687,9 @@ def render_report(catalog: Catalog, cases: Sequence[TestCase] = (),
     header = ["Rank", "Condition", "Sensor", "Triggering condition",
               "Rating", "Priority"]
     rows = []
-    for i, condition in enumerate(ranked, start=1):
+    for i, (condition, rating) in enumerate(ranked, start=1):
         rows.append((str(i), condition.id, condition.sensor, condition.description,
-                     condition.rating_label(),
-                     "" if condition.priority is None else str(condition.priority)))
+                     _rating_label(rating), "" if rating is None else str(rating.priority)))
     parts.append(_md_table(header, rows))
     if results:
         counts = _result_counts(results)

@@ -25,7 +25,6 @@ from trigkit.generation import (
     EffectRule,
     RelationContext,
     _matrix_rows,
-    assess,
     build_matrix,
     effects_from_doc,
     effects_to_doc,
@@ -607,19 +606,18 @@ def test_c5_assessment_order(catalog):
                 failures.append(f"criticality monotonicity at {e}->C{i}")
 
     template = catalog.conditions[0]
-    rated = [assess(template._replace(id=f"c{i:012d}"), AssessmentClass(e, c))
-             for i, (e, c) in enumerate(pairs)]
-    ranked = rank(rated)
-    keys = [(r.priority, r.assessment.criticality_index,
-             r.assessment.exposure_index) for r in ranked]
+    conditions = [template._replace(id=f"c{i:012d}") for i in range(len(pairs))]
+    ratings = {condition.id: AssessmentClass(e, c)
+               for condition, (e, c) in zip(conditions, pairs)}
+    ranked = [rating for _condition, rating in rank(conditions, ratings)]
+    keys = [(r.priority, r.criticality_index, r.exposure_index) for r in ranked]
     if keys != sorted(keys, reverse=True):
         failures.append("ranking is not the descending (priority, C, E) order")
     if len(set(keys)) != 16:
         failures.append("ranking keys are not a strict total order")
     for first, second in zip(ranked, ranked[1:]):
         if first.priority == second.priority \
-                and first.assessment.criticality_index \
-                <= second.assessment.criticality_index:
+                and first.criticality_index <= second.criticality_index:
             failures.append("equal-priority pair not ordered criticality-major")
     ok = not failures
     _verdict("C5", ok, "all 16 exposure/criticality pairs ordered, "

@@ -11,7 +11,6 @@ from trigkit.generation import (
     EffectRule,
     RelationContext,
     TriggeringCondition,
-    assess,
     build_matrix,
     condition_id,
     context_from_doc,
@@ -41,7 +40,7 @@ from trigkit.relationships import (
     RelationshipBundle,
     parse_relation_form,
 )
-from trigkit.render import AssessmentClass, rank, ratings_from_doc
+from trigkit.render import AssessmentClass, _rating_label, rank, ratings_from_doc
 from trigkit.templates import TemplateSet
 
 # ---------------------------------------------------------------------------
@@ -452,14 +451,18 @@ def _condition(cid):
         stage="TargetClassification", effects=(), degree=-3, description=cid)
 
 
+def _ranked_ids(ids, ratings):
+    """The ids of ``rank`` over a bare condition for each of ``ids``."""
+    return [condition.id for condition, _rating in rank(map(_condition, ids), ratings)]
+
+
 class TestAssessment:
     def test_priority_is_the_index_product(self):
         rating = AssessmentClass(exposure="E3", criticality="C4")
         assert rating.priority == 12
-        condition = assess(_condition("c1"), rating)
-        assert condition.assessment == rating
-        assert condition.priority == 12
-        assert condition.rating_label() == "E3/C4"
+        condition = _condition("c1")
+        assert rank([condition], {"c1": rating}) == [(condition, rating)]
+        assert _rating_label(rating) == "E3/C4"
 
     def test_unknown_levels_rejected(self):
         with pytest.raises(ToolkitError, match="unknown exposure"):
@@ -481,29 +484,25 @@ class TestAssessment:
             assert (excinfo.value.code, excinfo.value.args[0]) == ("InvalidValue", message)
 
     def test_rank_descends_by_priority(self):
-        low = assess(_condition("a"), AssessmentClass("E1", "C1"))
-        mid = assess(_condition("b"), AssessmentClass("E2", "C3"))
-        high = assess(_condition("c"), AssessmentClass("E4", "C4"))
-        assert [c.id for c in rank([low, mid, high])] == ["c", "b", "a"]
+        ratings = {"a": AssessmentClass("E1", "C1"), "b": AssessmentClass("E2", "C3"),
+                   "c": AssessmentClass("E4", "C4")}
+        assert _ranked_ids(["a", "b", "c"], ratings) == ["c", "b", "a"]
 
     def test_priority_tie_breaks_toward_criticality(self):
         # E4/C1 and E1/C4 both score 4; the critical one must come first
-        exposed = assess(_condition("exposed"), AssessmentClass("E4", "C1"))
-        critical = assess(_condition("critical"), AssessmentClass("E1", "C4"))
-        assert [c.id for c in rank([exposed, critical])] == ["critical", "exposed"]
+        ratings = {"exposed": AssessmentClass("E4", "C1"),
+                   "critical": AssessmentClass("E1", "C4")}
+        assert _ranked_ids(["exposed", "critical"], ratings) == ["critical", "exposed"]
 
     def test_full_tie_breaks_on_id(self):
-        first = assess(_condition("a1"), AssessmentClass("E2", "C2"))
-        second = assess(_condition("a2"), AssessmentClass("E2", "C2"))
-        assert [c.id for c in rank([second, first])] == ["a1", "a2"]
+        ratings = {"a1": AssessmentClass("E2", "C2"), "a2": AssessmentClass("E2", "C2")}
+        assert _ranked_ids(["a2", "a1"], ratings) == ["a1", "a2"]
 
     def test_unrated_sink_to_the_bottom_in_input_order(self):
-        rated = assess(_condition("rated"), AssessmentClass("E1", "C1"))
-        bare_b = _condition("bare_b")
-        bare_a = _condition("bare_a")
-        ranked = rank([bare_b, rated, bare_a])
-        assert [c.id for c in ranked] == ["rated", "bare_b", "bare_a"]
-        assert ranked[1].rating_label() == "unrated"
+        ranked = rank(map(_condition, ["bare_b", "rated", "bare_a"]),
+                      {"rated": AssessmentClass("E1", "C1")})
+        assert [c.id for c, _rating in ranked] == ["rated", "bare_b", "bare_a"]
+        assert _rating_label(ranked[1][1]) == "unrated"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
     EffectEntry,
     GenerationMatrix,
-    assess,
+    TriggeringCondition,
     build_matrix,
 )
 from trigkit.pipeline import Catalog, candidate_relations
@@ -26,6 +26,7 @@ from trigkit.render import (
     AssessmentClass,
     _catalog_checked,
     _catalog_from_doc_located,
+    _condition_to_doc,
     cases_from_doc,
     cases_to_doc,
     cases_to_markdown,
@@ -43,10 +44,9 @@ from trigkit.testcases import compose
 
 
 def _assessed(catalog):
-    """The fixture catalog with its first two conditions rated."""
-    rated = (assess(catalog.conditions[0], AssessmentClass("E2", "C3")),
-             assess(catalog.conditions[1], AssessmentClass("E4", "C4")))
-    return catalog._replace(conditions=rated + catalog.conditions[2:])
+    """Ratings for the fixture catalog's first two conditions."""
+    return {catalog.conditions[0].id: AssessmentClass("E2", "C3"),
+            catalog.conditions[1].id: AssessmentClass("E4", "C4")}
 
 
 def _tiny_matrix():
@@ -79,7 +79,10 @@ class TestCatalogDocuments:
         assert catalog_from_doc(parse_document(text, fmt="yaml")) == catalog
 
     def test_ratings_are_not_part_of_the_document(self, catalog):
-        assert catalog_to_doc(_assessed(catalog)) == catalog_to_doc(catalog)
+        """The condition record holds exactly what its document holds, so no
+        field the catalog does not carry, such as a rating, rides on it."""
+        for condition in catalog.conditions:
+            assert set(TriggeringCondition._fields) == set(_condition_to_doc(condition))
 
     @pytest.mark.parametrize("fmt", ["json", "yaml"])
     def test_checked_and_located_readers_agree(self, catalog, fmt):
@@ -177,7 +180,6 @@ class TestCatalogTables:
     def test_markdown_has_no_rating_columns(self, catalog):
         plain = catalog_to_markdown(catalog)
         assert "| Degree |\n" in plain
-        assert catalog_to_markdown(_assessed(catalog)) == plain
 
     def test_markdown_escapes_pipes(self, catalog):
         spiked = (catalog.conditions[0]._replace(description="a|b"),
@@ -332,8 +334,7 @@ class TestReports:
         assert doc["results"] == {"pass": 0, "marginal": 0, "fail": 0}
 
     def test_rated_conditions_lead_the_ranking(self, catalog):
-        assessed = _assessed(catalog)
-        doc = report_to_doc(assessed)
+        doc = report_to_doc(catalog, ratings=_assessed(catalog))
         assert doc["ranking"][0]["rating"] == "E4/C4"
         assert doc["ranking"][0]["priority"] == 16
         assert doc["ranking"][1]["rating"] == "E2/C3"
@@ -382,8 +383,7 @@ def test_no_record_reaches_the_json_writer(catalog, events, suite, policy, ontol
     """A record that is a tuple would be written silently as a list. The
     manifests of ``generate`` and ``compose`` are built from the project
     config, itself a record, and from what the commands read."""
-    assessed = _assessed(catalog)
-    cases, warnings = compose(assessed.conditions, events, suite, policy)
+    cases, warnings = compose(catalog.conditions, events, suite, policy)
     results = [{"test_case": cases[0].id, "outcome": "fail"}]
     matrix = build_matrix(RelationshipBundle(source="Pedestrian"), camera, effects,
                           ontology)
@@ -395,7 +395,7 @@ def test_no_record_reaches_the_json_writer(catalog, events, suite, policy, ontol
                     ["compose", "--catalog", str(tmp_path / "catalog.json")]):
         assert cli.main(["--config", str(reference_config())] + command) == 0
     assert [manifest["command"] for manifest in manifests] == ["generate", "compose"]
-    docs = [catalog_to_doc(assessed), cases_to_doc(cases, warnings),
-            report_to_doc(assessed, cases, results), matrix_to_doc(matrix),
+    docs = [catalog_to_doc(catalog), cases_to_doc(cases, warnings),
+            report_to_doc(catalog, cases, results, _assessed(catalog)), matrix_to_doc(matrix),
             matrix_to_doc(_tiny_matrix()), *manifests]
     assert {type(value) for doc in docs for value in _values(doc)} <= PLAIN
