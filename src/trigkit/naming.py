@@ -11,12 +11,12 @@ from functools import lru_cache
 
 __all__ = ["is_identifier", "display_name", "display_property_key"]
 
-_IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _CAMEL_SPLIT = re.compile(r"(?<!^)(?=[A-Z])")
 
 
 def is_identifier(value: object) -> bool:
-    return isinstance(value, str) and bool(_IDENT_RE.match(value))
+    return isinstance(value, str) and bool(_IDENT_RE.fullmatch(value))
 
 
 @lru_cache(maxsize=1024)

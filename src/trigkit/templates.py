@@ -36,8 +36,8 @@ DEFAULT_DISTANCE_SUFFIX = ", combined with a distant target"
 TemplateKey = tuple[str, str, str, str]  # (relation signature, concept, property key, stage)
 
 _SIGNATURE_PART = re.compile(
-    r"^(?P<form>[A-Za-z]+(?:\.[A-Za-z]+)?)\((?P<focal>[A-Za-z][A-Za-z0-9_]*),"
-    r"(?P<partner>[A-Za-z][A-Za-z0-9_]*)\)$")
+    r"(?P<form>[A-Za-z]+(?:\.[A-Za-z]+)?)\((?P<focal>[A-Za-z][A-Za-z0-9_]*),"
+    r"(?P<partner>[A-Za-z][A-Za-z0-9_]*)\)")
 
 
 def split_signature(signature: str) -> list[tuple[str, str, str]]:
@@ -50,7 +50,7 @@ def split_signature(signature: str) -> list[tuple[str, str, str]]:
         return []
     parts = []
     for chunk in signature.split(";"):
-        match = _SIGNATURE_PART.match(chunk)
+        match = _SIGNATURE_PART.fullmatch(chunk)
         if match is None:
             raise E.ToolkitError(E.INVALID_VALUE,
                                  f"malformed relation signature part {chunk!r}")

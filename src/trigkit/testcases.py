@@ -51,7 +51,7 @@ __all__ = [
 EVENTS_SCHEMA = "hazardous-events@1"
 POLICY_SCHEMA = "compose-policy@1"
 
-_EVENT_ID = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+_EVENT_ID = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 
 class HazardousEvent(NamedTuple):
@@ -262,7 +262,7 @@ def events_from_doc(doc: dict, *, source: str = "<document>") -> tuple[Hazardous
     ids: set[str] = set()
     for where, raw in sink.records(doc, "events", required=True):
         event_id = raw.get("id")
-        if not isinstance(event_id, str) or not _EVENT_ID.match(event_id):
+        if not isinstance(event_id, str) or not _EVENT_ID.fullmatch(event_id):
             sink.error(E.INVALID_IDENTIFIER, f"{where}: event id {event_id!r} is invalid")
             continue
         if not sink.first(ids, event_id, where, "event id"):
@@ -317,7 +317,7 @@ def policy_from_doc(doc: dict, *, source: str = "<document>") -> ComposePolicy:
         class_map.append((name, target))
     negations: list[tuple[str, str]] = []
     for event_id, pass_text in sink.collection(doc, "negations", mapping=True).items():
-        if not isinstance(event_id, str) or not _EVENT_ID.match(event_id) \
+        if not isinstance(event_id, str) or not _EVENT_ID.fullmatch(event_id) \
                 or not isinstance(pass_text, str) or not pass_text.strip():
             sink.error(E.INVALID_VALUE,
                        f"negation for {event_id!r} must map an event id to text")

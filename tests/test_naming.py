@@ -15,7 +15,7 @@ def test_valid_identifiers(value):
 
 
 @pytest.mark.parametrize("value", [
-    "", " ", "2Fast", "with space", "hyphen-ated", "dotted.name", None, 42,
+    "", " ", "2Fast", "with space", "hyphen-ated", "dotted.name", "Pedestrian\n", None, 42,
 ])
 def test_invalid_identifiers(value):
     assert not is_identifier(value)

@@ -77,6 +77,15 @@ class TestLoading:
         assert pedestrian.kind is ConceptKind.INTERACTIVE
         assert pedestrian.instances == ("Adult", "Child")
 
+    def test_a_name_in_a_literal_block_is_rejected(self):
+        """A YAML literal block keeps its final line break, which no
+        identifier holds."""
+        text = MINIMAL.replace("  - name: Pedestrian\n", "  - name: |\n      Pedestrian\n")
+        assert parse_document(text)["concepts"][0]["name"] == "Pedestrian\n"
+        with pytest.raises(DocumentError) as excinfo:
+            _load(text)
+        assert excinfo.value.code == "InvalidIdentifier"
+
     def test_same_property_name_under_two_categories(self):
         # density matters both for what rain reflects and what it lets through
         rain = _load(MINIMAL).get("Rain")

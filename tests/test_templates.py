@@ -173,6 +173,18 @@ templates:
             _load_templates(text)
         assert excinfo.value.code == "InvalidValue"
 
+    def test_relationships_in_a_literal_block_are_rejected(self):
+        """The final line break a YAML literal block keeps would make a key
+        that no generated signature equals."""
+        text = DOC.replace("  - relationships: SurfaceTreatment.Cover(Sensor,Leaf)\n",
+                           "  - relationships: |\n      SurfaceTreatment.Cover(Sensor,Leaf)\n")
+        with pytest.raises(DocumentError) as excinfo:
+            _load_templates(text)
+        [diag] = excinfo.value.diagnostics
+        assert (diag.code, diag.message) == (
+            "InvalidValue", "templates[1]: malformed relation signature part "
+                            "'SurfaceTreatment.Cover(Sensor,Leaf)\\n'")
+
     def test_repeated_property_in_key_rejected(self):
         # no matrix row repeats a property, so such a key could never match
         text = """

@@ -96,6 +96,14 @@ class TestEventDocuments:
             events_from_doc(doc)
         assert excinfo.value.code == "InvalidIdentifier"
 
+    def test_an_event_id_ending_in_a_line_break_is_rejected(self):
+        doc = {"schema": "hazardous-events@1",
+               "events": [{"id": "E1\n", "name": "x", "situation": "s",
+                           "behavior": "b", "unintended_behavior": "u",
+                           "target": "Pedestrian"}]}
+        with pytest.raises(ToolkitError, match=r"event id 'E1\\n' is invalid"):
+            events_from_doc(doc)
+
     def test_duplicate_event_id(self):
         event = {"id": "HE-1", "name": "x", "situation": "s", "behavior": "b",
                  "unintended_behavior": "u", "target": "Pedestrian"}
