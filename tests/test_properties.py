@@ -31,15 +31,21 @@ random scenes of the C3 oracle gate.
 - Inert knowledge: on a C3 scene, removing an effect rule that wins no
   cell of any matrix the run builds leaves the catalog equal, conditions,
   positives and warnings included.
+- Unnamed concept: adding to the bundled project or to a C3 scene a concept
+  that no effect rule, template or event names, of any kind, at
+  ``bundle_limit`` 1 to 3, leaves every condition that does not name it
+  unchanged and in the same order, and keeps every positive and every
+  warning. On the bundled project the whole catalog stays equal.
 """
 
 import random
 from collections import Counter
 from enum import Enum
+from itertools import chain, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import (
@@ -52,7 +58,7 @@ from test_acceptance import (
 from trigkit.data import data_path
 from trigkit.docio import dump_document, read_document
 from trigkit.generation import _context_specificity, effects_from_doc
-from trigkit.ontology import ontology_from_doc
+from trigkit.ontology import ConceptKind, legal_categories, ontology_from_doc, ontology_to_doc
 from trigkit.perception import suite_from_doc
 from trigkit import pipeline
 from trigkit.pipeline import _condition_order, generate_catalog
@@ -186,7 +192,10 @@ def test_a_renamed_sensor_copy_gets_exactly_the_sensors_conditions(documents, li
     assert after.warnings == before.warnings + alone.warnings
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+# Every phase but shrinking: each shrink step grades every combination again,
+# so a failure took minutes to report; the failing example is reported as drawn.
+@settings(derandomize=True, max_examples=30, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(rng=st.randoms(use_true_random=False), limit=st.sampled_from((2, 3)))
 def test_grown_bundles_match_every_combination_on_small_scenes(rng, limit):
     ontology = _random_ontology(rng)
@@ -295,3 +304,36 @@ def test_removing_a_rule_that_wins_no_cell_changes_nothing(seed, limit):
         fewer = kb._replace(rules=kb.rules[:drop] + kb.rules[drop + 1:])
         assert generate_catalog(ontology, suite, matrix, fewer, templates, threshold=threshold,
                                 bundle_limit=limit) == catalog, kb.rules[drop]
+
+
+def _with_concept(ontology, name: str, kind: ConceptKind):
+    """``ontology`` with a concept ``name`` of ``kind`` that holds one property."""
+    doc = ontology_to_doc(ontology)
+    category = min(category.value for category in legal_categories(kind))
+    doc["concepts"].append({"name": name, "kind": kind.value,
+                            "properties": [{"name": "Hue", "category": category}]})
+    return ontology_from_doc(doc)
+
+
+def _names(condition, name: str) -> bool:
+    """Whether ``condition`` names the concept ``name`` as a source, the owner
+    of its properties or an end of one of its relations."""
+    return name in {*condition.sources, condition.property_owner, *chain.from_iterable(
+        (rel.focal, rel.partner) for rel in condition.relationships)}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.sampled_from((None, None, *SCENES)), limit=st.sampled_from((1, 2, 3)))
+def test_adding_a_concept_nothing_names_keeps_every_other_condition(documents, seed, limit):
+    """A concept of each kind under each of three names, added on its own."""
+    scene, threshold = _any_scene(documents, seed)
+    before = generate_catalog(*scene, threshold=threshold, bundle_limit=limit)
+    for kind, new in product(ConceptKind, ("Aardwolf", "Mongoose", "Zorilla")):
+        after = generate_catalog(_with_concept(scene[0], new, kind), *scene[1:],
+                                 threshold=threshold, bundle_limit=limit)
+        assert [c for c in after.conditions if not _names(c, new)] \
+            == list(before.conditions), (kind, new)
+        assert set(before.positives) <= set(after.positives), (kind, new)
+        assert not Counter(before.warnings) - Counter(after.warnings), (kind, new)
+        if seed is None:
+            assert after == before, (kind, new)
