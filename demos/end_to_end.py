@@ -15,10 +15,10 @@ from trigkit.data import reference_config
 from trigkit.docio import dump_document
 from trigkit.pipeline import generate_catalog
 from trigkit.render import (
+    AssessmentClass,
     cases_to_doc,
     cases_to_markdown,
     catalog_to_csv,
-    AssessmentClass,
     catalog_to_doc,
     rank,
     render_report,
