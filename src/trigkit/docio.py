@@ -28,26 +28,29 @@ escape that is not half of a pair into a lone surrogate, a character no
 UTF-8 file can hold. Such an escape is refused as a located syntax error,
 so no document read can stop a later write half-way.
 
-YAML is composed by libyaml and built in one pass: ``_YAMLLoader`` resolves
-plain scalars through a memo keyed by their text, one for each load, and
-``_build`` makes the ``str``, ``seq`` and ``map`` nodes and the ``null``,
-``bool``, ``int``, ``float``, ``binary`` and ``timestamp`` scalars. Any
-other document (an alias, a ``<<`` or ``=`` key, a non-scalar key, another
-tag) or any error goes whole to PyYAML's ``SafeConstructor``, which builds
-the same value or raises the same error as ``yaml.CSafeLoader``. An error
-that is not a ``YAMLError``, such as a date with month 13, becomes a
-``ConstructorError`` at its node, located as a syntax error is. A fresh
-process loads the bundled documents in about two thirds of the time
-``yaml.CSafeLoader`` takes.
+YAML is read by ``_read_block``, a line reader for the block YAML of
+trigkit's own documents: block mappings and sequences (a sequence may sit
+at its key's column), one-line flow sequences and mappings of scalars,
+plain scalars that PyYAML reads as text (the first character a letter,
+``_`` or ``/``, and not a YAML 1.1 bool or null word), decimal ints,
+single-quoted scalars, double-quoted ones without a backslash, and comment
+lines. Any other text goes whole to PyYAML's safe loader (libyaml's where
+it is built), which reads it or refuses it as it always has: an anchor, a
+tag, a block scalar, a ``#`` after a value, a tab, a ``\\r``, a byte-order
+mark, another line break, a continuation line, a key of over 1,000
+characters, a float, a date, and every error. An error that is not a
+``YAMLError``, such as a date with month 13, becomes a ``ConstructorError``
+at its node, located as a syntax error is. PyYAML is imported on the first
+such text, or the first YAML dump, so no command on the bundled project
+imports it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
-
-import yaml
 
 from .errors import (
     SYNTAX_ERROR,
@@ -66,58 +69,155 @@ __all__ = [
     "check_schema",
 ]
 
-_STR = "tag:yaml.org,2002:str"
-#: scalar tag -> the ``SafeConstructor`` method that builds it
-_SCALARS = {f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor,
-                                                 f"construct_yaml_{name}")
-            for name in ("null", "bool", "int", "float", "binary", "timestamp")}
+#: every character but ``\n`` that libyaml reads as a line break, a blank
+#: or a byte-order mark, or refuses: a control character, a surrogate, a
+#: non-character
+_FOREIGN = re.compile("[^\n -~\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"
+                      "\U00010000-\U0010ffff]")
+#: a block line: its indent, ``-`` if it opens a sequence entry, the key of
+#: the mapping entry it opens, and the rest of the line
+_LINE = re.compile(r"( *)(?:(-)(?: +|$))?(?:([\w/-][^:#]*)(?<! ):(?: +|$))?(.*)")
+#: a quoted scalar, or a plain one that may hold a ``:`` before anything but
+#: a blank, a ``:`` or an indicator, as libyaml reads ``kind:X`` in a flow
+_FLOW_SCALAR = (r"'(?:[^']|'')*'|\"[^\"\\]*\"|[^ ,'\"\[\]{}#?:]"
+                r"(?:(?:[^,\[\]{}#?:]|:(?=[^ ,\[\]{}#?:]))*[^ ,\[\]{}#?:])?")
+#: an item of a one-line flow sequence, and an entry of a flow mapping
+_FLOW_ITEM = re.compile(rf" *({_FLOW_SCALAR}) *(?:,|$)")
+_FLOW_PAIR = re.compile(rf" *({_FLOW_SCALAR}): +({_FLOW_SCALAR}) *(?:,|$)")
+_QUOTED = re.compile(r"'((?:[^']|'')*)'|\"([^\"\\]*)\"")
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_TEXT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_/")
+#: plain words that YAML 1.1 reads as a bool or null
+_WORDS = frozenset("yes Yes YES no No NO true True TRUE false False FALSE "
+                   "on On ON off Off OFF null Null NULL".split())
+#: the longest key read here; libyaml refuses a key of over 1,024 characters
+_KEY_LIMIT = 1000
 
 
-def _build(loader, node, seen: set):
-    """``node`` as ``SafeConstructor`` builds it. A node it cannot build alone
-    (a node seen twice, another tag, a tag on the wrong kind of node) raises."""
-    if node.__class__ is yaml.ScalarNode:
-        return node.value if node.tag == _STR else _SCALARS[node.tag](loader, node)
-    if id(node) in seen:  # an alias, which ``SafeConstructor`` builds as one object
-        raise LookupError(node.tag)
-    seen.add(id(node))
-    if node.tag == "tag:yaml.org,2002:seq" and node.__class__ is yaml.SequenceNode:
-        return [_build(loader, item, seen) for item in node.value]
-    if node.tag == "tag:yaml.org,2002:map" and node.__class__ is yaml.MappingNode:
-        return {_build(loader, key, seen): _build(loader, value, seen)
-                for key, value in node.value}
-    raise LookupError(node.tag)
+def _scalar(text: str):
+    """The str or int that PyYAML reads a one-line scalar ``text`` as, or
+    ``ValueError`` for a scalar outside the subset."""
+    if text[0] in _TEXT_START:
+        if ": " in text or " #" in text or text[-1] == ":" or text in _WORDS:
+            raise ValueError(text)
+        return text
+    if _INT.fullmatch(text):
+        return int(text)
+    quoted = _QUOTED.fullmatch(text)
+    if quoted is None:
+        raise ValueError(text)
+    return quoted[2] if quoted[1] is None else quoted[1].replace("''", "'")
 
 
-class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml if built
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._plain_tags: dict[str, str] = {}  # plain scalar text -> its resolved tag
+def _key(text: str):
+    """``_scalar(text)`` for a key, which libyaml refuses when it is long."""
+    if len(text) > _KEY_LIMIT:
+        raise ValueError(text)
+    return _scalar(text)
 
-    def resolve(self, kind, value, implicit):
-        if kind is yaml.ScalarNode and implicit[0]:  # a plain scalar: its text decides
-            tag = self._plain_tags.get(value)
-            if tag is None:
-                tag = self._plain_tags[value] = super().resolve(kind, value, implicit)
-            return tag
-        return super().resolve(kind, value, implicit)
 
-    def construct_document(self, node):
-        try:
-            return _build(self, node, set())
-        except Exception:  # noqa: BLE001 - ``SafeConstructor`` builds it or raises
-            pass  # out here, its error does not carry this one as its context
-        return super().construct_document(node)
+def _flow(text: str, pattern: re.Pattern) -> list:
+    """The matches of ``pattern`` that make up the one-line flow
+    collection ``text``, one per item; ``ValueError`` if they do not."""
+    inner, matches, at = text[1:-1], [], 0
+    while at < len(inner):
+        match = pattern.match(inner, at)
+        if match is None:
+            raise ValueError(text)
+        matches.append(match)
+        at = match.end()
+    return matches
 
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep)
-        except yaml.YAMLError:
-            raise
-        except Exception as exc:  # a scalar its tag refuses, such as 2001-13-45
-            raise yaml.constructor.ConstructorError(
-                None, None, f"cannot read {node.value!r} as {node.tag.rpartition(':')[2]}",
-                node.start_mark) from exc
+
+def _value(text: str, memo: dict):
+    """The value of ``text``, the rest of a line after its key or ``-``. A
+    scalar's value is kept in ``memo`` under ``text``."""
+    first, stripped = text[0], text.rstrip(" ")
+    if first == "[" and stripped[-1] == "]":
+        return [_scalar(match[1]) for match in _flow(stripped, _FLOW_ITEM)]
+    if first == "{" and stripped[-1] == "}":
+        return {_key(match[1]): _scalar(match[2]) for match in _flow(stripped, _FLOW_PAIR)}
+    value = memo[text] = _scalar(stripped)
+    return value
+
+
+def _read_block(text: str):
+    """``text`` as PyYAML reads it, for a document of the block subset the
+    module docstring describes; ``ValueError`` for any other text."""
+    if _FOREIGN.search(text) is not None:
+        raise ValueError("a character outside the subset")
+    root, keys, values = [None], {}, {}  # the root, and the scalars read so far
+    stack = []  # (column, collection) of each open collection, innermost last
+    # where a nested collection would go: (container, key, column of the
+    # entry that opened it, whether that entry is a sequence's)
+    slot = root, 0, -1, True
+    for line in text.split("\n"):
+        match = _LINE.match(line)
+        indent, dash, key, rest = match.groups()
+        if dash is None and key is None and (not rest or rest[0] == "#"):
+            continue  # a blank or comment line
+        column = len(indent)
+        if slot is not None:
+            container, at, opened_at, in_sequence = slot
+            slot = None
+            if column > opened_at or (column == opened_at and dash and not in_sequence):
+                container[at] = [] if dash else {}
+                stack.append((column, container[at]))
+        while stack and stack[-1][0] > column:
+            stack.pop()
+        if not stack or stack[-1][0] != column:
+            raise ValueError(line)  # indented as no open collection is
+        node = stack[-1][1]
+        if dash:
+            if node.__class__ is not list:
+                raise ValueError(line)
+            if key is not None:  # a mapping, which opens at its first key
+                column = match.start(3)
+                node.append({})
+                node = node[-1]
+                stack.append((column, node))
+        elif node.__class__ is list:  # a sequence at its key's column ends
+            stack.pop()
+            if not stack or stack[-1][0] != column:
+                raise ValueError(line)
+            node = stack[-1][1]
+        if key is not None:
+            at = keys.get(key)
+            if at is None:
+                at = keys[key] = _key(key)
+        elif dash:
+            at = len(node)
+            node.append(None)
+        else:
+            raise ValueError(line)  # a scalar where an entry belongs
+        if rest:
+            value = values.get(rest)
+            node[at] = _value(rest, values) if value is None else value
+        else:
+            node[at] = None
+            slot = node, at, column, key is None
+    return root[0]
+
+
+@functools.cache
+def _pyyaml():
+    """PyYAML and its safe loader (libyaml's where it is built), imported on
+    first use. The loader raises a constructor's own error, such as a date
+    with month 13, as a ``ConstructorError`` at its node."""
+    import yaml
+
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except yaml.YAMLError:
+                raise
+            except Exception as exc:  # a scalar its tag refuses, such as 2001-13-45
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"cannot read {node.value!r} as "
+                    f"{node.tag.rpartition(':')[2]}", node.start_mark) from exc
+
+    return yaml, Loader
 
 
 def detect_format(path: str | Path) -> str:
@@ -134,15 +234,19 @@ def parse_document(text: str, *, fmt: str = "yaml", source: str = "<document>") 
     """Parse ``text`` into a mapping, reporting syntax errors with positions."""
     if fmt == "yaml":
         try:
-            doc = yaml.load(text, Loader=_YAMLLoader)
-        except yaml.YAMLError as exc:
-            line = col = None
-            mark = getattr(exc, "problem_mark", None)
-            if mark is not None:
-                line, col = mark.line + 1, mark.column + 1
-            problem = getattr(exc, "problem", None) or str(exc)
-            msg = problem if col is None else f"{problem} (column {col})"
-            raise DocumentError.at(SYNTAX_ERROR, msg, source, line) from exc
+            doc = _read_block(text)
+        except ValueError:  # outside the subset: PyYAML reads it or locates its error
+            yaml, loader = _pyyaml()
+            try:
+                doc = yaml.load(text, Loader=loader)
+            except yaml.YAMLError as exc:
+                line = col = None
+                mark = getattr(exc, "problem_mark", None)
+                if mark is not None:
+                    line, col = mark.line + 1, mark.column + 1
+                problem = getattr(exc, "problem", None) or str(exc)
+                msg = problem if col is None else f"{problem} (column {col})"
+                raise DocumentError.at(SYNTAX_ERROR, msg, source, line) from exc
     elif fmt == "json":
         try:
             doc = json.loads(text)
@@ -241,7 +345,9 @@ def check_schema(doc: dict, expected: str, *, source: str = "<document>") -> Non
 
 def dump_document(doc: dict, *, fmt: str = "yaml") -> str:
     if fmt == "yaml":
-        text = yaml.safe_dump(
+        from yaml import safe_dump
+
+        text = safe_dump(
             doc,
             sort_keys=False,
             allow_unicode=True,

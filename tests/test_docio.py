@@ -2,10 +2,10 @@
 
 import gc
 import json
+import re
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
-from unittest import mock
 
 import pytest
 import yaml
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import trigkit.data
 from trigkit import docio
+from trigkit.data import REFERENCE_DOCUMENTS, data_path, reference_config
 
 from trigkit.docio import (
     check_schema,
@@ -182,29 +183,45 @@ def test_bundled_yaml_parses_as_the_pure_python_loader_reads_it(path):
 
 
 # ---------------------------------------------------------------------------
-# The YAML reader builds what its PyYAML base loader builds
+# The YAML reader builds what PyYAML's safe loader builds
 # ---------------------------------------------------------------------------
 
-def _yaml_outcome(text, loader):
-    """``repr`` of what ``parse_document`` returns with ``loader``, or what it
-    raises: a ``DocumentError``'s diagnostics with the type and text of its
-    cause. ``_YAMLLoader`` locates a constructor's own error, such as a bad
-    date, which the base loader raises bare; that error is compared bare."""
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's if built
+
+
+def _pyyaml_outcome(text):
+    """``repr`` of the mapping PyYAML reads ``text`` as (an empty document
+    being an empty mapping), the code and message of a top level that is no
+    mapping, or the type and text of what PyYAML raises."""
     try:
-        with mock.patch.object(docio, "_YAMLLoader", loader):
-            return repr(parse_document(text, source="doc.yaml"))
-    except DocumentError as exc:
-        own = getattr(exc.__cause__, "__cause__", None)
-        if own is not None:
-            return type(own), str(own)
-        return exc.diagnostics, type(exc.__cause__), str(exc.__cause__)
-    except Exception as exc:  # noqa: BLE001 - the base loader's bare constructor error
+        value = yaml.load(text, Loader=_LOADER)
+    except Exception as exc:  # noqa: BLE001 - a YAMLError, or a constructor's own error
         return type(exc), str(exc)
+    if value is None:
+        value = {}
+    if not isinstance(value, dict):
+        return "WrongSchema", f"top level must be a mapping, got {type(value).__name__}"
+    return repr(value)
+
+
+def _yaml_outcome(text):
+    """``repr`` of what ``parse_document`` returns, or what it raises: a
+    ``DocumentError``'s code and message when it has no cause, else the type
+    and text of the PyYAML error it is located from. ``parse_document``
+    locates a constructor's own error, such as a bad date, which PyYAML
+    raises bare; that error is compared bare."""
+    try:
+        return repr(parse_document(text, source="doc.yaml"))
+    except DocumentError as exc:
+        cause = exc.__cause__
+        if cause is None:
+            return exc.diagnostics[0].code, exc.diagnostics[0].message
+        cause = getattr(cause, "__cause__", None) or cause
+        return type(cause), str(cause)
 
 
 def _assert_read_as_csafeloader_reads(text):
-    expected = _yaml_outcome(text, docio._YAMLLoader.__mro__[1])  # libyaml's if built
-    assert _yaml_outcome(text, docio._YAMLLoader) == expected, text
+    assert _yaml_outcome(text) == _pyyaml_outcome(text), text
 
 
 _yaml_keys = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -268,6 +285,101 @@ def test_yaml_is_read_as_csafeloader_reads_it(value):
         "bad-timestamp", "timestamps", "yaml11-scalars"])
 def test_each_fallback_reads_as_csafeloader_reads_it(text):
     _assert_read_as_csafeloader_reads(text)
+
+
+# Fragments at the edge of the subset ``docio._read_block`` reads. Each
+# document is a tree of the plain ones, rendered as block lines, and each of
+# its variants puts one trap into a value, a key, or a line of its own.
+_PLAIN_KEYS = ["key", "name", "a b", "HE-1", "_k", "/k", "1", "-1"]
+_PLAIN_VALUES = ["text", "a b", "", "0", "12", "-7", "kind:X", "a'b", "'it''s'", "'a, b'",
+                 '"a, b"', "/abs/path-1", "_u", "x#c", "[]", "[a, b]", "[a,]",
+                 "[kind:X, 'q, r', \"s\", 7]", "{}", "{a: 1, b: kind:X}", "{a: \"x, y\", c: 'd'}",
+                 "y", "Yes it is"]
+_TRAP_KEYS = ["On", "yes", "NULL", "~", "-0", "010", "1_0", "+1", "kind:X", "'q'", '"q"',
+              "k" * 1000, "k" * 1025, "é", "a#b", "a,b", "key ", "x y:z"]
+_TRAP_VALUES = ["yes", "On", "NULL", "~", "-0", "010", "1_0", "+1", "1.5", "2001-12-14", "x:",
+                "a: b", "x #c", "[ ]", "[a, b, ]", "[a, , b]", "[,]", "[a, [b]]", "[a: b]",
+                "[k:, x]", "[a?b]", "[010, On]", "{a: 1, }", "{a}", "{a: }", "{a:b}", "{a : 1}",
+                "{On: x}", "{a: ~}", "&a x", "*a", "!!str 1", "|", ">", "x\ty", "x\ry", "x\x85y",
+                "x\u2028y", "é", "\U0001f600", "x\xa0", "['a' b]", "k" * 1025, "- x",
+                "x ]", '"a\\b"', "'a", "x  "]
+_TRAP_LINES = ["key:", "key :", "key:x", "-", "- ", "- text", "  more indented", "# c", "",
+               "   # c", "---", "...", "\tkey: v", "key: v\r", "? key", "- - x", "x"]
+_EDITS = ([("value", trap) for trap in _TRAP_VALUES] + [("key", trap) for trap in _TRAP_KEYS]
+          + [("line", trap) for trap in _TRAP_LINES]
+          + [("indent", " "), ("indent", ""), ("bom", "\ufeff")])
+_LINE_PARTS = re.compile(r"( *(?:- |-$)?)(?:([^ :][^:]*):)?(.*)")
+
+_plain_nodes = st.recursive(
+    st.sampled_from(_PLAIN_VALUES), lambda children: st.lists(children, min_size=1, max_size=3)
+    | st.lists(st.tuples(st.sampled_from(_PLAIN_KEYS), children), min_size=1, max_size=3),
+    max_leaves=10)
+
+
+def _block_lines(node, column, step, out):
+    """``node`` (a scalar's text, a list of (key, node) pairs for a mapping or
+    a list of nodes for a sequence) as block lines at ``column``, each level
+    ``step`` columns in. An odd ``step`` puts a key's sequence at the key's
+    column and a sequence's mapping on its ``-`` line."""
+    pad = " " * column
+    for child in node:
+        key, child = child if isinstance(child, tuple) else ("-", child)
+        head = pad + key + ("" if key == "-" else ":")
+        if isinstance(child, str):
+            out.append(f"{head} {child}")
+        elif key == "-" and step % 2 and isinstance(child[0], tuple):
+            start = len(out)
+            _block_lines(child, column + 2, step, out)
+            out[start] = pad + "- " + out[start][column + 2:]
+        else:
+            out.append(head)
+            at_key = key != "-" and step % 2 and not isinstance(child[0], tuple)
+            _block_lines(child, column + (0 if at_key else step), step, out)
+    return out
+
+
+def _edited(lines, edit, at):
+    """``lines`` joined, with ``edit`` made at line ``at`` (modulo their count)."""
+    kind, trap = edit
+    at %= len(lines)
+    head, key, rest = _LINE_PARTS.fullmatch(lines[at]).groups()
+    if kind == "line":
+        lines.insert(at, trap)
+    elif kind == "indent":  # one column in, or out
+        lines[at] = trap + lines[at] if trap or lines[at][:1] != " " else lines[at][1:]
+    elif kind == "key":
+        lines[at] = f"{head}{trap}:{rest if key else ' ' + rest}"
+    elif kind == "value":
+        lines[at] = f"{head}{key + ':' if key else ''} {trap}"
+    return ("\ufeff" if kind == "bom" else "") + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PLAIN_KEYS), _plain_nodes), min_size=1, max_size=4),
+       st.integers(1, 4), st.lists(st.integers(0, 40), min_size=1, max_size=8))
+def test_the_line_reader_reads_as_pyyaml_or_declines(top, step, places):
+    """The reader declines each variant of a document, or reads it as PyYAML
+    reads a variant that PyYAML does not raise on."""
+    lines = _block_lines(top, 0, step, [])
+    for index, edit in enumerate([("none", "")] + _EDITS):
+        text = _edited(list(lines), edit, places[index % len(places)])
+        try:
+            value = docio._read_block(text)
+        except ValueError:
+            continue
+        assert repr(value) == repr(yaml.load(text, Loader=_LOADER)), text
+
+
+def test_the_line_reader_reads_every_bundled_document(tmp_path):
+    """Every bundled document, and a project config that names its inputs by
+    absolute path as the CLI tests write it, is read without PyYAML."""
+    texts = [data_path(name).read_text(encoding="utf-8") for name in REFERENCE_DOCUMENTS]
+    config = read_document(reference_config())
+    for directory in (data_path("project.yaml").parent, tmp_path):
+        config["inputs"] = {name: str(directory / file) for name, file in config["inputs"].items()}
+        texts.append(dump_document(config))
+    for text in texts:
+        assert repr(docio._read_block(text)) == repr(yaml.load(text, Loader=_LOADER))
 
 
 def test_an_alias_is_one_object():

@@ -1,9 +1,11 @@
 """Start-up cost: ``import trigkit.cli`` loads neither ``dataclasses`` nor
 ``inspect``, the modules that generated record classes would pull in, nor
-``orjson``. orjson writes only a catalog or case set large enough to repay
-its import (``cli._BULK_CONDITIONS`` and ``cli._BULK_CASES`` hold the sizes
-and the measurements behind them), so ``generate`` and ``compose`` on the
-bundled project, 49 conditions and 61 cases, never load it."""
+``orjson`` or ``yaml``. orjson writes only a catalog or case set large
+enough to repay its import (``cli._BULK_CONDITIONS`` and ``cli._BULK_CASES``
+hold the sizes and the measurements behind them), so ``generate`` and
+``compose`` on the bundled project, 49 conditions and 61 cases, never load
+it. PyYAML reads only a document outside the subset ``docio`` reads itself,
+so no command on the bundled project loads it either."""
 
 import ast
 import os
@@ -57,14 +59,16 @@ def _child(code: str, cwd: Path | None = None) -> str:
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert _child("import trigkit.cli; import sys; print(sorted("
-                  "{'dataclasses', 'inspect', 'orjson'} & set(sys.modules)))") == "[]\n"
+                  "{'dataclasses', 'inspect', 'orjson', 'yaml'} & set(sys.modules)))") == "[]\n"
 
 
 def test_the_bundled_chain_never_loads_orjson(tmp_path):
-    """``generate`` then ``compose`` on the bundled project, in one fresh
-    process, as a ``python -m trigkit`` child runs each."""
+    """``generate``, ``compose`` and ``report`` on the bundled project, in one
+    fresh process, as a ``python -m trigkit`` child runs each, load neither
+    orjson nor PyYAML."""
     config = PACKAGE / "data" / "project.yaml"
     assert _child("import sys; from trigkit.cli import main; "
-                  f"assert main(['--config', {str(config)!r}, 'generate']) == 0; "
-                  f"assert main(['--config', {str(config)!r}, 'compose']) == 0; "
-                  "print('orjson' in sys.modules)", cwd=tmp_path).splitlines()[-1] == "False"
+                  + "".join(f"assert main(['--config', {str(config)!r}, {command!r}]) == 0; "
+                            for command in ("generate", "compose", "report"))
+                  + "print(sorted({'orjson', 'yaml'} & set(sys.modules)))",
+                  cwd=tmp_path).splitlines()[-1] == "[]"
