@@ -60,7 +60,7 @@ def main() -> None:
     print(f"{len(catalog.conditions)} conditions ({counts})")
     for warning in catalog.warnings:
         print(f"  warning: {warning}")
-    (OUT / "catalog.json").write_text(dump_document(catalog_to_doc(catalog), fmt="json"),
+    (OUT / "catalog.json").write_text(dump_document(catalog_to_doc(catalog)),
                                       encoding="utf-8")
     (OUT / "catalog.csv").write_text(catalog_to_csv(catalog), encoding="utf-8")
     print("sample conditions:")
@@ -91,7 +91,7 @@ def main() -> None:
     print(f"{len(cases)} test cases from {len(catalog.conditions)} conditions "
           f"and {len(inputs.events)} hazardous events")
     (OUT / "test_cases.json").write_text(
-        dump_document(cases_to_doc(cases, warnings), fmt="json"), encoding="utf-8")
+        dump_document(cases_to_doc(cases, warnings)), encoding="utf-8")
     (OUT / "test_cases.md").write_text(cases_to_markdown(cases), encoding="utf-8")
     sample = cases[0]
     print("first case:")

@@ -275,7 +275,7 @@ def _cmd_matrix(args, config: ProjectConfig) -> int:
     source, bundle = _bundle_from_args(args, inputs)
     gen_matrix = build_matrix(bundle, spec, inputs.effects, inputs.ontology)
     if args.format == "json":
-        sys.stdout.write(dump_document(matrix_to_doc(gen_matrix), fmt="json"))
+        sys.stdout.write(dump_document(matrix_to_doc(gen_matrix)))
     elif args.format == "csv":
         sys.stdout.write(matrix_to_csv(gen_matrix))
     else:
@@ -297,7 +297,7 @@ def _cmd_generate(args, config: ProjectConfig) -> int:
     outputs = {
         directory / "catalog.json": (
             dump_bulk(doc) if len(catalog.conditions) >= _BULK_CONDITIONS
-            else dump_document(doc, fmt="json")),
+            else dump_document(doc)),
         directory / "catalog.csv": catalog_to_csv(catalog),
         directory / "catalog.md": catalog_to_markdown(catalog),
     }
@@ -353,7 +353,7 @@ def _cmd_compose(args, config: ProjectConfig) -> int:
     doc = cases_to_doc(cases, warnings)
     _write_outputs("compose", directory,
                    {out_path: (dump_bulk(doc) if len(cases) >= _BULK_CASES
-                               else dump_document(doc, fmt="json")),
+                               else dump_document(doc)),
                     directory / "test_cases.md": cases_to_markdown(cases)},
                    {}, [config.path, catalog_path]
                    + [getattr(config, name) for name in _COMPOSE_INPUTS],
@@ -380,7 +380,7 @@ def _cmd_report(args, config: ProjectConfig) -> int:
     results = ResultsLedger(args.results).read() if args.results else []
 
     if args.format == "json":
-        text = dump_document(report_to_doc(catalog, cases, results, ratings), fmt="json")
+        text = dump_document(report_to_doc(catalog, cases, results, ratings))
     else:
         text = render_report(catalog, cases, results, ratings)
     if args.output:

@@ -233,7 +233,7 @@ def build_manifest(command: str, parameters: dict, inputs: list[Path],
 
 
 def write_manifest(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(dump_document(doc, fmt="json"), encoding="utf-8")
+    Path(path).write_text(dump_document(doc), encoding="utf-8")
 
 
 def strip_timing(doc: dict) -> dict:

@@ -1,27 +1,29 @@
 """Document input/output.
 
-Every data set the toolkit consumes or emits exists in two interchangeable
-encodings with identical field names: a human-editable YAML form and a JSON
-form for machine interchange. Each document carries an explicit ``schema``
-string (``family@version``); loaders reject unknown families and versions so
-stale files fail loudly instead of half-parsing.
+The toolkit reads each document as YAML or as JSON, with identical field
+names, and writes every document it emits as JSON. Each document carries an
+explicit ``schema`` string (``family@version``); loaders reject unknown
+families and versions so stale files fail loudly instead of half-parsing.
 
 Syntax errors are reported with their line/column. Canonical dumps are fully
 deterministic: fixed key order, sorted collections (the per-family
 serializers sort before calling in here), UTF-8, ``\\n`` line ends.
 
-JSON is written by a one-pass writer, ``_json_text``, whose text equals
-``json.dumps(doc, indent=2, ensure_ascii=False)`` for every value
-``json.dumps`` accepts but a tuple subclass: a record is refused, not written
-as a list. The stdlib only uses its C encoder when ``indent`` is
-None; with an indent it runs a chain of Python generators, which takes 1.4
-to 1.8 times as long on large catalogs and case sets. ``dump_bulk`` returns
-the same text as UTF-8 bytes, made by ``orjson`` ten to fifteen times as
-fast, for a large document of plain JSON types; the bytes go to disk as
-they are. ``orjson`` is imported on the first such call, so ``cli`` calls
-it only for a catalog or case set large enough to repay that import: see
-``cli._BULK_CONDITIONS`` and ``cli._BULK_CASES`` for the sizes and the
-measurements behind them.
+JSON is written by a one-pass writer, ``_json_text``, for the plain values
+trigkit's documents hold: a ``dict`` with ``str`` keys, a ``list``, a
+``tuple``, a ``str``, an ``int``, a ``bool``, ``None`` and a finite
+``float``, each of exactly that class. Its text equals
+``json.dumps(doc, indent=2, ensure_ascii=False)``, and reads back as ``doc``
+with tuples as lists. Anything else, such as a record, an enum member, a
+subclass, NaN or a non-``str`` key, is refused with a ``TypeError``. The
+stdlib only uses its C encoder when ``indent`` is None; with an indent it
+runs a chain of Python generators, which takes 1.4 to 1.8 times as long on
+large catalogs and case sets. ``dump_bulk`` returns the same text as UTF-8
+bytes, made by ``orjson`` ten to fifteen times as fast, for a large
+document of plain values; the bytes go to disk as they are. ``orjson`` is
+imported on the first such call, so ``cli`` calls it only for a catalog or
+case set large enough to repay that import: see ``cli._BULK_CONDITIONS``
+and ``cli._BULK_CASES`` for the sizes and the measurements behind them.
 
 JSON text is parsed by the stdlib, which decodes a ``\\uD800``-``\\uDFFF``
 escape that is not half of a pair into a lone surrogate, a character no
@@ -41,8 +43,7 @@ mark, another line break, a continuation line, a key of over 1,000
 characters, a float, a date, and every error. An error that is not a
 ``YAMLError``, such as a date with month 13, becomes a ``ConstructorError``
 at its node, located as a syntax error is. PyYAML is imported on the first
-such text, or the first YAML dump, so no command on the bundled project
-imports it.
+such text, so no command on the bundled project imports it.
 """
 from __future__ import annotations
 
@@ -343,74 +344,57 @@ def check_schema(doc: dict, expected: str, *, source: str = "<document>") -> Non
 # Canonical dumps
 # ---------------------------------------------------------------------------
 
-def dump_document(doc: dict, *, fmt: str = "yaml") -> str:
-    if fmt == "yaml":
-        from yaml import safe_dump
-
-        text = safe_dump(
-            doc,
-            sort_keys=False,
-            allow_unicode=True,
-            default_flow_style=False,
-            width=88,
-        )
-        return text if text.endswith("\n") else text + "\n"
-    if fmt == "json":
-        return _json_text(doc, "\n") + "\n"
-    raise ValueError(f"unsupported format: {fmt!r}")
+def dump_document(doc: dict) -> str:
+    """``doc``, a mapping of plain values, as canonical JSON text."""
+    return _json_text(doc, "\n") + "\n"
 
 
 def dump_bulk(doc: dict) -> bytes:
-    """``dump_document(doc, fmt="json")`` encoded as UTF-8, for a ``doc`` of
-    str keys and str, int, bool, None, list, tuple and dict values, written
-    by ``orjson`` where it can. It cannot write a lone surrogate, an int
-    beyond 64 bits, nesting deeper than 255 levels or a record;
-    ``dump_document`` writes or refuses those, and a lone surrogate then
-    raises ``UnicodeEncodeError``, as writing that text would."""
+    """``dump_document(doc)`` encoded as UTF-8, for a ``doc`` of plain values
+    but floats, written by ``orjson`` where it can. It cannot write a lone
+    surrogate, an int beyond 64 bits, nesting deeper than 255 levels, a
+    record, a subclass or a non-``str`` key; ``dump_document`` writes or
+    refuses those, and a lone surrogate then raises ``UnicodeEncodeError``,
+    as writing that text would."""
     import orjson
 
     try:
-        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
+                            | orjson.OPT_PASSTHROUGH_SUBCLASS)
     except orjson.JSONEncodeError:
-        return dump_document(doc, fmt="json").encode("utf-8")
+        return dump_document(doc).encode("utf-8")
 
 
-_INFINITY = float("inf")
-
-
-def _key_text(key) -> str:
-    """A mapping key as the stdlib coerces it, before it is quoted."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _json_text(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+def _refuse(value, role: str = "Object"):
+    """Raise the ``TypeError`` for a value, or a key, that is not plain."""
+    raise TypeError(f"{role} of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _json_text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it, where
-    ``indent`` is the line break plus the indent of the line ``value`` is on.
+    """A plain ``value`` as ``json.dumps(indent=2, ensure_ascii=False)``
+    writes it, where ``indent`` is the line break plus the indent of the line
+    ``value`` is on; a ``TypeError`` for any other value.
 
     Each container is one join over its items; string items are encoded in
     place, by the stdlib's C string encoder, without a recursive call.
     """
-    if isinstance(value, dict):
+    kind = value.__class__
+    if kind is dict:
         if not value:
             return "{}"
         inner = indent + "  "
         return "{" + inner + ("," + inner).join([
-            _encode_str(key if key.__class__ is str else _key_text(key)) + ": "
+            _encode_str(key if key.__class__ is str else _refuse(key, "Key")) + ": "
             + (_encode_str(item) if item.__class__ is str else _json_text(item, inner))
             for key, item in value.items()]) + indent + "}"
-    if isinstance(value, list) or value.__class__ is tuple:  # records fall through
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([
             _encode_str(item) if item.__class__ is str else _json_text(item, inner)
             for item in value]) + indent + "]"
-    if isinstance(value, str):
+    if kind is str:
         return _encode_str(value)
     if value is None:
         return "null"
@@ -418,15 +402,6 @@ def _json_text(value, indent: str) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    f"is not JSON serializable")
+    if kind is int or (kind is float and value - value == 0):  # x - x is NaN for NaN and ±inf
+        return repr(value)
+    return _refuse(value)

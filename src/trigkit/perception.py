@@ -56,7 +56,6 @@ __all__ = [
     "source_stages",
     "relation_rule",
     "rule_stages",
-    "relation_stages",
     "affected_stages",
     "suite_from_doc",
     "suite_to_doc",
@@ -192,20 +191,13 @@ def rule_stages(rule: str | None, system: PerceptionSystemSpec) -> frozenset[str
     return _RULE_STAGES[system.sensor_class].get(rule, frozenset()).intersection(system.stages)
 
 
-def relation_stages(source: SourceConcept, rel,
-                    system: PerceptionSystemSpec,
-                    ontology: SourceOntology) -> frozenset[str]:
-    """Declared stages of ``system`` that ``rel`` alone lets ``source`` reach (R4, R5)."""
-    return rule_stages(relation_rule(source, rel, ontology), system)
-
-
 def affected_stages(source: SourceConcept,
                     relations: Iterable,
                     system: PerceptionSystemSpec,
                     ontology: SourceOntology) -> frozenset[str]:
     """Stages of ``system`` that ``source`` can degrade, given its relations:
-    its own stages (``source_stages``) plus those each relation adds
-    (``relation_stages``).
+    its own stages (``source_stages``) plus those each relation alone adds
+    by its rule (``rule_stages`` of its ``relation_rule``).
 
     ``relations`` holds :class:`~trigkit.relationships.RelationshipInstance`
     values referencing the source (possibly empty). The result is a subset of
@@ -218,7 +210,7 @@ def affected_stages(source: SourceConcept,
         raise ToolkitError(E.UNKNOWN_CONCEPT,
                            f"source {source.name!r} does not resolve in the ontology")
     return source_stages(source, system).union(
-        *(relation_stages(source, rel, system, ontology) for rel in relations))
+        *(rule_stages(relation_rule(source, rel, ontology), system) for rel in relations))
 
 
 # ---------------------------------------------------------------------------

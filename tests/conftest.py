@@ -1,10 +1,20 @@
-"""Shared fixtures: the bundled road-sweeper corpus, loaded once per session."""
+"""Shared fixtures: the bundled road-sweeper corpus, loaded once per session,
+and ``yaml_text``, which writes a YAML input for a test."""
 
 import pytest
+from yaml import safe_dump
 
 from trigkit.config import load_inputs, read_config
 from trigkit.data import reference_config
 from trigkit.pipeline import generate_catalog
+
+
+def yaml_text(doc: dict) -> str:
+    """``doc`` as block YAML, as an analyst would write an input: PyYAML's
+    safe dump, in key order, ending in a line break."""
+    text = safe_dump(doc, sort_keys=False, allow_unicode=True, default_flow_style=False,
+                     width=88)
+    return text if text.endswith("\n") else text + "\n"
 
 
 @pytest.fixture(scope="session")

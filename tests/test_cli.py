@@ -16,6 +16,8 @@ from unittest import mock
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit import cli, docio
 from trigkit.config import load_inputs, read_config, strip_timing
 from trigkit.data import data_path, reference_config
@@ -567,12 +569,12 @@ class TestMalformedDocuments:
     def config_with(tmp_path, field, doc):
         """A copy of the bundled config whose ``field`` input is ``doc``."""
         path = tmp_path / f"{field}.yaml"
-        path.write_text(dump_document(doc), encoding="utf-8")
+        path.write_text(yaml_text(doc), encoding="utf-8")
         config = read_document(reference_config())
         config["inputs"] = {name: str(data_path(file))
                             for name, file in config["inputs"].items()}
         config["inputs"][field] = str(path)
-        (tmp_path / "project.yaml").write_text(dump_document(config), encoding="utf-8")
+        (tmp_path / "project.yaml").write_text(yaml_text(config), encoding="utf-8")
         return tmp_path / "project.yaml", path
 
     def test_validate_rejects_non_string_relationships(self, tmp_path):
@@ -642,7 +644,7 @@ def _project(tmp_path, edit):
                         for name, file in config["inputs"].items()}
     edit(config)
     path = tmp_path / "project.yaml"
-    path.write_text(dump_document(config), encoding="utf-8")
+    path.write_text(yaml_text(config), encoding="utf-8")
     return path
 
 
@@ -835,7 +837,7 @@ def test_a_template_no_bundle_can_match_is_one_located_line(tmp_path, capsys, si
     templates = read_document(data_path("condition_templates.yaml"))
     templates["templates"][0]["relationships"] = signature
     path = tmp_path / "templates.yaml"
-    path.write_text(dump_document(templates), encoding="utf-8")
+    path.write_text(yaml_text(templates), encoding="utf-8")
     config = _project(tmp_path, lambda doc: doc["inputs"].update(templates=str(path)))
     assert cli.main(["--config", str(config), "validate"]) == 1
     assert capsys.readouterr() == ("", f"error {message.format(path)}\n")
@@ -887,7 +889,7 @@ def _digest(path: Path) -> str:
         manifest = strip_timing(read_document(path))
         for entry in manifest["inputs"]:
             entry["path"] = Path(entry["path"]).name
-        data = dump_document(manifest, fmt="json").encode("utf-8")
+        data = dump_document(manifest).encode("utf-8")
     else:
         data = path.read_bytes()
     return hashlib.sha256(data).hexdigest()[:12]
@@ -993,7 +995,7 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
     policy["negations"] = {f"{event}-{copy}": text for copy in range(17)
                            for event, text in policy["negations"].items()}
     for name, doc in (("events", events), ("policy", policy)):
-        (tmp_path / f"{name}.yaml").write_text(dump_document(doc), encoding="utf-8")
+        (tmp_path / f"{name}.yaml").write_text(yaml_text(doc), encoding="utf-8")
     config = _project(tmp_path, lambda doc: doc["inputs"].update(
         events=str(tmp_path / "events.yaml"), policy=str(tmp_path / "policy.yaml")))
     out = tmp_path / "out"
@@ -1008,7 +1010,7 @@ def test_a_large_case_set_is_written_as_dump_document_writes_it(tmp_path, capsys
     cases, warnings = compose(catalog.conditions, inputs.events, inputs.suite, inputs.policy)
     assert (len(cases), warnings) == (1037, [])
     assert (out / "test_cases.json").read_text(encoding="utf-8") \
-        == dump_document(cases_to_doc(cases, warnings), fmt="json")
+        == dump_document(cases_to_doc(cases, warnings))
 
 
 def test_a_new_catalog_discards_the_ratings_of_the_old_one(tmp_path, monkeypatch, capsys):
@@ -1175,7 +1177,7 @@ def test_a_dangling_reference_is_located_at_the_document_naming_it(tmp_path, cap
     events = read_document(data_path("hazardous_events.yaml"))
     events["events"][0]["target"] = "Zeppelin"
     for name, doc in (("effects", effects), ("events", events)):
-        (tmp_path / f"{name}.yaml").write_text(dump_document(doc), encoding="utf-8")
+        (tmp_path / f"{name}.yaml").write_text(yaml_text(doc), encoding="utf-8")
     config = _project(tmp_path, lambda doc: doc["inputs"].update(
         effects=str(tmp_path / "effects.yaml"), events=str(tmp_path / "events.yaml")))
     assert cli.main(["--config", str(config), "validate"]) == 1
@@ -1194,7 +1196,7 @@ def test_an_empty_catalog_prints_no_sensor_counts(tmp_path, monkeypatch, capsys)
     effects = read_document(data_path("effects.yaml"))
     for effect in effects["effects"]:
         effect["degree"] = -1
-    (tmp_path / "effects.yaml").write_text(dump_document(effects), encoding="utf-8")
+    (tmp_path / "effects.yaml").write_text(yaml_text(effects), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     config = ["--config", str(_config_naming(tmp_path, tmp_path / "effects.yaml"))]
     for command in ("generate", "report"):

@@ -30,9 +30,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.config import config_from_doc
 from trigkit.data import data_path, reference_config
-from trigkit.docio import check_schema, dump_document, parse_document, read_document
+from trigkit.docio import check_schema, parse_document, read_document
 from trigkit.errors import DocumentError
 from trigkit.generation import effects_from_doc
 from trigkit.ontology import ontology_from_doc
@@ -188,7 +190,7 @@ def test_one_field_raw_scalar_raises_only_document_errors(documents, golden, sch
         original = container[key]
         container[key] = PLACEHOLDER
         try:
-            text = dump_document(doc)
+            text = yaml_text(doc)
         finally:
             container[key] = original
         assert text.count(PLACEHOLDER) == 1

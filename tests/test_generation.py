@@ -4,6 +4,8 @@ from itertools import chain, combinations
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.generation import (
@@ -519,8 +521,8 @@ def _load_ratings(text):
 
 class TestEffectDocuments:
     def test_round_trip(self):
-        for fmt in ("yaml", "json"):
-            text = dump_document(effects_to_doc(KB), fmt=fmt)
+        doc = effects_to_doc(KB)
+        for fmt, text in (("yaml", yaml_text(doc)), ("json", dump_document(doc))):
             assert _load_effects(text, fmt=fmt) == KB
 
     def test_degree_zero_cannot_be_authored(self):

@@ -1,4 +1,5 @@
-"""Every top-level import in the package is read by the module that makes it."""
+"""Every top-level import in the package is read by the module that makes it,
+and only the fallback YAML reader imports PyYAML."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,36 @@ def test_an_unused_import_is_found():
                      "from . import errors as E\n"
                      "__all__ = ['Any']\nE.X\n")
     assert _unused_imports(tree) == ["os (line 2)", "Seq (line 3)"]
+
+
+def _yaml_imports(tree: ast.Module, scope: str) -> list[str]:
+    """Where ``tree``, the module named ``scope``, imports ``yaml``: the dotted
+    name of the function or class around each such import, or ``scope`` at
+    the top level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.partition(".")[0] == "yaml" for module in modules):
+            found.append(scope)
+        inner = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += _yaml_imports(node, f"{scope}.{node.name}" if inner else scope)
+    return found
+
+
+def test_only_the_fallback_reader_imports_yaml():
+    where = [place for path in sorted(PACKAGE.glob("*.py"))
+             for place in _yaml_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert where == ["docio._pyyaml"]
+
+
+def test_a_yaml_import_is_found():
+    tree = ast.parse("import json, yaml.constructor\n"
+                     "class A:\n    def f(self):\n        from yaml import safe_dump\n"
+                     "def g():\n    if True:\n        import yaml as y\n"
+                     "def h():\n    from . import yaml\n    import yamlish\n")
+    assert _yaml_imports(tree, "m") == ["m", "m.A.f", "m.g"]

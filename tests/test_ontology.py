@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.ontology import (
@@ -239,8 +241,8 @@ def test_properties_in_names_each_property_once_in_declared_order():
 
 def test_serialization_round_trip():
     ontology = _load(MINIMAL)
-    for fmt in ("yaml", "json"):
-        text = dump_document(ontology_to_doc(ontology), fmt=fmt)
+    doc = ontology_to_doc(ontology)
+    for fmt, text in (("yaml", yaml_text(doc)), ("json", dump_document(doc))):
         assert _load(text, fmt=fmt) == ontology
 
 

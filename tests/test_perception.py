@@ -4,6 +4,8 @@ from itertools import chain, combinations
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DocumentError, ToolkitError
 from trigkit.ontology import (
@@ -19,7 +21,8 @@ from trigkit.perception import (
     SensorClass,
     StagePhase,
     affected_stages,
-    relation_stages,
+    relation_rule,
+    rule_stages,
     source_stages,
     stages_for_class,
     suite_from_doc,
@@ -255,7 +258,7 @@ class TestStagesPerRelation:
                 assert source_stages(source, spec) == bare
                 assert affected_stages(source, (), spec, ontology) == bare
                 for rel in self._relations(source, ontology, matrix):
-                    adds = relation_stages(source, rel, spec, ontology)
+                    adds = rule_stages(relation_rule(source, rel, ontology), spec)
                     assert adds <= set(spec.stages)
                     assert adds - bare == _reference_stages(source, (rel,), spec,
                                                             ontology) - bare
@@ -272,7 +275,7 @@ class TestStagesPerRelation:
                 for chosen in chain(*(combinations(candidates, size) for size in range(3))):
                     stages = affected_stages(source, chosen, spec, ontology)
                     assert stages == bare.union(*(
-                        relation_stages(source, rel, spec, ontology) for rel in chosen))
+                        rule_stages(relation_rule(source, rel, ontology), spec) for rel in chosen))
                     assert stages == _reference_stages(source, chosen, spec, ontology)
 
 
@@ -351,6 +354,6 @@ sensors:
 
     def test_round_trip(self):
         suite = _load_suite(SUITE)
-        for fmt in ("yaml", "json"):
-            assert _load_suite(dump_document(suite_to_doc(suite), fmt=fmt),
-                               fmt=fmt) == suite
+        doc = suite_to_doc(suite)
+        for fmt, text in (("yaml", yaml_text(doc)), ("json", dump_document(doc))):
+            assert _load_suite(text, fmt=fmt) == suite

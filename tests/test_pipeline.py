@@ -83,7 +83,7 @@ def _pairwise_masks(rel, sides, demands):
 
 
 def _pairwise_stages(source, rel, spec, ontology):
-    """What ``relation_stages`` gave per (sensor, relation) before the rule
+    """The stages one relation added per (sensor, relation) before the rule
     was split from the sensor: R4 and R5 applied to the pair directly."""
     if rel.focal == "Sensor" and rel.partner == source.name:
         if rel.form.label in ("SurfaceTreatment.Cover", "SpatialPosition.Occlusion"):

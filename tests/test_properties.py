@@ -94,8 +94,8 @@ def _written(documents, threshold=2, bundle_limit=2):
                                bundle_limit=bundle_limit)
     cases, warnings = compose(catalog.conditions, inputs["events"], inputs["suite"],
                               inputs["policy"])
-    return (dump_document(catalog_to_doc(catalog), fmt="json"),
-            dump_document(cases_to_doc(cases, warnings), fmt="json"))
+    return (dump_document(catalog_to_doc(catalog)),
+            dump_document(cases_to_doc(cases, warnings)))
 
 
 def _shuffled(entries: list, seed: int) -> list:

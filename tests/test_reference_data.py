@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.data import REFERENCE_DOCUMENTS, data_path, reference_config
 from trigkit.docio import dump_document, parse_document, read_document
 from trigkit.generation import effects_from_doc, effects_to_doc
@@ -59,10 +61,8 @@ class TestDocumentRoundTrips:
     def test_yaml_and_json_agree(self, name, from_doc, to_doc):
         loaded = from_doc(read_document(data_path(name)))
         doc = to_doc(loaded)
-        via_yaml = from_doc(parse_document(dump_document(doc, fmt="yaml"),
-                                           fmt="yaml"))
-        via_json = from_doc(parse_document(dump_document(doc, fmt="json"),
-                                           fmt="json"))
+        via_yaml = from_doc(parse_document(yaml_text(doc), fmt="yaml"))
+        via_json = from_doc(parse_document(dump_document(doc), fmt="json"))
         assert via_yaml == via_json == loaded
 
 

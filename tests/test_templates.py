@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import yaml_text
+
 from trigkit.docio import dump_document, parse_document
 from trigkit.errors import DiagnosticSink, DocumentError, ToolkitError
 from trigkit.templates import (
@@ -209,8 +211,8 @@ templates:
 
     def test_round_trip(self):
         templates = _load_templates(DOC)
-        for fmt in ("yaml", "json"):
-            text = dump_document(templates_to_doc(templates), fmt=fmt)
+        doc = templates_to_doc(templates)
+        for fmt, text in (("yaml", yaml_text(doc)), ("json", dump_document(doc))):
             again = _load_templates(text, fmt=fmt)
             assert again.entries == templates.entries
             assert again.distance_suffix == templates.distance_suffix
